@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "common/buffer_pool.hpp"
+#include "gate_flags.hpp"
 #include "mesh/box.hpp"
 #include "mesh/fab.hpp"
 #include "staging/space.hpp"
@@ -220,21 +220,9 @@ void write_json(const std::string& path, const mesh::Box& domain, int steps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_alloc_churn [--quick] [--check] [--json FILE]\n";
-      return 2;
-    }
-  }
+  const auto flags = bench::parse_gate_flags(argc, argv, "bench_alloc_churn");
+  if (!flags) return 2;
+  const auto& [quick, check, json_path] = *flags;
 
   // Fig-8 base domain (2K-core Titan scale); quick mode shrinks it for CI.
   const mesh::Box domain = quick ? mesh::Box::domain({64, 32, 32})

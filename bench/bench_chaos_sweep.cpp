@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "cluster/machine.hpp"
+#include "gate_flags.hpp"
 #include "mesh/layout.hpp"
 #include "runtime/fault.hpp"
 #include "staging/space.hpp"
@@ -369,21 +370,9 @@ void write_json(const std::string& path, bool quick,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_chaos_sweep [--quick] [--check] [--json FILE]\n";
-      return 2;
-    }
-  }
+  const auto flags = bench::parse_gate_flags(argc, argv, "bench_chaos_sweep");
+  if (!flags) return 2;
+  const auto& [quick, check, json_path] = *flags;
 
   bool ok = true;
 

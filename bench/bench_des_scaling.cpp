@@ -12,16 +12,16 @@
 //
 // Each rank accumulates its event/byte counters inside the event closure (as
 // a real rank accumulates in local state) and folds them into its flat
-// cluster::RankRecord once, when its chain ends — so the measured hot path
-// is the ENGINE (schedule + dispatch), which is what the speedup gate is
-// about, while the flat rank table is still populated and cross-checked.
+// RankRecord once, when its chain ends — so the measured hot path is the
+// ENGINE (schedule + dispatch), which is what the speedup gate is about,
+// while the flat rank table is still populated and cross-checked.
 //
-// Each event's closure carries the same state the real transport layer's
-// retry continuation does (~72 bytes), which overflows libstdc++'s
-// std::function inline buffer — exactly the per-event heap allocation the
-// refactor removes. Both engines compute an order-sensitive FNV checksum
-// over the rank firing sequence; the bench aborts if the engines disagree,
-// so every reported speedup comes from bit-identically ordered work.
+// Each event's closure is 72 bytes — EventHandler's inline capacity — which
+// overflows libstdc++'s std::function inline buffer: exactly the per-event
+// heap allocation the refactor removes. Both engines compute an
+// order-sensitive FNV checksum over the rank firing sequence; the bench
+// aborts if the engines disagree, so every reported speedup comes from
+// bit-identically ordered work.
 //
 // Engine phases interleave (ladder, seed, ladder, seed, ...) and each
 // engine's best repetition is reported: the bench often shares a machine,
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -51,7 +50,7 @@
 #include <sys/resource.h>
 
 #include "cluster/event_queue.hpp"
-#include "cluster/machine.hpp"
+#include "gate_flags.hpp"
 
 namespace {
 
@@ -149,18 +148,25 @@ double hashed_dt(std::uint64_t rank, std::uint64_t round) {
   return 0.5 + static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/// Per-virtual-rank state: one flat, trivially copyable record, so a
+/// million-rank machine is one contiguous 24 MB table.
+struct RankRecord {
+  double busy_until = 0.0;       ///< simulated time the rank's chain ended.
+  std::uint64_t events = 0;      ///< events fired on this rank.
+  std::uint64_t bytes_sent = 0;  ///< payload bytes this rank injected.
+};
+
 struct WorkloadState {
-  cluster::RankTable ranks;
+  std::vector<RankRecord> ranks;
   std::uint64_t fired = 0;
   std::uint64_t checksum = 0;  ///< FNV over the rank firing order.
 };
 
 /// One rank's event: fires, accumulates the rank's counters in the closure,
 /// and schedules the rank's next event; the accumulated counters fold into
-/// the flat cluster::RankRecord when the chain ends. The payload field pads
-/// the closure to the size of the transport layer's retry continuation
-/// (~72 bytes), which is what forces std::function onto the heap in the
-/// seed engine.
+/// the rank's flat RankRecord when the chain ends. The payload field pads
+/// the closure to 72 bytes, which is what forces std::function onto the heap
+/// in the seed engine while it still fits EventHandler's inline slot.
 template <typename Queue>
 struct RankEvent {
   Queue* queue;
@@ -171,14 +177,14 @@ struct RankEvent {
   std::uint64_t bytes;
   std::uint64_t events_acc;
   std::uint64_t bytes_acc;
-  std::uint64_t payload_a;  // padding mirroring the fabric closure's callbacks
+  std::uint64_t payload_a;  // padding up to the 72-byte closure size
 
   void operator()() const {
     ++state->fired;
     state->checksum = (state->checksum ^ rank) * 1099511628211ull;
     if (rounds_left == 0) {
       // Chain end: one flat-table fold of everything this rank accumulated.
-      cluster::RankRecord& rec = state->ranks[rank];
+      RankRecord& rec = state->ranks[rank];
       rec.busy_until = queue->now();
       rec.events += events_acc + 1;
       rec.bytes_sent += bytes_acc + bytes;
@@ -213,7 +219,7 @@ template <typename Queue>
 PhaseReport run_phase(std::size_t nranks, std::uint64_t rounds_per_rank) {
   Queue queue;
   WorkloadState state;
-  state.ranks.reset(nranks);
+  state.ranks.resize(nranks);
 
   // Seed the population: one in-flight event per virtual rank.
   for (std::size_t rank = 0; rank < nranks; ++rank) {
@@ -245,8 +251,13 @@ PhaseReport run_phase(std::size_t nranks, std::uint64_t rounds_per_rank) {
       report.seconds > 0.0 ? static_cast<double>(state.fired) / report.seconds : 0.0;
   report.allocs_per_event =
       static_cast<double>(allocs1 - allocs0) / static_cast<double>(state.fired);
-  report.checksum = state.checksum ^ state.ranks.total_events() ^
-                    state.ranks.total_bytes_sent();
+  std::uint64_t total_events = 0;
+  std::uint64_t total_bytes = 0;
+  for (const RankRecord& r : state.ranks) {
+    total_events += r.events;
+    total_bytes += r.bytes_sent;
+  }
+  report.checksum = state.checksum ^ total_events ^ total_bytes;
   report.peak_rss_kb = peak_rss_kb();
   return report;
 }
@@ -286,21 +297,9 @@ void write_json(const std::string& path, bool quick,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_des_scaling [--quick] [--check] [--json FILE]\n";
-      return 2;
-    }
-  }
+  const auto flags = bench::parse_gate_flags(argc, argv, "bench_des_scaling");
+  if (!flags) return 2;
+  const auto& [quick, check, json_path] = *flags;
 
   // Virtual-core scales (population = one in-flight event per core) and
   // events per core. The full sweep ends at 1M cores x 10 rounds = 10M+

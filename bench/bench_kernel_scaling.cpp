@@ -2,12 +2,12 @@
 //
 // Section 1 — row/SIMD speedup: the seed per-cell kernels (every access
 // through the bounds-checked `fab(*it, c)` path, bit-by-bit stream packing)
-// are kept alive HERE as reference replicas, timed single-thread against the
-// library's flat-row implementations. The replicas also serve as oracles: the
-// library output must match them EXACTLY (bit-for-bit / byte-for-byte), which
-// is the determinism contract of DESIGN.md §3.10 made executable. `--check`
-// additionally gates the speedups (>= kMinSpeedup on >= kMinKernelsFast of
-// the four kernels).
+// stay alive as reference replicas in tests/seed_kernels.hpp, timed
+// single-thread against the library's flat-row implementations. The replicas
+// also serve as oracles: the library output must match them EXACTLY
+// (bit-for-bit / byte-for-byte), which is the determinism contract of
+// DESIGN.md §3.10 made executable. `--check` additionally gates the speedups
+// (>= kMinSpeedup on >= kMinKernelsFast of the four kernels).
 //
 // Section 2 — thread scaling: run the kernels serially and on the shared
 // xl::ThreadPool at 2 and 4 workers and report speedups; outputs are
@@ -27,7 +27,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <span>
 #include <string>
 #include <thread>
@@ -40,6 +39,8 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "gate_flags.hpp"
+#include "seed_kernels.hpp"
 #include "viz/marching_cubes.hpp"
 
 using namespace xl;
@@ -93,157 +94,6 @@ double checksum(std::span<const double> data) {
   return sum;
 }
 
-// --- seed per-cell reference replicas ----------------------------------------
-// Frozen copies of the pre-row-traversal kernels: every cell access funnels
-// through the bounds-checked fab(p, c) operator and compression packs the
-// stream one bit at a time. They are the baseline the speedup table measures
-// against AND the oracle the library output is compared to.
-
-double seed_block_entropy(const mesh::Fab& fab, const mesh::Box& region,
-                          const analysis::EntropyConfig& config = {}) {
-  const mesh::Box scan = fab.box() & region;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (mesh::BoxIterator it(scan); it.ok(); ++it) {
-    const double v = fab(*it, config.comp);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (hi <= lo) return 0.0;
-  const auto bins = static_cast<std::size_t>(config.bins);
-  const double scale = static_cast<double>(config.bins) / (hi - lo);
-  const double last_bin = static_cast<double>(config.bins - 1);
-  std::vector<std::size_t> counts(bins, 0);
-  std::size_t total = 0;
-  for (mesh::BoxIterator it(scan); it.ok(); ++it) {
-    const double idx = (fab(*it, config.comp) - lo) * scale;
-    if (std::isnan(idx)) continue;
-    // xl-lint: allow(float-cast): NaN dropped and range clamped above.
-    ++counts[static_cast<std::size_t>(std::clamp(idx, 0.0, last_bin))];
-    ++total;
-  }
-  if (total == 0) return 0.0;
-  double entropy = 0.0;
-  for (std::size_t b = 0; b < bins; ++b) {
-    if (counts[b] == 0) continue;
-    const double p = static_cast<double>(counts[b]) / static_cast<double>(total);
-    entropy -= p * std::log2(p);
-  }
-  return entropy;
-}
-
-mesh::Fab seed_downsample_average(const mesh::Fab& src, int factor) {
-  const mesh::IntVect rvec = mesh::IntVect::uniform(factor);
-  mesh::Fab out(src.box().coarsen(rvec), src.ncomp());
-  const double inv_vol = 1.0 / static_cast<double>(factor) / factor / factor;
-  const std::size_t full = static_cast<std::size_t>(factor) * factor * factor;
-  for (int c = 0; c < src.ncomp(); ++c) {
-    for (mesh::BoxIterator it(out.box()); it.ok(); ++it) {
-      const mesh::IntVect base = (*it).refine(rvec);
-      const mesh::Box children =
-          mesh::Box(base, base + (factor - 1)) & src.box();
-      double sum = 0.0;
-      for (mesh::BoxIterator fit(children); fit.ok(); ++fit) sum += src(*fit, c);
-      out(*it, c) = static_cast<std::size_t>(children.num_cells()) == full
-                        ? sum * inv_vol
-                        : sum / static_cast<double>(children.num_cells());
-    }
-  }
-  return out;
-}
-
-void seed_linear_fit(const double* v, std::size_t n, double& a, double& b) {
-  if (n == 1) {
-    a = v[0];
-    b = 0.0;
-    return;
-  }
-  double sum_v = 0.0, sum_iv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum_v += v[i];
-    sum_iv += static_cast<double>(i) * v[i];
-  }
-  const double nn = static_cast<double>(n);
-  const double sum_i = nn * (nn - 1.0) / 2.0;
-  const double sum_ii = (nn - 1.0) * nn * (2.0 * nn - 1.0) / 6.0;
-  const double denom = nn * sum_ii - sum_i * sum_i;
-  b = denom != 0.0 ? (nn * sum_iv - sum_i * sum_v) / denom : 0.0;
-  a = (sum_v - b * sum_i) / nn;
-}
-
-/// Seed encoder: scalar quantize straight off the residual expression, then
-/// set the packed stream one bit at a time.
-std::vector<std::uint8_t> seed_compress_payload(
-    const mesh::Fab& fab, const analysis::CompressConfig& config) {
-  const std::span<const double> data = fab.flat();
-  const auto levels = (1u << config.residual_bits) - 1u;
-  const auto block = static_cast<std::size_t>(config.block);
-  const int bits = config.residual_bits;
-  const std::size_t header = 4 * sizeof(double);
-  const auto payload_bytes = [&](std::size_t n) {
-    return (n * static_cast<std::size_t>(bits) + 7) / 8;
-  };
-  const std::size_t nblocks = (data.size() + block - 1) / block;
-  const std::size_t full_bytes = header + payload_bytes(block);
-  const std::size_t tail_n = data.size() - (nblocks - 1) * block;
-  std::vector<std::uint8_t> payload(
-      (nblocks - 1) * full_bytes + header + payload_bytes(tail_n), 0);
-  std::vector<std::uint32_t> q(block);
-  for (std::size_t bi = 0; bi < nblocks; ++bi) {
-    const std::size_t n = bi + 1 == nblocks ? tail_n : block;
-    const double* v = data.data() + bi * block;
-    std::uint8_t* dst = payload.data() + bi * full_bytes;
-    double a, b;
-    seed_linear_fit(v, n, a, b);
-    double rmin = 0.0, rmax = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double r = v[i] - (a + b * static_cast<double>(i));
-      rmin = i == 0 ? r : std::min(rmin, r);
-      rmax = i == 0 ? r : std::max(rmax, r);
-    }
-    const double step = rmax > rmin ? (rmax - rmin) / levels : 0.0;
-    std::memcpy(dst + 0 * sizeof(double), &a, sizeof(double));
-    std::memcpy(dst + 1 * sizeof(double), &b, sizeof(double));
-    std::memcpy(dst + 2 * sizeof(double), &rmin, sizeof(double));
-    std::memcpy(dst + 3 * sizeof(double), &step, sizeof(double));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (step > 0.0) {
-        const double r = v[i] - (a + b * static_cast<double>(i));
-        // xl-lint: allow(float-cast): lround of a value in [0, levels].
-        q[i] = static_cast<std::uint32_t>(std::lround((r - rmin) / step));
-        if (q[i] > levels) q[i] = levels;
-      } else {
-        q[i] = 0;
-      }
-    }
-    std::uint8_t* packed = dst + header;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (int bit = 0; bit < bits; ++bit) {
-        if ((q[i] >> bit) & 1u) {
-          const std::size_t bitpos =
-              i * static_cast<std::size_t>(bits) + static_cast<std::size_t>(bit);
-          packed[bitpos >> 3] |=
-              static_cast<std::uint8_t>(1u << (bitpos & 7));
-        }
-      }
-    }
-  }
-  return payload;
-}
-
-void seed_face_flux(const mesh::Fab& u, const mesh::Box& faces, int dim,
-                    double vel, double d_over_dx, mesh::Fab& flux) {
-  for (mesh::BoxIterator it(faces); it.ok(); ++it) {
-    mesh::IntVect lo = *it;
-    lo[dim] -= 1;
-    const double ul = u(lo, 0);
-    const double ur = u(*it, 0);
-    const double advective = vel * (vel >= 0.0 ? ul : ur);
-    const double diffusive = -d_over_dx * (ur - ul);
-    flux(*it, 0) = advective + diffusive;
-  }
-}
-
 // --- report plumbing ---------------------------------------------------------
 
 struct SpeedupRow {
@@ -268,21 +118,9 @@ struct Kernel {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_kernel_scaling [--quick] [--check] [--json FILE]\n";
-      return 2;
-    }
-  }
+  const auto flags = bench::parse_gate_flags(argc, argv, "bench_kernel_scaling");
+  if (!flags) return 2;
+  const auto& [quick, check, json_path] = *flags;
   g_repeats = quick ? kQuickRepeats : kRepeats;
   const int n = quick ? kQuickN : kN;
   const mesh::Fab field = sample_field(n);
@@ -297,10 +135,10 @@ int main(int argc, char** argv) {
     SpeedupRow r;
     r.name = "block entropy";
     r.cells = static_cast<std::size_t>(field.box().num_cells());
-    const double seed_out = seed_block_entropy(field, field.box());
+    const double seed_out = seed::block_entropy(field, field.box());
     const double fast_out = analysis::block_entropy(field, field.box());
     r.identical = seed_out == fast_out;
-    r.seed_s = min_seconds([&] { seed_block_entropy(field, field.box()); });
+    r.seed_s = min_seconds([&] { seed::block_entropy(field, field.box()); });
     r.fast_s = min_seconds([&] { analysis::block_entropy(field, field.box()); });
     speedups.push_back(r);
   }
@@ -308,28 +146,26 @@ int main(int argc, char** argv) {
     SpeedupRow r;
     r.name = "downsample (average)";
     r.cells = static_cast<std::size_t>(field.box().num_cells());
-    const mesh::Fab seed_out = seed_downsample_average(field, 2);
-    const mesh::Fab fast_out =
-        analysis::downsample(field, 2, analysis::DownsampleMethod::Average);
+    const auto average = analysis::DownsampleMethod::Average;
+    const mesh::Fab seed_out = seed::downsample(field, 2, average);
+    const mesh::Fab fast_out = analysis::downsample(field, 2, average);
     const std::span<const double> a = seed_out.flat(), b = fast_out.flat();
     r.identical = a.size() == b.size() &&
                   std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
-    r.seed_s = min_seconds([&] { seed_downsample_average(field, 2); });
-    r.fast_s = min_seconds([&] {
-      analysis::downsample(field, 2, analysis::DownsampleMethod::Average);
-    });
+    r.seed_s = min_seconds([&] { seed::downsample(field, 2, average); });
+    r.fast_s = min_seconds([&] { analysis::downsample(field, 2, average); });
     speedups.push_back(r);
   }
   {
     SpeedupRow r;
     r.name = "compress (encode)";
     r.cells = static_cast<std::size_t>(field.box().num_cells());
-    const std::vector<std::uint8_t> seed_out = seed_compress_payload(field, ccfg);
+    const std::vector<std::uint8_t> seed_out = seed::compress_payload(field, ccfg);
     const analysis::CompressedField fast_out = analysis::compress(field, ccfg);
     r.identical = seed_out.size() == fast_out.payload.size() &&
                   std::memcmp(seed_out.data(), fast_out.payload.data(),
                               seed_out.size()) == 0;
-    r.seed_s = min_seconds([&] { seed_compress_payload(field, ccfg); });
+    r.seed_s = min_seconds([&] { seed::compress_payload(field, ccfg); });
     r.fast_s = min_seconds([&] { analysis::compress(field, ccfg); });
     speedups.push_back(r);
   }
@@ -344,14 +180,14 @@ int main(int argc, char** argv) {
                           field.box().hi());
     r.cells = static_cast<std::size_t>(faces.num_cells());
     mesh::Fab seed_out(faces, 1), fast_out(faces, 1);
-    seed_face_flux(field, faces, 0, pcfg.velocity[0], pcfg.diffusivity / dx,
-                   seed_out);
+    seed::face_flux(field, faces, 0, pcfg.velocity[0], pcfg.diffusivity / dx,
+                    seed_out);
     physics.face_flux(field, faces, 0, dx, fast_out);
     const std::span<const double> a = seed_out.flat(), b = fast_out.flat();
     r.identical = std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
     r.seed_s = min_seconds([&] {
-      seed_face_flux(field, faces, 0, pcfg.velocity[0], pcfg.diffusivity / dx,
-                     seed_out);
+      seed::face_flux(field, faces, 0, pcfg.velocity[0], pcfg.diffusivity / dx,
+                      seed_out);
     });
     r.fast_s = min_seconds([&] { physics.face_flux(field, faces, 0, dx, fast_out); });
     speedups.push_back(r);

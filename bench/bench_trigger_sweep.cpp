@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "cluster/machine.hpp"
+#include "gate_flags.hpp"
 #include "mesh/layout.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/coupled_workflow.hpp"
@@ -261,21 +262,9 @@ void write_json(const std::string& path, bool quick,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_trigger_sweep [--quick] [--check] [--json FILE]\n";
-      return 2;
-    }
-  }
+  const auto flags = bench::parse_gate_flags(argc, argv, "bench_trigger_sweep");
+  if (!flags) return 2;
+  const auto& [quick, check, json_path] = *flags;
 
   // The injected oracle shocks, verified visible in a FixedPeriod baseline
   // (the quiescent schedule injects none — its gate is decision savings).

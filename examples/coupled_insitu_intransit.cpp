@@ -21,6 +21,7 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "amr/amr_simulation.hpp"
 #include "amr/polytropic_gas.hpp"
@@ -93,6 +94,7 @@ int main(int argc, char** argv) {
   std::vector<std::future<staging::AnalysisResult>> inflight;
   std::size_t intransit_triangles = 0;
   double intransit_seconds = 0.0;
+  std::size_t rejected_puts = 0;
 
   for (int step = 0; step < steps; ++step) {
     auto t0 = Clock::now();
@@ -160,13 +162,19 @@ int main(int argc, char** argv) {
       // Ship (optionally reduced) level-0 fabs and fire an asynchronous
       // in-transit analysis; the next simulation step overlaps with it.
       const amr::AmrLevel& level = sim.hierarchy().level(0);
+      std::vector<std::future<staging::PutAck>> acks;
       for (std::size_t i = 0; i < level.layout.num_boxes(); ++i) {
         // Stage valid regions only (ghost overlap would double-count the
         // seams in the in-transit triangulation).
         mesh::Fab reduced = analysis::downsample(
             analysis::subset(level.data[i], level.layout.box(i)), factor);
         staged_bytes += reduced.bytes();
-        service.put_async(step, reduced.box(), std::move(reduced));
+        acks.push_back(service.put_async(step, reduced.box(), std::move(reduced)));
+      }
+      // The service runs requests on any worker, so the analysis must not be
+      // queued before every put of its step has landed.
+      for (auto& ack : acks) {
+        if (!ack.get().accepted) ++rejected_puts;
       }
       inflight.push_back(service.analyze_async(
           step, level.domain.coarsen(factor).grow(2), isovalue,
@@ -200,6 +208,7 @@ int main(int argc, char** argv) {
             << "\nin-transit totals: " << intransit_triangles << " triangles in "
             << format_seconds(intransit_seconds)
             << " of service-thread time (overlapped with the simulation);\n"
+            << "rejected puts (staging full): " << rejected_puts << ";\n"
             << "service busy " << format_seconds(service.busy_seconds())
             << " total. In-situ steps show their triangles inline: those\n"
             << "analyses blocked the simulation, which is exactly the eq. 4/5\n"

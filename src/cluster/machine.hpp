@@ -7,11 +7,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-
-#include "common/buffer_pool.hpp"
-#include "common/error.hpp"
 
 namespace xl::cluster {
 
@@ -47,74 +43,5 @@ MachineSpec titan();
 
 /// Small generic machine for unit tests (round numbers).
 MachineSpec test_machine();
-
-/// Per-virtual-rank simulation state: one flat, trivially copyable record.
-/// Everything the DES needs to price a rank's next event lives here, so a
-/// million-rank machine is one contiguous 24 MB table — no per-rank map
-/// nodes, no pointer chasing on the event hot path.
-struct RankRecord {
-  double busy_until = 0.0;       ///< simulated time the rank's core frees up.
-  std::uint64_t events = 0;      ///< events fired on this rank.
-  std::uint64_t bytes_sent = 0;  ///< payload bytes this rank injected.
-};
-
-/// Flat arena-backed table of RankRecords, indexed by rank id. Backed by the
-/// pooled ArenaVec so repeated construction at the same scale (parameter
-/// sweeps, the scaling bench) recycles one buffer instead of reallocating.
-class RankTable {
- public:
-  RankTable() = default;
-  explicit RankTable(std::size_t nranks) { reset(nranks); }
-
-  /// Size the table to `nranks` zero-initialized records.
-  void reset(std::size_t nranks) {
-    ranks_.clear();
-    ranks_.resize(nranks, RankRecord{});
-  }
-
-  std::size_t size() const noexcept { return ranks_.size(); }
-  bool empty() const noexcept { return ranks_.empty(); }
-
-  RankRecord& operator[](std::size_t rank) noexcept { return ranks_[rank]; }
-  const RankRecord& operator[](std::size_t rank) const noexcept {
-    return ranks_[rank];
-  }
-
-  RankRecord& at(std::size_t rank) {
-    XL_REQUIRE(rank < ranks_.size(), "rank out of range");
-    return ranks_[rank];
-  }
-
-  RankRecord* begin() noexcept { return ranks_.begin(); }
-  RankRecord* end() noexcept { return ranks_.end(); }
-  const RankRecord* begin() const noexcept { return ranks_.begin(); }
-  const RankRecord* end() const noexcept { return ranks_.end(); }
-
-  /// Latest time any rank is busy until (the machine-wide frontier).
-  double max_busy_until() const noexcept {
-    double latest = 0.0;
-    for (const RankRecord& r : ranks_) {
-      if (r.busy_until > latest) latest = r.busy_until;
-    }
-    return latest;
-  }
-
-  std::uint64_t total_events() const noexcept {
-    std::uint64_t n = 0;
-    for (const RankRecord& r : ranks_) n += r.events;
-    return n;
-  }
-
-  std::uint64_t total_bytes_sent() const noexcept {
-    std::uint64_t n = 0;
-    for (const RankRecord& r : ranks_) n += r.bytes_sent;
-    return n;
-  }
-
- private:
-  /// Engine pool: rank bookkeeping stays out of the data-path pool's
-  /// telemetry (see BufferPool::engine()).
-  ArenaVec<RankRecord> ranks_{BufferPool::engine()};
-};
 
 }  // namespace xl::cluster

@@ -1,8 +1,11 @@
 #include "runtime/fault.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
+#include <string>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -32,12 +35,6 @@ std::optional<FaultKind> FaultPlan::transfer_attempt_fault(std::uint64_t transfe
   if (u < drop) return FaultKind::TransferDrop;
   if (u < drop + corrupt) return FaultKind::TransferCorrupt;
   return std::nullopt;
-}
-
-double FaultPlan::backoff_seconds(int attempt) const noexcept {
-  double backoff = config_.retry_backoff_seconds;
-  for (int i = 0; i < attempt; ++i) backoff *= config_.backoff_multiplier;
-  return backoff;
 }
 
 namespace {
@@ -92,29 +89,43 @@ double FaultPlan::slowdown_at(int step) const noexcept {
 
 namespace {
 
-// std::sto* throw exactly std::invalid_argument (no conversion) and
-// std::out_of_range (unrepresentable); catch those two specifically — a
-// bare catch (...) here once swallowed contract aborts and bad_alloc too.
-double spec_to_double(const std::string& v, const std::string& clause) {
-  try {
-    return std::stod(v);
-  } catch (const std::invalid_argument&) {
-    throw ContractError("fault spec: bad number in '" + clause + "'");
-  } catch (const std::out_of_range& e) {
-    throw ContractError("fault spec: number out of range in '" + clause +
-                        "': " + e.what());
+// Every number must be the whole field: from_chars stops at the first
+// character it cannot use, so "0.05zz", "2x" and "2.5" (for an integer) fail
+// instead of parsing their prefix, and unsigned fields reject a sign rather
+// than wrapping "-1" to 2^64-1. Errors name the clause they came from.
+template <typename T>
+T spec_number(const std::string& v, const std::string& clause) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec == std::errc::result_out_of_range) {
+    throw ContractError("fault spec: number out of range in '" + clause + "'");
   }
+  if (ec != std::errc() || ptr != end) {
+    throw ContractError("fault spec: bad number in '" + clause + "'");
+  }
+  return out;
 }
 
-int spec_to_int(const std::string& v, const std::string& clause) {
-  try {
-    return std::stoi(v);
-  } catch (const std::invalid_argument&) {
-    throw ContractError("fault spec: bad integer in '" + clause + "'");
-  } catch (const std::out_of_range& e) {
-    throw ContractError("fault spec: integer out of range in '" + clause +
-                        "': " + e.what());
+/// A finite real no smaller than `min` (nan and inf are rejected).
+double spec_double(const std::string& v, const std::string& clause, double min) {
+  const double out = spec_number<double>(v, clause);
+  if (!std::isfinite(out) || out < min) {
+    std::ostringstream msg;
+    msg << "fault spec: '" << clause << "' needs a finite value >= " << min;
+    throw ContractError(msg.str());
   }
+  return out;
+}
+
+/// An integer no smaller than `min`.
+int spec_int(const std::string& v, const std::string& clause, int min) {
+  const int out = spec_number<int>(v, clause);
+  if (out < min) {
+    throw ContractError("fault spec: '" + clause + "' needs an integer >= " +
+                        std::to_string(min));
+  }
+  return out;
 }
 
 /// Split "a:b:c" into up to three fields (later ones optional).
@@ -142,60 +153,42 @@ FaultConfig parse_fault_spec(const std::string& spec) {
     XL_REQUIRE(!value.empty(), "fault spec: empty value in '" + clause + "'");
 
     if (key == "seed") {
-      try {
-        config.seed = std::stoull(value);
-      } catch (const std::invalid_argument&) {
-        throw ContractError("fault spec: bad seed in '" + clause + "'");
-      } catch (const std::out_of_range& e) {
-        throw ContractError("fault spec: seed out of range in '" + clause +
-                            "': " + e.what());
+      config.seed = spec_number<std::uint64_t>(value, clause);
+    } else if (key == "drop" || key == "corrupt") {
+      const double rate = spec_double(value, clause, 0.0);
+      if (rate > 1.0) {
+        throw ContractError("fault spec: '" + clause + "' needs a rate in [0, 1]");
       }
-    } else if (key == "drop") {
-      config.transfer_drop_rate = spec_to_double(value, clause);
-    } else if (key == "corrupt") {
-      config.transfer_corrupt_rate = spec_to_double(value, clause);
+      (key == "drop" ? config.transfer_drop_rate : config.transfer_corrupt_rate) = rate;
     } else if (key == "retries") {
-      config.max_transfer_retries = spec_to_int(value, clause);
+      config.max_transfer_retries = spec_int(value, clause, 0);
     } else if (key == "backoff") {
-      config.retry_backoff_seconds = spec_to_double(value, clause);
+      config.retry_backoff_seconds = spec_double(value, clause, 0.0);
     } else if (key == "backoff_mult") {
-      config.backoff_multiplier = spec_to_double(value, clause);
+      config.backoff_multiplier = spec_double(value, clause, 1.0);
     } else if (key == "timeout") {
-      config.transfer_timeout_seconds = spec_to_double(value, clause);
+      config.transfer_timeout_seconds = spec_double(value, clause, 0.0);
     } else if (key == "lease") {
-      config.lease_steps = spec_to_int(value, clause);
+      config.lease_steps = spec_int(value, clause, 0);
     } else if (key == "crash" || key == "straggler") {
       const auto fields = split_fields(value);
       XL_REQUIRE(!fields.empty() && fields.size() <= 3,
-                 "fault spec: '" + key + "' takes STEP[:ARG[:DURATION]]");
+                 "fault spec: '" + clause + "' takes STEP[:ARG[:DURATION]]");
       FaultSpec fault;
-      fault.step = spec_to_int(fields[0], clause);
+      fault.step = spec_int(fields[0], clause, 0);
       if (key == "crash") {
         fault.kind = FaultKind::ServerCrash;
-        if (fields.size() > 1) fault.servers = spec_to_int(fields[1], clause);
-        XL_REQUIRE(fault.servers >= 1, "fault spec: crash needs >= 1 server");
+        if (fields.size() > 1) fault.servers = spec_int(fields[1], clause, 1);
       } else {
         fault.kind = FaultKind::Straggler;
-        if (fields.size() > 1) fault.slowdown = spec_to_double(fields[1], clause);
-        XL_REQUIRE(fault.slowdown >= 1.0, "fault spec: straggler slowdown >= 1");
+        if (fields.size() > 1) fault.slowdown = spec_double(fields[1], clause, 1.0);
       }
-      if (fields.size() > 2) fault.duration_steps = spec_to_int(fields[2], clause);
-      XL_REQUIRE(fault.step >= 0 && fault.duration_steps >= 0,
-                 "fault spec: step/duration must be non-negative");
+      if (fields.size() > 2) fault.duration_steps = spec_int(fields[2], clause, 0);
       config.events.push_back(fault);
     } else {
       throw ContractError("fault spec: unknown key '" + key + "'");
     }
   }
-  XL_REQUIRE(config.transfer_drop_rate >= 0.0 && config.transfer_drop_rate <= 1.0,
-             "fault spec: drop rate in [0,1]");
-  XL_REQUIRE(config.transfer_corrupt_rate >= 0.0 &&
-                 config.transfer_corrupt_rate <= 1.0,
-             "fault spec: corrupt rate in [0,1]");
-  XL_REQUIRE(config.max_transfer_retries >= 0, "fault spec: retries >= 0");
-  XL_REQUIRE(config.lease_steps >= 0, "fault spec: lease >= 0");
-  XL_REQUIRE(config.retry_backoff_seconds >= 0.0, "fault spec: backoff >= 0");
-  XL_REQUIRE(config.backoff_multiplier >= 1.0, "fault spec: backoff_mult >= 1");
   return config;
 }
 

@@ -43,7 +43,8 @@ struct FaultConfig {
   double transfer_drop_rate = 0.0;
   /// Per-attempt probability a transfer arrives corrupt (and is rejected).
   double transfer_corrupt_rate = 0.0;
-  /// Retries after the first attempt before a transfer is declared Failed.
+  // The retry ladder's knobs; transport/retry_ladder.hpp applies them.
+  /// Retries after the first attempt before a transfer fails.
   int max_transfer_retries = 3;
   /// Backoff before retry r is base * multiplier^r (exponential backoff).
   double retry_backoff_seconds = 1.0e-3;
@@ -87,12 +88,6 @@ class FaultPlan {
   /// query order, so every substrate replays the same failures.
   std::optional<FaultKind> transfer_attempt_fault(std::uint64_t transfer,
                                                   int attempt) const;
-  bool transfer_attempt_fails(std::uint64_t transfer, int attempt) const {
-    return transfer_attempt_fault(transfer, attempt).has_value();
-  }
-
-  /// Exponential backoff before retry `attempt` (base * multiplier^attempt).
-  double backoff_seconds(int attempt) const noexcept;
 
   /// Staging servers down at `step` (sum of the active ServerCrash windows).
   /// This is the GROUND TRUTH the chaos schedule defines; the runtime only

@@ -12,8 +12,9 @@
 //  * T_sum_intransit (eq. 5) accrues on the staging-side clock: in-transit
 //    analyses plus T_intransit_wait (staging idle).
 //  * Time-to-solution = max of the two clocks at the end (eq. 6).
-//  * Transfers are asynchronous (Fabric): the simulation only pays an
-//    initiation cost, the data arrives a transfer-time later.
+//  * Transfers are asynchronous: the simulation only pays an initiation
+//    cost, the data arrives a transfer-time later (the substrate's
+//    enqueue_intransit); lost attempts retry per transport/retry_ladder.hpp.
 #pragma once
 
 #include <cstdint>

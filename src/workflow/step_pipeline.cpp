@@ -10,6 +10,7 @@
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "transport/retry_ladder.hpp"
 
 namespace xl::workflow {
 
@@ -681,74 +682,62 @@ void TransferPhase::run(StepContext& ctx) {
                                                p_.staging_nodes(alive));
 
   // Resolve the transfer's fate against the fault oracle BEFORE admission:
-  // each dropped/corrupt attempt blocks the sender for its detection time
-  // (the timeout, or the full wire time for a checksum reject) plus an
-  // exponential backoff, then retries; exhausting the retry budget fails the
-  // transfer and this step's analysis falls back in-situ without ever
-  // charging an admission wait.
+  // each lost attempt blocks the sender for its detection time plus a
+  // backoff, then retries (transport/retry_ladder.hpp); exhausting the retry
+  // budget fails the transfer and this step's analysis falls back in-situ
+  // without ever charging an admission wait.
   if (p_.fault_plan_.enabled()) {
     const std::uint64_t tid = p_.transfer_seq_++;
-    const runtime::FaultConfig& fc = p_.fault_plan_.config();
-    const double detect = fc.transfer_timeout_seconds > 0.0
-                              ? std::min(fc.transfer_timeout_seconds, ctx.wire_seconds)
-                              : ctx.wire_seconds;
+    const auto emit_retry = [&](runtime::FaultKind fault, int attempt,
+                                double backoff, int servers_suspected) {
+      ++p_.result_.transfer_retries;
+      ++ctx.record.transfer_retries;
+      WorkflowEvent ev;
+      ev.kind = EventKind::Retry;
+      ev.step = ctx.step;
+      ev.fault = fault;
+      ev.attempt = attempt;
+      ev.backoff_seconds = backoff;
+      ev.bytes = ctx.transfer_bytes;
+      ev.servers_suspected = servers_suspected;
+      p_.emit(ev);
+    };
     if (p_.servers_suspected_now_ > 0) {
       // The Morton-hash target may be one of the suspected (silent but not
       // yet declared) servers: the put times out once and retries against a
       // probed survivor — the in-flight-put-racing-a-dying-server path the
       // lease window creates. Deterministic (keyed on the suspicion state,
-      // no oracle draw); inert whenever lease_steps = 0.
-      const double backoff = p_.fault_plan_.backoff_seconds(0);
-      ++p_.result_.transfer_retries;
-      ++ctx.record.transfer_retries;
-      WorkflowEvent ev;
-      ev.kind = EventKind::Retry;
-      ev.step = ctx.step;
-      ev.fault = runtime::FaultKind::TransferDrop;
-      ev.attempt = 0;
-      ev.backoff_seconds = backoff;
-      ev.bytes = ctx.transfer_bytes;
-      ev.servers_suspected = p_.servers_suspected_now_;
-      p_.emit(ev);
-      p_.timeline_.advance_sim(detect);
+      // no oracle draw); inert whenever lease_steps = 0. Its event is
+      // stamped before the detection wait, unlike the oracle retries below.
+      const runtime::FaultConfig& fc = p_.fault_plan_.config();
+      const double backoff = transport::backoff_seconds(fc, 0);
+      emit_retry(runtime::FaultKind::TransferDrop, 0, backoff,
+                 p_.servers_suspected_now_);
+      p_.timeline_.advance_sim(transport::detection_seconds(fc, ctx.wire_seconds));
       p_.timeline_.advance_sim(backoff);
     }
-    int attempt = 0;
-    bool failed = false;
-    while (const auto fate = p_.fault_plan_.transfer_attempt_fault(tid, attempt)) {
-      p_.timeline_.advance_sim(detect);
-      if (attempt >= fc.max_transfer_retries) {
-        failed = true;
+    for (int attempt = 0;; ++attempt) {
+      const auto lost =
+          transport::lost_attempt(p_.fault_plan_, tid, attempt, ctx.wire_seconds);
+      if (!lost) break;
+      p_.timeline_.advance_sim(lost->detect_seconds);
+      if (lost->fatal) {
         ++p_.result_.transfer_failures;
         WorkflowEvent ev;
         ev.kind = EventKind::Fault;
         ev.step = ctx.step;
-        ev.fault = *fate;
+        ev.fault = lost->fault;
         ev.attempt = attempt;
         ev.bytes = ctx.transfer_bytes;
         p_.emit(ev);
-        break;
+        ctx.record.transfer_failed = true;
+        ctx.split = false;
+        ctx.intransit_share = 0.0;
+        ctx.record.placement = Placement::InSitu;
+        return;  // AnalyzePhase runs the whole analysis in-situ.
       }
-      const double backoff = p_.fault_plan_.backoff_seconds(attempt);
-      ++p_.result_.transfer_retries;
-      ++ctx.record.transfer_retries;
-      WorkflowEvent ev;
-      ev.kind = EventKind::Retry;
-      ev.step = ctx.step;
-      ev.fault = *fate;
-      ev.attempt = attempt;
-      ev.backoff_seconds = backoff;
-      ev.bytes = ctx.transfer_bytes;
-      p_.emit(ev);
-      p_.timeline_.advance_sim(backoff);
-      ++attempt;
-    }
-    if (failed) {
-      ctx.record.transfer_failed = true;
-      ctx.split = false;
-      ctx.intransit_share = 0.0;
-      ctx.record.placement = Placement::InSitu;
-      return;  // AnalyzePhase runs the whole analysis in-situ.
+      emit_retry(lost->fault, attempt, lost->backoff_seconds, 0);
+      p_.timeline_.advance_sim(lost->backoff_seconds);
     }
   }
 

@@ -296,27 +296,5 @@ TEST(EventHandler, MoveOnlyCapturesAreSupported) {
   EXPECT_EQ(got, 42);
 }
 
-TEST(RankTable, ResetZeroesAndTotalsAggregate) {
-  RankTable table(4);
-  table[1].events = 3;
-  table[1].bytes_sent = 100;
-  table[2].events = 2;
-  table[2].bytes_sent = 50;
-  table[3].busy_until = 7.5;
-  EXPECT_EQ(table.total_events(), 5u);
-  EXPECT_EQ(table.total_bytes_sent(), 150u);
-  EXPECT_DOUBLE_EQ(table.max_busy_until(), 7.5);
-  table.reset(2);  // shrink: recycled arena, fresh zero records
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.total_events(), 0u);
-  EXPECT_DOUBLE_EQ(table.max_busy_until(), 0.0);
-}
-
-TEST(RankTable, AtChecksBounds) {
-  RankTable table(2);
-  EXPECT_NO_THROW(table.at(1));
-  EXPECT_THROW(table.at(2), ContractError);
-}
-
 }  // namespace
 }  // namespace xl::cluster

@@ -1,15 +1,13 @@
 // Depth-coverage tests for paths the module-level suites exercise only
-// indirectly: the raw Godunov update, physics flux consistency, copier plan
-// details, network contention, fabric history, and planner odds and ends.
+// indirectly: the raw Godunov update, physics flux consistency, and copier
+// plan details.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "amr/advection_diffusion.hpp"
 #include "amr/polytropic_gas.hpp"
-#include "cluster/network.hpp"
 #include "mesh/level_data.hpp"
-#include "transport/fabric.hpp"
 
 namespace xl {
 namespace {
@@ -150,57 +148,6 @@ TEST(CopierDetails, PeriodicPlanHasShiftedOps) {
     EXPECT_EQ(op.shift, IntVect::zero());
   }
   EXPECT_GT(periodic.ops().size(), plain.ops().size());
-}
-
-// --- network contention -----------------------------------------------------------
-
-TEST(ContendedNetwork, SingleFlowMatchesCostModel) {
-  const cluster::CostModel cost(cluster::test_machine());
-  cluster::ContendedNetwork net(cost);
-  const std::size_t bytes = std::size_t{1} << 28;
-  const double finish = net.start_transfer(0.0, bytes, 4, 4);
-  EXPECT_NEAR(finish, cost.transfer_seconds(bytes, 4, 4), 1e-12);
-  EXPECT_EQ(net.active_flows(finish / 2), 1);
-  EXPECT_EQ(net.active_flows(finish + 1e-9), 0);
-}
-
-TEST(ContendedNetwork, ConcurrentFlowsShareBandwidth) {
-  const cluster::CostModel cost(cluster::test_machine());
-  cluster::ContendedNetwork net(cost);
-  const std::size_t bytes = std::size_t{1} << 28;
-  const double t1 = net.start_transfer(0.0, bytes, 4, 4);
-  const double t2 = net.start_transfer(0.0, bytes, 4, 4);
-  EXPECT_NEAR(t2, 2.0 * t1, 1e-9);  // second flow sees 2-way sharing
-  EXPECT_EQ(net.active_flows(0.0), 2);
-  EXPECT_EQ(net.total_bytes(), 2 * bytes);
-  EXPECT_EQ(net.flow_count(), 2u);
-}
-
-TEST(ContendedNetwork, SequentialFlowsDoNotContend) {
-  const cluster::CostModel cost(cluster::test_machine());
-  cluster::ContendedNetwork net(cost);
-  const std::size_t bytes = std::size_t{1} << 26;
-  const double t1 = net.start_transfer(0.0, bytes, 4, 4);
-  const double isolated = cost.transfer_seconds(bytes, 4, 4);
-  const double t2 = net.start_transfer(t1 + 1.0, bytes, 4, 4);
-  EXPECT_NEAR(t2 - (t1 + 1.0), isolated, 1e-12);
-}
-
-// --- fabric history -----------------------------------------------------------------
-
-TEST(FabricDetails, HistoryRecordsStartAndFinish) {
-  cluster::EventQueue queue;
-  const cluster::CostModel cost(cluster::test_machine());
-  transport::Fabric fabric(queue, cost);
-  queue.schedule_at(2.0, [&] {
-    fabric.put(1 << 20, 2, 2, [](double) {});
-  });
-  queue.run_until_empty();
-  ASSERT_EQ(fabric.history().size(), 1u);
-  const transport::TransferRecord& rec = fabric.history().front();
-  EXPECT_DOUBLE_EQ(rec.start, 2.0);
-  EXPECT_NEAR(rec.finish - rec.start, cost.transfer_seconds(1 << 20, 2, 2), 1e-12);
-  EXPECT_EQ(rec.bytes, std::size_t{1} << 20);
 }
 
 }  // namespace

@@ -1,20 +1,23 @@
 // Tests for the fault-injection and recovery subsystem: the deterministic
-// FaultPlan oracle, transport-level retry/backoff, staging-server loss and
-// relocation, and the workflow-level guarantees — identical failure
-// timelines on both execution substrates, and every step completing (via
-// in-situ fallback) through staging crashes.
+// FaultPlan oracle and its spec parser, staging-server loss and relocation,
+// and the workflow-level guarantees — retry/backoff timing on the modeled
+// timeline, identical failure timelines on both execution substrates, and
+// every step completing (via in-situ fallback) through staging crashes.
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "cluster/cost_model.hpp"
 #include "common/error.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/monitor.hpp"
 #include "staging/space.hpp"
-#include "transport/fabric.hpp"
+#include "transport/retry_ladder.hpp"
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
 #include "workflow/observer.hpp"
@@ -80,20 +83,20 @@ TEST(FaultPlan, SeedChangesTheVerdicts) {
   b.seed = 2;
   int differing = 0;
   for (std::uint64_t t = 0; t < 64; ++t) {
-    differing += FaultPlan(a).transfer_attempt_fails(t, 0) !=
-                 FaultPlan(b).transfer_attempt_fails(t, 0);
+    differing += FaultPlan(a).transfer_attempt_fault(t, 0).has_value() !=
+                 FaultPlan(b).transfer_attempt_fault(t, 0).has_value();
   }
   EXPECT_GT(differing, 0);
 }
 
 TEST(FaultPlan, BackoffGrowsExponentially) {
+  // The plan's backoff knobs, as the transport retry ladder applies them.
   FaultConfig config;
   config.retry_backoff_seconds = 0.01;
   config.backoff_multiplier = 3.0;
-  const FaultPlan plan(config);
-  EXPECT_DOUBLE_EQ(plan.backoff_seconds(0), 0.01);
-  EXPECT_DOUBLE_EQ(plan.backoff_seconds(1), 0.03);
-  EXPECT_DOUBLE_EQ(plan.backoff_seconds(2), 0.09);
+  EXPECT_DOUBLE_EQ(transport::backoff_seconds(config, 0), 0.01);
+  EXPECT_DOUBLE_EQ(transport::backoff_seconds(config, 1), 0.03);
+  EXPECT_DOUBLE_EQ(transport::backoff_seconds(config, 2), 0.09);
 }
 
 TEST(FaultPlan, CrashAndStragglerWindows) {
@@ -159,6 +162,28 @@ TEST(FaultSpecParse, RejectsBadInput) {
   EXPECT_THROW(runtime::parse_fault_spec("retries=-1"), ContractError);
   EXPECT_THROW(runtime::parse_fault_spec("backoff_mult=0.5"), ContractError);
   EXPECT_THROW(runtime::parse_fault_spec("crash="), ContractError);
+  // Prefix parses: the whole field must be the number.
+  EXPECT_THROW(runtime::parse_fault_spec("drop=0.05zz"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("retries=2x"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("seed=7q"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("lease=2.5"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("crash=5:2x:3"), ContractError);
+  // A negative seed must not wrap to 2^64-1.
+  EXPECT_THROW(runtime::parse_fault_spec("seed=-1"), ContractError);
+  // Non-finite and negative durations are errors, not "no timeout".
+  EXPECT_THROW(runtime::parse_fault_spec("timeout=nan"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("timeout=-5"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("backoff_mult=inf"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("backoff=inf"), ContractError);
+  EXPECT_THROW(runtime::parse_fault_spec("straggler=3:nan"), ContractError);
+  // The error names the offending clause.
+  try {
+    runtime::parse_fault_spec("seed=3;drop=0.05zz;retries=2");
+    ADD_FAILURE() << "prefix parse accepted";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("'drop=0.05zz'"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- heartbeat lease detection -----------------------------------------------
@@ -220,123 +245,6 @@ TEST(LeaseDetection, MonitorHeartbeatsAgreeWithThePlan) {
     EXPECT_EQ(monitor.declared_down(), plan.detected_down_at(step)) << step;
     EXPECT_EQ(monitor.suspected_down(), plan.suspected_at(step)) << step;
   }
-}
-
-// --- transport-layer retry/backoff -------------------------------------------
-
-struct FabricFixture {
-  cluster::EventQueue queue;
-  cluster::CostModel cost{cluster::test_machine()};
-  std::vector<transport::TransferEvent> events;
-
-  transport::Fabric make(transport::FabricConfig config) {
-    config.observer = [this](const transport::TransferEvent& ev) {
-      events.push_back(ev);
-    };
-    return transport::Fabric(queue, cost, std::move(config));
-  }
-};
-
-TEST(FabricFault, RetriesThenCompletes) {
-  FabricFixture fx;
-  transport::FabricConfig config;
-  config.retry_backoff_seconds = 0.25;
-  config.fault_hook = [](std::uint64_t, int attempt) { return attempt == 0; };
-  transport::Fabric fabric = fx.make(config);
-
-  const std::size_t bytes = std::size_t{1} << 20;
-  const double wire = fx.cost.transfer_seconds(bytes, 2, 2);
-  double completed_at = -1.0;
-  fabric.put(bytes, 2, 2, [&](double t) { completed_at = t; });
-  fx.queue.run_until_empty();
-
-  // Lost first attempt detected at wire time, backoff, clean second attempt.
-  EXPECT_DOUBLE_EQ(completed_at, wire + 0.25 + wire);
-  EXPECT_EQ(fabric.completed_count(), 1u);
-  EXPECT_EQ(fabric.retry_count(), 1u);
-  EXPECT_EQ(fabric.failed_count(), 0u);
-  EXPECT_EQ(fabric.total_bytes_moved(), bytes);
-  ASSERT_EQ(fx.events.size(), 3u);
-  EXPECT_EQ(fx.events[0].kind, transport::TransferEvent::Kind::Started);
-  EXPECT_EQ(fx.events[1].kind, transport::TransferEvent::Kind::Retried);
-  EXPECT_DOUBLE_EQ(fx.events[1].backoff_seconds, 0.25);
-  EXPECT_EQ(fx.events[2].kind, transport::TransferEvent::Kind::Completed);
-  EXPECT_EQ(fx.events[2].attempt, 1);
-  ASSERT_EQ(fabric.history().size(), 1u);
-  EXPECT_EQ(fabric.history().front().attempts, 2);
-  EXPECT_FALSE(fabric.history().front().failed);
-}
-
-TEST(FabricFault, ExhaustsRetriesAndFails) {
-  FabricFixture fx;
-  transport::FabricConfig config;
-  config.max_retries = 2;
-  config.retry_backoff_seconds = 0.1;
-  config.backoff_multiplier = 2.0;
-  config.fault_hook = [](std::uint64_t, int) { return true; };
-  transport::Fabric fabric = fx.make(config);
-
-  double completed_at = -1.0;
-  double failed_at = -1.0;
-  fabric.put(std::size_t{1} << 20, 2, 2, [&](double t) { completed_at = t; },
-             [&](double t) { failed_at = t; });
-  fx.queue.run_until_empty();
-
-  const double wire = fx.cost.transfer_seconds(std::size_t{1} << 20, 2, 2);
-  EXPECT_DOUBLE_EQ(completed_at, -1.0);
-  // Three attempts (initial + 2 retries), two backoffs (0.1, 0.2).
-  EXPECT_DOUBLE_EQ(failed_at, 3 * wire + 0.1 + 0.2);
-  EXPECT_EQ(fabric.completed_count(), 0u);
-  EXPECT_EQ(fabric.failed_count(), 1u);
-  EXPECT_EQ(fabric.retry_count(), 2u);
-  EXPECT_EQ(fabric.total_bytes_moved(), 0u);
-  ASSERT_EQ(fx.events.size(), 4u);
-  EXPECT_EQ(fx.events.back().kind, transport::TransferEvent::Kind::Failed);
-  EXPECT_EQ(fx.events.back().attempt, 2);
-  EXPECT_TRUE(fabric.history().front().failed);
-  EXPECT_EQ(fabric.history().front().attempts, 3);
-}
-
-TEST(FabricFault, TimeoutDetectsLossEarly) {
-  FabricFixture fx;
-  const std::size_t bytes = std::size_t{8} << 20;
-  const double wire = fx.cost.transfer_seconds(bytes, 2, 2);
-  transport::FabricConfig config;
-  config.timeout_seconds = 0.5 * wire;
-  config.retry_backoff_seconds = 0.0;
-  config.fault_hook = [](std::uint64_t, int attempt) { return attempt == 0; };
-  transport::Fabric fabric = fx.make(config);
-
-  double completed_at = -1.0;
-  fabric.put(bytes, 2, 2, [&](double t) { completed_at = t; });
-  fx.queue.run_until_empty();
-  EXPECT_DOUBLE_EQ(completed_at, 0.5 * wire + wire);
-}
-
-TEST(Fabric, HistoryIsBoundedWithFifoEviction) {
-  FabricFixture fx;
-  transport::FabricConfig config;
-  config.history_cap = 4;
-  transport::Fabric fabric = fx.make(config);
-  for (int i = 0; i < 6; ++i) fabric.put(1 << 10, 2, 2, [](double) {});
-  fx.queue.run_until_empty();
-
-  EXPECT_EQ(fabric.started_count(), 6u);
-  EXPECT_EQ(fabric.completed_count(), 6u);
-  ASSERT_EQ(fabric.history().size(), 4u);
-  EXPECT_EQ(fabric.history().front().id, 2u);  // 0 and 1 evicted
-  EXPECT_EQ(fabric.history().back().id, 5u);
-}
-
-TEST(Fabric, HistoryCanBeDisabled) {
-  FabricFixture fx;
-  transport::FabricConfig config;
-  config.history_cap = 0;
-  transport::Fabric fabric = fx.make(config);
-  fabric.put(1 << 10, 2, 2, [](double) {});
-  fx.queue.run_until_empty();
-  EXPECT_TRUE(fabric.history().empty());
-  EXPECT_EQ(fabric.completed_count(), 1u);
 }
 
 // --- staging-space server loss -----------------------------------------------
@@ -561,6 +469,47 @@ TEST(FaultPipeline, ExhaustedTransfersFallBackInSitu) {
     // One retry (the budget) before the second attempt is declared fatal.
     EXPECT_EQ(s.transfer_retries, 1) << "step " << s.step;
   }
+}
+
+TEST(FaultPipeline, ExhaustedTransferChargesEveryDetectionAndBackoff) {
+  // Every attempt is lost: three detections at the wire time, separated by
+  // backoffs of 0.1 and 0.2, block the simulation before the in-situ
+  // fallback runs.
+  WorkflowConfig config = fault_config(Mode::StaticInTransit);
+  config.faults =
+      runtime::parse_fault_spec("drop=1;retries=2;backoff=0.1;backoff_mult=2");
+  CoupledWorkflow wf(config);
+  EventLog log;
+  wf.set_observer(&log);
+  ASSERT_EQ(wf.run().transfer_failures, 15);
+
+  std::vector<WorkflowEvent> step0;
+  for (const WorkflowEvent& e : log.events()) {
+    if (e.step == 0) step0.push_back(e);
+  }
+  ASSERT_EQ(step0.size(), 6u);
+  EXPECT_EQ(step0[0].kind, EventKind::StepBegin);
+  EXPECT_EQ(step0[1].kind, EventKind::Retry);
+  EXPECT_EQ(step0[2].kind, EventKind::Retry);
+  EXPECT_EQ(step0[3].kind, EventKind::Fault);
+  EXPECT_EQ(step0[3].attempt, 2);
+  EXPECT_EQ(step0[4].kind, EventKind::Analysis);
+  EXPECT_EQ(step0[4].placement, runtime::Placement::InSitu);
+  EXPECT_EQ(step0[5].kind, EventKind::StepEnd);
+
+  const cluster::CostModel cost(config.machine, config.costs, config.threads);
+  const int nodes_per = config.machine.cores_per_node;
+  const double detect =
+      cost.transfer_seconds(step0[1].bytes, config.sim_cores / nodes_per,
+                            std::max(1, config.staging_cores / nodes_per));
+  const double t0 = step0[0].sim_clock;
+  // Oracle retries are stamped after their detection, before their backoff.
+  EXPECT_DOUBLE_EQ(step0[1].sim_clock, t0 + detect);
+  EXPECT_DOUBLE_EQ(step0[1].backoff_seconds, 0.1);
+  EXPECT_DOUBLE_EQ(step0[2].sim_clock, t0 + 2 * detect + 0.1);
+  EXPECT_DOUBLE_EQ(step0[2].backoff_seconds, 0.2);
+  EXPECT_DOUBLE_EQ(step0[3].sim_clock, t0 + 3 * detect + 0.1 + 0.2);
+  EXPECT_DOUBLE_EQ(step0[4].sim_clock, step0[3].sim_clock + step0[4].seconds);
 }
 
 TEST(FaultPipeline, StragglerStretchesInTransitWorkThenRecovers) {

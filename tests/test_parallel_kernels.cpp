@@ -7,11 +7,9 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -24,6 +22,7 @@
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
 #include "common/thread_pool.hpp"
+#include "seed_kernels.hpp"
 #include "viz/amr_isosurface.hpp"
 #include "viz/marching_cubes.hpp"
 
@@ -245,11 +244,10 @@ TEST(ParallelKernels, AmrIsosurfaceIsThreadCountInvariant) {
 // DESIGN.md §3.10: the flat-row / SIMD kernel rewrites must be
 // indistinguishable from the seed per-cell formulations — not merely
 // thread-invariant, but bit-identical to the original bounds-checked
-// fab(p, c) code. The replicas below freeze the seed semantics (every access
-// through operator(), streams packed one bit at a time); each test compares
-// the library kernel against its replica at 0, 2, and 5 workers.
-// bench_kernel_scaling keeps its own timed copies; these are the suite's
-// oracles.
+// fab(p, c) code. The replicas in seed_kernels.hpp freeze the seed semantics
+// (every access through operator(), streams packed one bit at a time); each
+// test compares the library kernel against its replica at 0, 2, and 5
+// workers. bench_kernel_scaling times the same replicas.
 
 const std::vector<std::size_t> kSeedWorkerCounts = {0, 2, 5};
 
@@ -272,203 +270,6 @@ std::vector<std::uint8_t> double_bytes(const double& v) {
   return bytes;
 }
 
-double seed_block_entropy(const Fab& fab, const Box& region,
-                          const analysis::EntropyConfig& config = {}) {
-  const Box scan = fab.box() & region;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (BoxIterator it(scan); it.ok(); ++it) {
-    const double v = fab(*it, config.comp);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (hi <= lo) return 0.0;
-  const auto bins = static_cast<std::size_t>(config.bins);
-  const double scale = static_cast<double>(config.bins) / (hi - lo);
-  const double last_bin = static_cast<double>(config.bins - 1);
-  std::vector<std::size_t> counts(bins, 0);
-  std::size_t total = 0;
-  for (BoxIterator it(scan); it.ok(); ++it) {
-    const double idx = (fab(*it, config.comp) - lo) * scale;
-    if (std::isnan(idx)) continue;
-    // xl-lint: allow(float-cast): NaN dropped and range clamped above.
-    ++counts[static_cast<std::size_t>(std::clamp(idx, 0.0, last_bin))];
-    ++total;
-  }
-  if (total == 0) return 0.0;
-  double entropy = 0.0;
-  for (std::size_t b = 0; b < bins; ++b) {
-    if (counts[b] == 0) continue;
-    const double p = static_cast<double>(counts[b]) / static_cast<double>(total);
-    entropy -= p * std::log2(p);
-  }
-  return entropy;
-}
-
-Fab seed_downsample(const Fab& src, int factor, analysis::DownsampleMethod method) {
-  const mesh::IntVect rvec = mesh::IntVect::uniform(factor);
-  Fab out(src.box().coarsen(rvec), src.ncomp());
-  const double inv_vol = 1.0 / static_cast<double>(factor) / factor / factor;
-  const std::size_t full = static_cast<std::size_t>(factor) * factor * factor;
-  const mesh::IntVect slo = src.box().lo(), shi = src.box().hi();
-  for (int c = 0; c < src.ncomp(); ++c) {
-    for (BoxIterator it(out.box()); it.ok(); ++it) {
-      if (method == analysis::DownsampleMethod::Stride) {
-        mesh::IntVect p;
-        for (int d = 0; d < mesh::kDim; ++d) {
-          p[d] = std::clamp(factor * (*it)[d], slo[d], shi[d]);
-        }
-        out(*it, c) = src(p, c);
-        continue;
-      }
-      const mesh::IntVect base = (*it).refine(rvec);
-      const Box children = Box(base, base + (factor - 1)) & src.box();
-      double sum = 0.0;
-      for (BoxIterator fit(children); fit.ok(); ++fit) sum += src(*fit, c);
-      out(*it, c) = static_cast<std::size_t>(children.num_cells()) == full
-                        ? sum * inv_vol
-                        : sum / static_cast<double>(children.num_cells());
-    }
-  }
-  return out;
-}
-
-void seed_linear_fit(const double* v, std::size_t n, double& a, double& b) {
-  if (n == 1) {
-    a = v[0];
-    b = 0.0;
-    return;
-  }
-  double sum_v = 0.0, sum_iv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum_v += v[i];
-    sum_iv += static_cast<double>(i) * v[i];
-  }
-  const double nn = static_cast<double>(n);
-  const double sum_i = nn * (nn - 1.0) / 2.0;
-  const double sum_ii = (nn - 1.0) * nn * (2.0 * nn - 1.0) / 6.0;
-  const double denom = nn * sum_ii - sum_i * sum_i;
-  b = denom != 0.0 ? (nn * sum_iv - sum_i * sum_v) / denom : 0.0;
-  a = (sum_v - b * sum_i) / nn;
-}
-
-/// Seed encoder: scalar quantize straight off the residual expression, the
-/// packed stream set one bit at a time.
-std::vector<std::uint8_t> seed_compress_payload(
-    const Fab& fab, const analysis::CompressConfig& config) {
-  const std::span<const double> data = fab.flat();
-  const auto levels = (1u << config.residual_bits) - 1u;
-  const auto block = static_cast<std::size_t>(config.block);
-  const int bits = config.residual_bits;
-  const std::size_t header = 4 * sizeof(double);
-  const auto payload_bytes = [&](std::size_t n) {
-    return (n * static_cast<std::size_t>(bits) + 7) / 8;
-  };
-  const std::size_t nblocks = (data.size() + block - 1) / block;
-  const std::size_t full_bytes = header + payload_bytes(block);
-  const std::size_t tail_n = data.size() - (nblocks - 1) * block;
-  std::vector<std::uint8_t> payload(
-      (nblocks - 1) * full_bytes + header + payload_bytes(tail_n), 0);
-  std::vector<std::uint32_t> q(block);
-  for (std::size_t bi = 0; bi < nblocks; ++bi) {
-    const std::size_t n = bi + 1 == nblocks ? tail_n : block;
-    const double* v = data.data() + bi * block;
-    std::uint8_t* dst = payload.data() + bi * full_bytes;
-    double a, b;
-    seed_linear_fit(v, n, a, b);
-    double rmin = 0.0, rmax = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double r = v[i] - (a + b * static_cast<double>(i));
-      rmin = i == 0 ? r : std::min(rmin, r);
-      rmax = i == 0 ? r : std::max(rmax, r);
-    }
-    const double step = rmax > rmin ? (rmax - rmin) / levels : 0.0;
-    std::memcpy(dst + 0 * sizeof(double), &a, sizeof(double));
-    std::memcpy(dst + 1 * sizeof(double), &b, sizeof(double));
-    std::memcpy(dst + 2 * sizeof(double), &rmin, sizeof(double));
-    std::memcpy(dst + 3 * sizeof(double), &step, sizeof(double));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (step > 0.0) {
-        const double r = v[i] - (a + b * static_cast<double>(i));
-        // xl-lint: allow(float-cast): lround of a value in [0, levels].
-        q[i] = static_cast<std::uint32_t>(std::lround((r - rmin) / step));
-        if (q[i] > levels) q[i] = levels;
-      } else {
-        q[i] = 0;
-      }
-    }
-    std::uint8_t* packed = dst + header;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (int bit = 0; bit < bits; ++bit) {
-        if ((q[i] >> bit) & 1u) {
-          const std::size_t bitpos =
-              i * static_cast<std::size_t>(bits) + static_cast<std::size_t>(bit);
-          packed[bitpos >> 3] |= static_cast<std::uint8_t>(1u << (bitpos & 7));
-        }
-      }
-    }
-  }
-  return payload;
-}
-
-void seed_face_flux(const Fab& u, const Box& faces, int dim, double vel,
-                    double d_over_dx, Fab& flux) {
-  for (BoxIterator it(faces); it.ok(); ++it) {
-    mesh::IntVect lo = *it;
-    lo[dim] -= 1;
-    const double ul = u(lo, 0);
-    const double ur = u(*it, 0);
-    const double advective = vel * (vel >= 0.0 ? ul : ur);
-    const double diffusive = -d_over_dx * (ur - ul);
-    flux(*it, 0) = advective + diffusive;
-  }
-}
-
-/// Seed conservative update: seed fluxes plus the per-cell difference loop.
-Fab seed_godunov(const amr::AdvectionDiffusion& model, const Fab& u,
-                 const Box& valid, double dx, double dt) {
-  Fab u_new(u.box(), u.ncomp());
-  u_new.copy_from(u, valid);
-  const double lambda = dt / dx;
-  for (int d = 0; d < mesh::kDim; ++d) {
-    mesh::IntVect fhi = valid.hi();
-    fhi[d] += 1;
-    const Box faces(valid.lo(), fhi);
-    Fab flux(faces, 1);
-    seed_face_flux(u, faces, d, model.config().velocity[d],
-                   model.config().diffusivity / dx, flux);
-    for (BoxIterator it(valid); it.ok(); ++it) {
-      mesh::IntVect hi = *it;
-      hi[d] += 1;
-      u_new(*it, 0) -= lambda * (flux(hi, 0) - flux(*it, 0));
-    }
-  }
-  return u_new;
-}
-
-std::vector<mesh::IntVect> seed_tag_cells(const amr::AmrLevel& level,
-                                          const amr::TagCriterion& criterion) {
-  std::vector<mesh::IntVect> tags;
-  for (std::size_t i = 0; i < level.layout.num_boxes(); ++i) {
-    const Fab& fab = level.data[i];
-    for (BoxIterator it(level.layout.box(i)); it.ok(); ++it) {
-      double grad = 0.0;
-      for (int d = 0; d < mesh::kDim; ++d) {
-        mesh::IntVect lo = *it, hi = *it;
-        lo[d] -= 1;
-        hi[d] += 1;
-        const double diff = 0.5 * (fab(hi, criterion.comp) - fab(lo, criterion.comp));
-        grad += diff * diff;
-      }
-      grad = std::sqrt(grad);
-      const double scale =
-          std::max(std::fabs(fab(*it, criterion.comp)), criterion.abs_floor);
-      if (grad / scale > criterion.rel_threshold) tags.push_back(*it);
-    }
-  }
-  return tags;
-}
-
 TEST(SeedIdentity, BlockEntropyMatchesSeedPerCellPath) {
   Fab field = wavy_field(19);
   field({3, 4, 5}, 0) = std::nan("");  // NaN cells drop out of the histogram
@@ -476,7 +277,7 @@ TEST(SeedIdentity, BlockEntropyMatchesSeedPerCellPath) {
   const Box sub({2, 1, 3}, {14, 17, 11});
   for (const Box& region : {field.box(), sub}) {
     expect_matches_seed<double>(
-        double_bytes(seed_block_entropy(field, region)),
+        double_bytes(seed::block_entropy(field, region)),
         [&] { return analysis::block_entropy(field, region); }, double_bytes);
   }
 }
@@ -488,7 +289,7 @@ TEST(SeedIdentity, DownsampleMatchesSeedPerCellPath) {
     for (const auto method : {analysis::DownsampleMethod::Stride,
                               analysis::DownsampleMethod::Average}) {
       expect_matches_seed<Fab>(
-          fab_bytes(seed_downsample(field, factor, method)),
+          fab_bytes(seed::downsample(field, factor, method)),
           [&] { return analysis::downsample(field, factor, method); },
           fab_bytes);
     }
@@ -499,7 +300,7 @@ TEST(SeedIdentity, CompressedPayloadMatchesSeedBitPacker) {
   const Fab field = wavy_field(17);
   analysis::CompressConfig cfg;
   expect_matches_seed<analysis::CompressedField>(
-      seed_compress_payload(field, cfg),
+      seed::compress_payload(field, cfg),
       [&] { return analysis::compress(field, cfg); },
       [](const analysis::CompressedField& c) { return c.payload; });
 }
@@ -518,7 +319,7 @@ TEST(SeedIdentity, FaceFluxAndGodunovMatchSeedPerCellPath) {
     fhi[d] += 1;
     const Box faces(valid.lo(), fhi);
     Fab want(faces, 1);
-    seed_face_flux(u, faces, d, model.config().velocity[d],
+    seed::face_flux(u, faces, d, model.config().velocity[d],
                    model.config().diffusivity * 12.0, want);
     expect_matches_seed<Fab>(
         fab_bytes(want),
@@ -531,7 +332,7 @@ TEST(SeedIdentity, FaceFluxAndGodunovMatchSeedPerCellPath) {
   }
   const double dt = 0.4 * dx / model.max_wave_speed(u, valid, dx);
   expect_matches_seed<Fab>(
-      fab_bytes(seed_godunov(model, u, valid, dx, dt)),
+      fab_bytes(seed::godunov(model, u, valid, dx, dt)),
       [&] {
         Fab u_new(u.box(), 1);
         amr::godunov_update(model, u, valid, dx, dt, u_new);
@@ -548,7 +349,7 @@ TEST(SeedIdentity, TagCellsMatchSeedPerCellPath) {
   crit.comp = amr::PolytropicGas::kRho;
   crit.rel_threshold = 0.05;
   const std::vector<mesh::IntVect> want_tags =
-      seed_tag_cells(sim.hierarchy().level(0), crit);
+      seed::tag_cells(sim.hierarchy().level(0), crit);
   std::vector<std::uint8_t> want(want_tags.size() * sizeof(mesh::IntVect));
   std::memcpy(want.data(), want_tags.data(), want.size());
   expect_matches_seed<std::vector<mesh::IntVect>>(

@@ -1,53 +1,113 @@
-// Tests for the asynchronous transport fabric and the DataSpaces-like
-// staging space (spatial index, versioned objects, memory accounting).
+// Tests for the transfer retry ladder and the DataSpaces-like staging space
+// (spatial index, versioned objects, memory accounting).
 #include <gtest/gtest.h>
 
-#include "cluster/machine.hpp"
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "runtime/fault.hpp"
 #include "staging/space.hpp"
-#include "transport/fabric.hpp"
+#include "transport/retry_ladder.hpp"
 
 namespace xl {
 namespace {
 
-using cluster::CostModel;
-using cluster::EventQueue;
 using mesh::Box;
 using mesh::Fab;
+using runtime::FaultConfig;
+using runtime::FaultKind;
+using runtime::FaultPlan;
 using staging::StagingSpace;
-using transport::Fabric;
+using transport::LostAttempt;
 
-TEST(Fabric, CompletionFiresAfterWireTime) {
-  EventQueue q;
-  const CostModel cost(cluster::test_machine());
-  Fabric fabric(q, cost);
-  double completed_at = -1.0;
-  fabric.put(std::size_t{1} << 30, 8, 8, [&](double t) { completed_at = t; });
-  EXPECT_DOUBLE_EQ(completed_at, -1.0);  // asynchronous: not yet
-  q.run_until_empty();
-  EXPECT_NEAR(completed_at, cost.transfer_seconds(std::size_t{1} << 30, 8, 8), 1e-12);
-  EXPECT_EQ(fabric.total_bytes_moved(), std::size_t{1} << 30);
+// --- transfer retry ladder ----------------------------------------------------
+
+TEST(RetryLadder, DetectionWaitsTheWireTimeWithoutATimeout) {
+  const FaultConfig faults;
+  ASSERT_EQ(faults.transfer_timeout_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(transport::detection_seconds(faults, 0.5), 0.5);
 }
 
-TEST(Fabric, ConcurrentTransfersCompleteInSizeOrder) {
-  EventQueue q;
-  const CostModel cost(cluster::test_machine());
-  Fabric fabric(q, cost);
-  std::vector<int> done;
-  fabric.put(std::size_t{64} << 20, 4, 4, [&](double) { done.push_back(0); });
-  fabric.put(std::size_t{1} << 20, 4, 4, [&](double) { done.push_back(1); });
-  q.run_until_empty();
-  EXPECT_EQ(done, (std::vector<int>{1, 0}));  // small one lands first
-  EXPECT_EQ(fabric.completed_count(), 2u);
-  EXPECT_EQ(fabric.history().size(), 2u);
+TEST(RetryLadder, DetectionTakesTheTimeoutCappedAtTheWireTime) {
+  FaultConfig faults;
+  faults.transfer_timeout_seconds = 0.2;
+  EXPECT_DOUBLE_EQ(transport::detection_seconds(faults, 0.5), 0.2);
+  // A loss can never be noticed later than the data would have arrived.
+  EXPECT_DOUBLE_EQ(transport::detection_seconds(faults, 0.1), 0.1);
 }
 
-TEST(Fabric, EstimateMatchesCostModel) {
-  EventQueue q;
-  const CostModel cost(cluster::test_machine());
-  Fabric fabric(q, cost);
-  EXPECT_DOUBLE_EQ(fabric.estimate_seconds(1 << 20, 2, 8),
-                   cost.transfer_seconds(1 << 20, 2, 8));
+TEST(RetryLadder, BackoffIsBaseTimesMultiplierToTheAttempt) {
+  FaultConfig faults;
+  faults.transfer_drop_rate = 1.0;
+  faults.max_transfer_retries = 4;
+  faults.retry_backoff_seconds = 0.1;
+  faults.backoff_multiplier = 2.0;
+  const FaultPlan plan(faults);
+  const double expected[] = {0.1, 0.2, 0.4, 0.8};
+  for (int r = 0; r < 4; ++r) {
+    const std::optional<LostAttempt> lost = transport::lost_attempt(plan, 7, r, 1.0);
+    ASSERT_TRUE(lost.has_value()) << r;
+    EXPECT_DOUBLE_EQ(lost->backoff_seconds, expected[r]) << r;
+    EXPECT_DOUBLE_EQ(lost->detect_seconds, 1.0) << r;
+  }
 }
+
+TEST(RetryLadder, AttemptAtTheRetryBudgetIsFatal) {
+  FaultConfig faults;
+  faults.transfer_drop_rate = 1.0;
+  faults.max_transfer_retries = 2;
+  const FaultPlan plan(faults);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const std::optional<LostAttempt> lost = transport::lost_attempt(plan, 0, attempt, 1.0);
+    ASSERT_TRUE(lost.has_value());
+    EXPECT_FALSE(lost->fatal) << attempt;
+    EXPECT_EQ(lost->fault, FaultKind::TransferDrop);
+  }
+  const std::optional<LostAttempt> last = transport::lost_attempt(plan, 0, 2, 1.0);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(last->fatal);
+  EXPECT_DOUBLE_EQ(last->backoff_seconds, 0.0);
+  // A zero budget makes the first lost attempt fatal.
+  faults.max_transfer_retries = 0;
+  EXPECT_TRUE(transport::lost_attempt(FaultPlan(faults), 0, 0, 1.0)->fatal);
+}
+
+TEST(RetryLadder, NoAttemptIsLostWhenEveryRateIsZero) {
+  // Crashes enable the plan, but with zero drop/corrupt rates every attempt
+  // gets through.
+  const FaultPlan plan(runtime::parse_fault_spec("crash=1:2:3;retries=0"));
+  ASSERT_TRUE(plan.enabled());
+  for (std::uint64_t t = 0; t < 64; ++t) {
+    for (int a = 0; a < 4; ++a) {
+      EXPECT_FALSE(transport::lost_attempt(plan, t, a, 1.0).has_value()) << t << ":" << a;
+    }
+  }
+}
+
+TEST(RetryLadder, LostAttemptsFollowTheFaultOracle) {
+  FaultConfig faults;
+  faults.transfer_drop_rate = 0.3;
+  faults.transfer_corrupt_rate = 0.2;
+  faults.max_transfer_retries = 8;
+  const FaultPlan plan(faults);
+  int lost_count = 0;
+  for (std::uint64_t t = 0; t < 64; ++t) {
+    for (int a = 0; a < 4; ++a) {
+      const std::optional<FaultKind> fate = plan.transfer_attempt_fault(t, a);
+      const std::optional<LostAttempt> lost = transport::lost_attempt(plan, t, a, 1.0);
+      ASSERT_EQ(lost.has_value(), fate.has_value()) << t << ":" << a;
+      if (lost) {
+        EXPECT_EQ(lost->fault, *fate);
+        ++lost_count;
+      }
+    }
+  }
+  EXPECT_GT(lost_count, 0);
+  EXPECT_LT(lost_count, 64 * 4);
+}
+
+// --- staging space ------------------------------------------------------------
 
 TEST(ServerForBox, DeterministicAndInRange) {
   const Box b = Box::cube({10, 20, 30}, 8);
