@@ -321,9 +321,8 @@ int main(int argc, char** argv) {
       "%10s %12s %16s %16s %9s %14s %14s\n",
       quick ? "quick" : "full", "cores", "events", "ladder ev/s", "seed ev/s",
       "speedup", "ladder alloc/ev", "rss MB");
-  // Repetitions per engine (interleaved), best timing kept. Quick mode runs
-  // once — the CI smoke gate is loose enough to absorb noise.
-  const int reps = quick ? 1 : 3;
+  // Repetitions per engine (interleaved), best timing kept.
+  const int reps = 3;
   for (const Scale& s : scales) {
     ScaleResult r;
     r.nranks = s.nranks;

@@ -337,7 +337,9 @@ class ArenaVec {
     XL_ASSERT(reinterpret_cast<std::uintptr_t>(bigger.data()) % alignof(T) == 0,
               "pool handed back a buffer misaligned for T (alignof="
                   << alignof(T) << ")");
-    std::memcpy(bigger.data(), raw_.data(), size_ * sizeof(T));
+    // The first growth has no backing buffer yet: memcpy from nullptr is
+    // undefined even for zero bytes.
+    if (size_ > 0) std::memcpy(bigger.data(), raw_.data(), size_ * sizeof(T));
     pool_->release(std::move(raw_));
     raw_ = std::move(bigger);
   }

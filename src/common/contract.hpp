@@ -22,14 +22,24 @@
 //   xl::f2s(v)       -- shorthand for f2i<std::size_t>.
 //   xl::narrow<To>(v)-- integral -> integral: value-preserving or violation.
 //   xl::to_double(v) -- integral -> double: exact below 2^53 or violation.
+//
+// And the one text -> number conversion of every input surface (config file,
+// fault spec, CLI flags):
+//
+//   xl::parse_number<T>(text, what) -- the whole of `text` as a T, or an
+//                       xl::ContractError naming `what`.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 
 #include "common/error.hpp"
@@ -123,6 +133,29 @@ double to_double(From value, const char* what = "int->double") {
     detail::contract_fail("guarded conversion", "to_double", what, 0, os.str());
   }
   return static_cast<double>(value);
+}
+
+/// Parse all of `text` as a T. std::from_chars stops at the first character
+/// it cannot use, so "2x", "0.05zz" and "2.5" (for an integer) are rejected
+/// instead of parsing their prefix; unsigned types reject a sign rather than
+/// wrapping "-1" to 2^64-1; out-of-range values and, for floating-point T,
+/// nan and inf are rejected too. Errors name `what`: the key, flag or clause
+/// the text came from.
+template <typename T>
+T parse_number(std::string_view text, std::string_view what) {
+  static_assert(std::is_arithmetic_v<T>);
+  const auto fail = [&](const char* problem) {
+    throw ContractError(std::string(what) + ": " + problem + " '" + std::string(text) + "'");
+  };
+  T out{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc::result_out_of_range) fail("number out of range");
+  if (ec != std::errc() || ptr != end) fail("bad number");
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(out)) fail("needs a finite number, got");
+  }
+  return out;
 }
 
 }  // namespace xl

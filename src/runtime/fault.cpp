@@ -1,12 +1,11 @@
 #include "runtime/fault.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <system_error>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 
 namespace xl::runtime {
@@ -89,30 +88,15 @@ double FaultPlan::slowdown_at(int step) const noexcept {
 
 namespace {
 
-// Every number must be the whole field: from_chars stops at the first
-// character it cannot use, so "0.05zz", "2x" and "2.5" (for an integer) fail
-// instead of parsing their prefix, and unsigned fields reject a sign rather
-// than wrapping "-1" to 2^64-1. Errors name the clause they came from.
-template <typename T>
-T spec_number(const std::string& v, const std::string& clause) {
-  T out{};
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec == std::errc::result_out_of_range) {
-    throw ContractError("fault spec: number out of range in '" + clause + "'");
-  }
-  if (ec != std::errc() || ptr != end) {
-    throw ContractError("fault spec: bad number in '" + clause + "'");
-  }
-  return out;
-}
+/// The clause a spec field came from, as parse errors name it.
+std::string clause_name(const std::string& clause) { return "fault spec: '" + clause + "'"; }
 
-/// A finite real no smaller than `min` (nan and inf are rejected).
+/// A finite real no smaller than `min`.
 double spec_double(const std::string& v, const std::string& clause, double min) {
-  const double out = spec_number<double>(v, clause);
-  if (!std::isfinite(out) || out < min) {
+  const double out = parse_number<double>(v, clause_name(clause));
+  if (out < min) {
     std::ostringstream msg;
-    msg << "fault spec: '" << clause << "' needs a finite value >= " << min;
+    msg << clause_name(clause) << " needs a finite value >= " << min;
     throw ContractError(msg.str());
   }
   return out;
@@ -120,10 +104,9 @@ double spec_double(const std::string& v, const std::string& clause, double min) 
 
 /// An integer no smaller than `min`.
 int spec_int(const std::string& v, const std::string& clause, int min) {
-  const int out = spec_number<int>(v, clause);
+  const int out = parse_number<int>(v, clause_name(clause));
   if (out < min) {
-    throw ContractError("fault spec: '" + clause + "' needs an integer >= " +
-                        std::to_string(min));
+    throw ContractError(clause_name(clause) + " needs an integer >= " + std::to_string(min));
   }
   return out;
 }
@@ -153,11 +136,11 @@ FaultConfig parse_fault_spec(const std::string& spec) {
     XL_REQUIRE(!value.empty(), "fault spec: empty value in '" + clause + "'");
 
     if (key == "seed") {
-      config.seed = spec_number<std::uint64_t>(value, clause);
+      config.seed = parse_number<std::uint64_t>(value, clause_name(clause));
     } else if (key == "drop" || key == "corrupt") {
       const double rate = spec_double(value, clause, 0.0);
       if (rate > 1.0) {
-        throw ContractError("fault spec: '" + clause + "' needs a rate in [0, 1]");
+        throw ContractError(clause_name(clause) + " needs a rate in [0, 1]");
       }
       (key == "drop" ? config.transfer_drop_rate : config.transfer_corrupt_rate) = rate;
     } else if (key == "retries") {
@@ -188,6 +171,17 @@ FaultConfig parse_fault_spec(const std::string& spec) {
     } else {
       throw ContractError("fault spec: unknown key '" + key + "'");
     }
+  }
+  // The clauses pass one by one above; together they must still keep the
+  // last retry's backoff finite, or a run would abort deep in the clock.
+  const double last_backoff = config.retry_backoff_seconds *
+                              std::pow(config.backoff_multiplier, config.max_transfer_retries);
+  if (config.retry_backoff_seconds > 0.0 && !std::isfinite(last_backoff)) {
+    std::ostringstream msg;
+    msg << "fault spec: 'backoff=" << config.retry_backoff_seconds << "', 'backoff_mult="
+        << config.backoff_multiplier << "' and 'retries=" << config.max_transfer_retries
+        << "' make the last backoff (backoff * backoff_mult^retries) infinite";
+    throw ContractError(msg.str());
   }
   return config;
 }

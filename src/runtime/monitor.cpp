@@ -70,37 +70,6 @@ void Monitor::record_sim_step(int /*step*/, double seconds, std::size_t cells) {
   last_sim_cells_ = cells;
 }
 
-void Monitor::record_heartbeats(int step, int beating, int total, int lease_steps) {
-  XL_REQUIRE(total >= 0 && beating >= 0 && beating <= total,
-             "heartbeat sample: 0 <= beating <= total");
-  XL_REQUIRE(lease_steps >= 0, "heartbeat sample: lease_steps >= 0");
-  XL_REQUIRE(heartbeat_samples_.empty() || step >= heartbeat_samples_.back().first,
-             "heartbeat samples must arrive in step order");
-  heartbeat_samples_.emplace_back(step, beating);
-  // Prune to the lease window, then declare dead only the servers silent for
-  // the WHOLE window: total minus the best beat count seen inside it. A
-  // window that does not yet span lease_steps (run just started) declares
-  // nothing beyond what every sample agrees on — same closed form as
-  // FaultPlan::detected_down_at, so the two detection paths agree.
-  const int window_start = step - lease_steps;
-  std::size_t first = 0;
-  while (first < heartbeat_samples_.size() &&
-         heartbeat_samples_[first].first < window_start) {
-    ++first;
-  }
-  heartbeat_samples_.erase(heartbeat_samples_.begin(),
-                           heartbeat_samples_.begin() +
-                               static_cast<std::ptrdiff_t>(first));
-  int best_beating = beating;
-  for (const auto& [s, b] : heartbeat_samples_) {
-    if (b > best_beating) best_beating = b;
-  }
-  // A window reaching before step 0 covers the all-healthy prelude.
-  if (window_start < 0) best_beating = total;
-  declared_down_ = total - best_beating;
-  suspected_down_ = (total - beating) - declared_down_;
-}
-
 void Monitor::set_oracle(double insitu_seconds, double intransit_seconds) {
   oracle_insitu_ = insitu_seconds;
   oracle_intransit_ = intransit_seconds;

@@ -7,8 +7,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "runtime/state.hpp"
@@ -86,24 +84,6 @@ class Monitor {
     oracle_intransit_.reset();
   }
 
-  /// Record the staging partition's liveness for this sampling period (fed by
-  /// the fault layer; defaults to all-healthy when never called).
-  void record_staging_health(const StagingHealth& health) { staging_health_ = health; }
-  const StagingHealth& staging_health() const noexcept { return staging_health_; }
-
-  /// Record one heartbeat sample: `beating` of `total` servers answered at
-  /// `step`. A server is DECLARED dead only once it has missed every beat in
-  /// the trailing `lease_steps` window (lease_steps = 0: declared the moment
-  /// it misses one — oracle-instant detection). Samples must arrive in
-  /// non-decreasing step order; out-of-window history is discarded.
-  void record_heartbeats(int step, int beating, int total, int lease_steps);
-
-  /// Servers declared dead by the latest heartbeat sample (total - max
-  /// beating over the lease window). 0 before any sample.
-  int declared_down() const noexcept { return declared_down_; }
-  /// Servers missing beats but still inside their lease window.
-  int suspected_down() const noexcept { return suspected_down_; }
-
   /// Estimated in-situ analysis time for `cells` on `cores` (eq. 7's
   /// T_insitu(N, S_data)).
   double estimate_analysis_seconds(Placement placement, std::size_t cells,
@@ -133,12 +113,6 @@ class Monitor {
   double last_sim_seconds_ = 0.0;
   std::size_t last_sim_cells_ = 0;
   std::size_t analysis_count_ = 0;
-  StagingHealth staging_health_;
-  /// Trailing heartbeat samples (step, beating), oldest first, pruned to the
-  /// lease window of the latest sample.
-  std::vector<std::pair<int, int>> heartbeat_samples_;
-  int declared_down_ = 0;
-  int suspected_down_ = 0;
   TriggerDetector trigger_;
   int armed_step_ = -1;      ///< step the latest observe_step evaluated.
   bool armed_fire_ = false;  ///< its decision (trigger policies only).

@@ -44,7 +44,6 @@ struct StagingHealth {
   /// (repair competes with workflow traffic for the staging partition).
   bool repairing = false;
 
-  int servers_alive() const noexcept { return servers_total - servers_down; }
   bool degraded() const noexcept { return servers_down > 0 || slowdown > 1.0; }
   bool all_down() const noexcept {
     return servers_total > 0 && servers_down >= servers_total;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,6 +19,15 @@ const char* trigger_policy_name(TriggerPolicy policy) noexcept {
     case TriggerPolicy::Hybrid: return "hybrid";
   }
   return "?";
+}
+
+TriggerPolicy parse_trigger_policy(std::string_view name, std::string_view what) {
+  for (TriggerPolicy policy :
+       {TriggerPolicy::FixedPeriod, TriggerPolicy::Percentile, TriggerPolicy::Hybrid}) {
+    if (name == trigger_policy_name(policy)) return policy;
+  }
+  throw ContractError(std::string(what) + ": unknown trigger policy '" + std::string(name) +
+                      "' (expected fixed|percentile|hybrid)");
 }
 
 TriggerDetector::TriggerDetector(const TriggerConfig& config) : config_(config) {

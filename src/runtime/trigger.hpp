@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <string_view>
 #include <vector>
 
 namespace xl::runtime {
@@ -26,6 +27,9 @@ enum class TriggerPolicy {
 };
 
 const char* trigger_policy_name(TriggerPolicy policy) noexcept;
+/// The policy trigger_policy_name gives `name` (fixed | percentile | hybrid);
+/// anything else throws ContractError naming `what`, the key or flag.
+TriggerPolicy parse_trigger_policy(std::string_view name, std::string_view what);
 
 struct TriggerConfig {
   TriggerPolicy policy = TriggerPolicy::FixedPeriod;

@@ -35,6 +35,29 @@ int server_for_box(const Box& box, int num_servers) {
   return static_cast<int>(h % static_cast<std::uint64_t>(num_servers));
 }
 
+double crash_loss_fraction(int servers, int k, int down_before, int down_now) {
+  XL_REQUIRE(k >= 1 && k <= servers, "crash loss needs 1 <= k <= servers");
+  XL_REQUIRE(0 <= down_before && down_before < down_now && down_now <= servers,
+             "crash loss needs 0 <= down_before < down_now <= servers");
+  if (k == 1) {
+    return down_now >= servers ? 1.0
+                               : static_cast<double>(down_now - down_before) /
+                                     static_cast<double>(servers - down_before);
+  }
+  const auto all_replicas_dead = [&](int d) {
+    if (d >= servers) return 1.0;
+    if (d < k) return 0.0;
+    double f = 1.0;
+    for (int i = 0; i < k; ++i) {
+      f *= static_cast<double>(d - i) / static_cast<double>(servers - i);
+    }
+    return f;
+  };
+  const double before = all_replicas_dead(down_before);
+  const double now = all_replicas_dead(down_now);
+  return before >= 1.0 ? 1.0 : (now - before) / (1.0 - before);
+}
+
 StagingSpace::StagingSpace(int num_servers, std::size_t memory_per_server,
                            int replication, int servers_per_domain)
     : memory_per_server_(memory_per_server),

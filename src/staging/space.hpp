@@ -100,6 +100,17 @@ struct ReadReport {
 /// spatial locality across servers.
 int server_for_box(const Box& box, int num_servers);
 
+/// Share of the still-staged bytes lost when the dead-server count among
+/// `servers` rises from `down_before` to `down_now`, every object holding `k`
+/// replicas on distinct servers. The closed form the modeled pipeline sheds
+/// with; it assumes uniform random replica placement. k = 1: the newly dead
+/// servers' share of the survivors, (d - b) / (M - b). k > 1: an object dies
+/// only when all k replicas sat on dead servers, C(d, k) / C(M, k), and the
+/// result is the newly lost part of what survived `down_before`.
+/// StagingSpace places replicas by probe and across failure domains, so its
+/// realized loss can differ from this expectation.
+double crash_loss_fraction(int servers, int k, int down_before, int down_now);
+
 class StagingSpace {
  public:
   /// `replication` copies of every object (clamped to num_servers at put

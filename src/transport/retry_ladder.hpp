@@ -5,7 +5,7 @@
 // blocks until it detects the loss, waits out an exponential backoff and
 // tries again, until an attempt gets through or the retry budget is spent and
 // the transfer fails. This is the only implementation of that arithmetic: the
-// step pipeline's TransferPhase charges what it returns to the simulation
+// step pipeline's transfer phase charges what it returns to the simulation
 // clock and reports it as events.
 #pragma once
 

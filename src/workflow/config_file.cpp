@@ -1,11 +1,13 @@
 #include "workflow/config_file.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 #include "runtime/trigger.hpp"
 
@@ -20,29 +22,19 @@ std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
-// std::sto* throw exactly std::invalid_argument and std::out_of_range;
-// catching (...) here used to eat unrelated failures (bad_alloc, contract
-// aborts surfacing as exceptions) and mislabel them as config syntax errors.
-int to_int(const std::string& v, const std::string& key) {
-  try {
-    return std::stoi(v);
-  } catch (const std::invalid_argument&) {
-    throw ContractError("config: bad integer for '" + key + "': " + v);
-  } catch (const std::out_of_range& e) {
-    throw ContractError("config: integer out of range for '" + key + "': " + v +
-                        " (" + e.what() + ")");
-  }
+/// `value` parsed whole as a T; errors name the key.
+template <typename T>
+T number(const std::string& value, const std::string& key) {
+  return parse_number<T>(value, "config: '" + key + "'");
 }
 
-double to_double(const std::string& v, const std::string& key) {
-  try {
-    return std::stod(v);
-  } catch (const std::invalid_argument&) {
-    throw ContractError("config: bad number for '" + key + "': " + v);
-  } catch (const std::out_of_range& e) {
-    throw ContractError("config: number out of range for '" + key + "': " + v +
-                        " (" + e.what() + ")");
-  }
+/// Whitespace-separated integers, each parsed whole; errors name the key.
+std::vector<int> numbers(const std::string& value, const std::string& key) {
+  std::istringstream ss(value);
+  std::vector<int> out;
+  std::string field;
+  while (ss >> field) out.push_back(number<int>(field, key));
+  return out;
 }
 
 }  // namespace
@@ -90,99 +82,90 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
         c.objective = runtime::Objective::MaximizeResourceUtilization;
       else throw ContractError("config: unknown objective '" + value + "'");
     } else if (key == "domain") {
-      std::istringstream ss(value);
-      int nx = 0, ny = 0, nz = 0;
-      ss >> nx >> ny >> nz;
-      XL_REQUIRE(nx > 0 && ny > 0 && nz > 0, "config: domain needs NX NY NZ");
-      c.geometry.base_domain = mesh::Box::domain({nx, ny, nz});
+      const std::vector<int> n = numbers(value, key);
+      XL_REQUIRE(n.size() == 3 && n[0] > 0 && n[1] > 0 && n[2] > 0,
+                 "config: domain needs NX NY NZ");
+      c.geometry.base_domain = mesh::Box::domain({n[0], n[1], n[2]});
     } else if (key == "factors") {
-      std::istringstream ss(value);
-      std::vector<int> factors;
-      int f;
-      while (ss >> f) factors.push_back(f);
-      XL_REQUIRE(!factors.empty(), "config: factors needs at least one value");
+      const std::vector<int> factors = numbers(value, key);
+      XL_REQUIRE(*std::min_element(factors.begin(), factors.end()) >= 1,
+                 "config: factors must be >= 1");
       c.hints.factor_phases = {{0, factors}};
     } else if (key == "sim_cores") {
-      c.sim_cores = to_int(value, key);
+      c.sim_cores = number<int>(value, key);
       c.geometry.nranks = c.sim_cores;
-    } else if (key == "staging_cores") c.staging_cores = to_int(value, key);
+    } else if (key == "staging_cores") c.staging_cores = number<int>(value, key);
     else if (key == "threads") {
-      c.threads = to_int(value, key);
+      c.threads = number<int>(value, key);
       XL_REQUIRE(c.threads >= 0, "config: threads must be >= 0");
     } else if (key == "thread_efficiency")
-      c.costs.thread_efficiency = to_double(value, key);
-    else if (key == "steps") c.steps = to_int(value, key);
-    else if (key == "ncomp") c.ncomp = to_int(value, key);
-    else if (key == "analysis_ncomp") c.analysis_ncomp = to_int(value, key);
-    else if (key == "analysis_interval") c.analysis_interval = to_int(value, key);
-    else if (key == "max_levels") c.geometry.max_levels = to_int(value, key);
-    else if (key == "ref_ratio") c.geometry.ref_ratio = to_int(value, key);
-    else if (key == "max_box_size") c.geometry.max_box_size = to_int(value, key);
-    else if (key == "tile_size") c.geometry.tile_size = to_int(value, key);
-    else if (key == "front_radius0") c.geometry.front_radius0 = to_double(value, key);
-    else if (key == "front_speed") c.geometry.front_speed = to_double(value, key);
-    else if (key == "front_thickness") c.geometry.front_thickness = to_double(value, key);
-    else if (key == "front_decay") c.geometry.front_decay = to_double(value, key);
-    else if (key == "front_decay_onset") c.geometry.front_decay_onset = to_int(value, key);
-    else if (key == "blob_onset_step") c.geometry.blob_onset_step = to_int(value, key);
-    else if (key == "num_blobs") c.geometry.num_blobs = to_int(value, key);
-    else if (key == "blob_radius") c.geometry.blob_radius = to_double(value, key);
+      c.costs.thread_efficiency = number<double>(value, key);
+    else if (key == "steps") c.steps = number<int>(value, key);
+    else if (key == "ncomp") c.ncomp = number<int>(value, key);
+    else if (key == "analysis_ncomp") c.analysis_ncomp = number<int>(value, key);
+    else if (key == "analysis_interval") c.analysis_interval = number<int>(value, key);
+    else if (key == "max_levels") c.geometry.max_levels = number<int>(value, key);
+    else if (key == "ref_ratio") c.geometry.ref_ratio = number<int>(value, key);
+    else if (key == "max_box_size") c.geometry.max_box_size = number<int>(value, key);
+    else if (key == "tile_size") c.geometry.tile_size = number<int>(value, key);
+    else if (key == "front_radius0") c.geometry.front_radius0 = number<double>(value, key);
+    else if (key == "front_speed") c.geometry.front_speed = number<double>(value, key);
+    else if (key == "front_thickness") c.geometry.front_thickness = number<double>(value, key);
+    else if (key == "front_decay") c.geometry.front_decay = number<double>(value, key);
+    else if (key == "front_decay_onset") c.geometry.front_decay_onset = number<int>(value, key);
+    else if (key == "blob_onset_step") c.geometry.blob_onset_step = number<int>(value, key);
+    else if (key == "num_blobs") c.geometry.num_blobs = number<int>(value, key);
+    else if (key == "blob_radius") c.geometry.blob_radius = number<double>(value, key);
     else if (key == "seed")
-      c.geometry.seed = static_cast<std::uint64_t>(to_int(value, key));
+      c.geometry.seed = number<std::uint64_t>(value, key);
     else if (key == "active_cell_fraction")
-      c.active_cell_fraction = to_double(value, key);
+      c.active_cell_fraction = number<double>(value, key);
     else if (key == "staging_usable_fraction")
-      c.staging_usable_fraction = to_double(value, key);
+      c.staging_usable_fraction = number<double>(value, key);
     else if (key == "sim_euler_flops")
-      c.costs.sim_euler_flops_per_cell = to_double(value, key);
+      c.costs.sim_euler_flops_per_cell = number<double>(value, key);
     else if (key == "sim_advect_flops")
-      c.costs.sim_advect_flops_per_cell = to_double(value, key);
+      c.costs.sim_advect_flops_per_cell = number<double>(value, key);
     else if (key == "mc_scan_flops")
-      c.costs.mc_scan_flops_per_cell = to_double(value, key);
+      c.costs.mc_scan_flops_per_cell = number<double>(value, key);
     else if (key == "mc_active_flops")
-      c.costs.mc_active_flops_per_cell = to_double(value, key);
-    else if (key == "euler") c.euler = to_int(value, key) != 0;
+      c.costs.mc_active_flops_per_cell = number<double>(value, key);
+    else if (key == "euler") c.euler = number<int>(value, key) != 0;
     else if (key == "sampling_period") {
-      c.monitor.sampling_period = to_int(value, key);
+      c.monitor.sampling_period = number<int>(value, key);
       XL_REQUIRE(c.monitor.sampling_period >= 1,
                  "config: sampling_period must be >= 1, got " + value);
     } else if (key == "trigger") {
-      if (value == "fixed") c.monitor.trigger.policy = runtime::TriggerPolicy::FixedPeriod;
-      else if (value == "percentile")
-        c.monitor.trigger.policy = runtime::TriggerPolicy::Percentile;
-      else if (value == "hybrid") c.monitor.trigger.policy = runtime::TriggerPolicy::Hybrid;
-      else
-        throw ContractError("config: unknown trigger '" + value +
-                            "' (expected fixed|percentile|hybrid)");
+      c.monitor.trigger.policy = runtime::parse_trigger_policy(value, "config: 'trigger'");
     } else if (key == "trigger_quantile") {
-      c.monitor.trigger.quantile = to_double(value, key);
+      c.monitor.trigger.quantile = number<double>(value, key);
       XL_REQUIRE(c.monitor.trigger.quantile > 0.0 && c.monitor.trigger.quantile < 1.0,
                  "config: trigger_quantile must be in (0, 1), got " + value);
     } else if (key == "trigger_window") {
-      c.monitor.trigger.window = to_int(value, key);
+      c.monitor.trigger.window = number<int>(value, key);
       XL_REQUIRE(c.monitor.trigger.window >= 2,
                  "config: trigger_window must be >= 2, got " + value);
     } else if (key == "trigger_sample_rate") {
-      c.monitor.trigger.sample_rate = to_double(value, key);
+      c.monitor.trigger.sample_rate = number<double>(value, key);
       XL_REQUIRE(c.monitor.trigger.sample_rate > 0.0 &&
                      c.monitor.trigger.sample_rate <= 1.0,
                  "config: trigger_sample_rate must be in (0, 1], got " + value);
     } else if (key == "trigger_max_interval") {
-      c.monitor.trigger.max_interval = to_int(value, key);
+      c.monitor.trigger.max_interval = number<int>(value, key);
       XL_REQUIRE(c.monitor.trigger.max_interval >= 1,
                  "config: trigger_max_interval must be >= 1, got " + value);
     } else if (key == "trigger_seed")
-      c.monitor.trigger.seed = static_cast<std::uint64_t>(to_int(value, key));
+      c.monitor.trigger.seed = number<std::uint64_t>(value, key);
     else if (key == "faults")
       c.faults = runtime::parse_fault_spec(value);
     else if (key == "replication") {
-      c.replication = to_int(value, key);
+      c.replication = number<int>(value, key);
       XL_REQUIRE(c.replication >= 1, "config: replication must be >= 1");
     } else if (key == "lease_steps") {
       // Heartbeat lease window in steps; also settable inside the faults
       // spec as `lease=N`. Keep this key after `faults` in config files —
       // parsing a faults spec resets the whole FaultConfig.
-      c.faults.lease_steps = to_int(value, key);
+      c.faults.lease_steps = number<int>(value, key);
       XL_REQUIRE(c.faults.lease_steps >= 0, "config: lease_steps must be >= 0");
     } else
       throw ContractError("config: unknown key '" + key + "'");

@@ -1,51 +1,37 @@
 #include "workflow/execution_substrate.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <cmath>
 
 #include "common/contract.hpp"
 
 namespace xl::workflow {
 
-// --- AnalyticSubstrate -------------------------------------------------------
+// --- ExecutionSubstrate ------------------------------------------------------
 
-void AnalyticSubstrate::release_until(double t) {
-  while (!staged_.empty() && staged_.front().first <= t) {
-    XL_ASSERT(mem_used_ >= staged_.front().second,
-              "staging memory accounting underflow: used=" << mem_used_
-                                                           << " releasing "
-                                                           << staged_.front().second);
-    mem_used_ -= staged_.front().second;
-    staged_.pop_front();
-  }
+void ExecutionSubstrate::advance_sim(double seconds) {
+  XL_ASSERT(std::isfinite(seconds) && seconds >= 0.0,
+            "cannot advance the simulation clock by " << seconds << "s");
+  t_sim_ += seconds;
 }
 
-double AnalyticSubstrate::wait_for_staging_memory(std::size_t bytes,
-                                                  std::size_t capacity) {
-  const double before = t_sim_;
-  while (mem_used_ + bytes > capacity && !staged_.empty()) {
-    t_sim_ = std::max(t_sim_, staged_.front().first);
-    release_until(t_sim_);
-  }
-  return t_sim_ - before;
-}
-
-double AnalyticSubstrate::enqueue_intransit(double arrive, double analysis_seconds,
-                                            std::size_t bytes) {
+double ExecutionSubstrate::enqueue_intransit(double arrive, double analysis_seconds,
+                                             std::size_t bytes) {
+  XL_ASSERT(std::isfinite(arrive) && std::isfinite(analysis_seconds) &&
+                analysis_seconds >= 0.0,
+            "bad in-transit enqueue: arrive=" << arrive << " analysis=" << analysis_seconds);
   const double start = std::max(arrive, staging_free_at_);
   staging_free_at_ = start + analysis_seconds;
   mem_used_ += bytes;
   staged_.emplace_back(staging_free_at_, bytes);
+  on_enqueue(staging_free_at_);
   return staging_free_at_;
 }
 
-ShedReport AnalyticSubstrate::shed_staged(double lost_fraction) {
+ShedReport ExecutionSubstrate::shed_staged(double lost_fraction) {
   const bool full = lost_fraction >= 1.0;
   ShedReport report;
-  // Shrink in FIFO order, entry by entry, with the exact arithmetic the
-  // discrete-event substrate uses — zero-byte entries are kept so both
-  // substrates pop the same release sequence afterwards.
-  for (auto& [release, bytes] : staged_) {
+  for (auto& [done, bytes] : staged_) {
     const std::size_t lost =
         full ? bytes
              : f2s(lost_fraction * static_cast<double>(bytes));
@@ -60,67 +46,51 @@ ShedReport AnalyticSubstrate::shed_staged(double lost_fraction) {
   return report;
 }
 
-double AnalyticSubstrate::finish() {
-  return std::max(t_sim_, staging_free_at_);
+void ExecutionSubstrate::release_until(double t) {
+  while (!staged_.empty() && staged_.front().first <= t) {
+    XL_ASSERT(mem_used_ >= staged_.front().second,
+              "staging memory accounting underflow: used=" << mem_used_
+                                                           << " releasing "
+                                                           << staged_.front().second);
+    mem_used_ -= staged_.front().second;
+    staged_.pop_front();
+  }
+}
+
+// --- AnalyticSubstrate -------------------------------------------------------
+
+double AnalyticSubstrate::wait_for_staging_memory(std::size_t bytes,
+                                                  std::size_t capacity) {
+  const double before = t_sim_;
+  while (staging_mem_used() + bytes > capacity && has_staged()) {
+    t_sim_ = std::max(t_sim_, head_done_at());
+    release_until(t_sim_);
+  }
+  return t_sim_ - before;
 }
 
 // --- EventQueueSubstrate -----------------------------------------------------
 
+void EventQueueSubstrate::on_enqueue(double done) {
+  queue_.schedule_at(done, [this] { release_until(queue_.now()); });
+}
+
 double EventQueueSubstrate::wait_for_staging_memory(std::size_t bytes,
                                                     std::size_t capacity) {
   const double before = t_sim_;
-  while (mem_used_ + bytes > capacity && !queue_.empty()) {
-    // The only scheduled events are buffer releases, so the earliest event is
-    // exactly the analytic substrate's staged_.front().
-    queue_.run_one();
+  while (staging_mem_used() + bytes > capacity && has_staged()) {
+    // The FIFO head's release event is still pending; events before it
+    // release nothing but move the clock.
+    const bool fired = queue_.run_one();
+    XL_ASSERT(fired, "staged buffer without a pending release event");
     t_sim_ = std::max(t_sim_, queue_.now());
   }
   return t_sim_ - before;
 }
 
-double EventQueueSubstrate::enqueue_intransit(double arrive, double analysis_seconds,
-                                              std::size_t bytes) {
-  const double start = std::max(arrive, staging_free_at_);
-  staging_free_at_ = start + analysis_seconds;
-  mem_used_ += bytes;
-  // The release event looks the bytes up at fire time (not capture time) so a
-  // later shed_staged can shrink the buffer while its release is in flight.
-  const std::uint64_t id = staged_bytes_.append(bytes);
-  queue_.schedule_at(staging_free_at_, [this, id] {
-    if (std::size_t* live = staged_bytes_.find(id)) {
-      XL_ASSERT(mem_used_ >= *live,
-                "staging memory accounting underflow: used=" << mem_used_
-                                                             << " releasing "
-                                                             << *live);
-      mem_used_ -= *live;
-      staged_bytes_.release(id);
-    }
-  });
-  return staging_free_at_;
-}
-
-ShedReport EventQueueSubstrate::shed_staged(double lost_fraction) {
-  const bool full = lost_fraction >= 1.0;
-  ShedReport report;
-  // Ascending-id iteration == FIFO order: exactly the sequence the analytic
-  // substrate's deque walks, entry by entry, same arithmetic.
-  staged_bytes_.for_each_live([&](std::uint64_t, std::size_t& bytes) {
-    const std::size_t lost =
-        full ? bytes
-             : f2s(lost_fraction * static_cast<double>(bytes));
-    if (lost == 0) return;
-    bytes -= lost;
-    mem_used_ -= lost;
-    report.bytes += lost;
-    ++report.buffers;
-  });
-  if (full) staging_free_at_ = std::min(staging_free_at_, t_sim_);
-  return report;
-}
-
 double EventQueueSubstrate::finish() {
   queue_.run_until_empty();
-  return std::max(t_sim_, staging_free_at_);
+  return std::max(t_sim_, staging_free_at());
 }
 
 }  // namespace xl::workflow

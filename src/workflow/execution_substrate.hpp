@@ -1,103 +1,28 @@
-// The execution substrate behind the step pipeline: the mechanism that
-// advances the paper's two partition clocks (eq. 4's simulation clock and
-// eq. 5's staging clock) and accounts the staged-buffer memory that couples
-// them. Two implementations exist:
+// The execution substrate behind the step pipeline: the paper's two partition
+// clocks (eq. 4's simulation clock and eq. 5's staging clock) and the FIFO of
+// staged buffers whose memory couples them. The base class owns both clocks,
+// the FIFO and every piece of arithmetic on them (enqueue, shed, release);
+// the two implementations differ only in how releases are triggered:
 //
-//  * AnalyticSubstrate — the closed-form clock arithmetic (a pair of doubles
-//    plus a FIFO of staged buffers), fastest for parameter sweeps;
-//  * EventQueueSubstrate — the same semantics expressed as events on the
-//    deterministic cluster::EventQueue, the seam where finer-grained machine
-//    events (per-message transfers, per-core contention) plug in.
+//  * AnalyticSubstrate — closed form: releases happen when the pipeline asks
+//    (once per step, and while it waits for staging memory);
+//  * EventQueueSubstrate — each staged buffer schedules a release event on
+//    the deterministic cluster::EventQueue, the seam where finer-grained
+//    machine events (per-message transfers, per-core contention) plug in.
 //
-// Both produce identical timelines on identical inputs; a regression test
-// asserts it. The pipeline, the machine-scale experiment, and the benches
-// all run the same phases over whichever substrate the caller supplies.
+// Releases follow one rule on both: the FIFO head leaves once its analysis
+// completed, and a buffer behind an unfinished head waits for it. So both
+// produce identical timelines on identical inputs; regression tests assert it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <deque>
-#include <limits>
 #include <utility>
 
 #include "cluster/event_queue.hpp"
-#include "common/buffer_pool.hpp"
 
 namespace xl::workflow {
-
-/// Flat monotonic-id ring of live staged-buffer bytes. Buffers are appended
-/// with consecutive ids (the insertion order IS the FIFO order — the
-/// invariant the shed arithmetic depends on); release tombstones an entry in
-/// place, and the window compacts forward once the dead prefix dominates, so
-/// steady-state lookups are one subtraction and one index instead of a map
-/// walk, with zero node allocations. Note 0 is a LIVE value (a fully shed
-/// buffer keeps its slot until its release event fires), distinct from the
-/// tombstone.
-class StagedLedger {
- public:
-  static constexpr std::size_t kTombstone = std::numeric_limits<std::size_t>::max();
-
-  /// Record `bytes` as the next staged buffer; returns its monotonic id.
-  std::uint64_t append(std::size_t bytes) {
-    entries_.push_back(bytes);
-    return base_id_ + static_cast<std::uint64_t>(entries_.size()) - 1;
-  }
-
-  /// Live-entry lookup: nullptr once the buffer has been released. The
-  /// pointer stays valid until the next append/release.
-  std::size_t* find(std::uint64_t id) {
-    if (id < base_id_) return nullptr;
-    const std::size_t idx = static_cast<std::size_t>(id - base_id_);
-    if (idx >= entries_.size() || entries_[idx] == kTombstone) return nullptr;
-    return &entries_[idx];
-  }
-
-  /// Tombstone `id` and advance the live window past any dead prefix.
-  void release(std::uint64_t id) {
-    std::size_t* p = find(id);
-    if (p == nullptr) return;
-    *p = kTombstone;
-    while (head_ < entries_.size() && entries_[head_] == kTombstone) ++head_;
-    if (head_ == entries_.size()) {
-      base_id_ += static_cast<std::uint64_t>(entries_.size());
-      entries_.clear();
-      head_ = 0;
-    } else if (head_ >= kCompactAt && head_ * 2 >= entries_.size()) {
-      compact();
-    }
-  }
-
-  /// Visit live entries in ascending id order (the FIFO shed order) with a
-  /// mutable byte count — `fn(id, bytes&)`.
-  template <typename Fn>
-  void for_each_live(Fn&& fn) {
-    for (std::size_t i = head_; i < entries_.size(); ++i) {
-      if (entries_[i] == kTombstone) continue;
-      fn(base_id_ + static_cast<std::uint64_t>(i), entries_[i]);
-    }
-  }
-
-  std::size_t live_span() const noexcept { return entries_.size() - head_; }
-
- private:
-  static constexpr std::size_t kCompactAt = 64;
-
-  void compact() {
-    const std::size_t live = entries_.size() - head_;
-    std::memmove(entries_.data(), entries_.data() + head_,
-                 live * sizeof(std::size_t));
-    entries_.resize(live);
-    base_id_ += static_cast<std::uint64_t>(head_);
-    head_ = 0;
-  }
-
-  /// Engine pool, not the data-path pool: ledger bookkeeping must not show
-  /// up in the payload pool telemetry stamped into workflow events.
-  ArenaVec<std::size_t> entries_{BufferPool::engine()};  ///< bytes per id, offset by base_id_.
-  std::uint64_t base_id_ = 0;  ///< id of entries_[0].
-  std::size_t head_ = 0;       ///< first live index (tombstone-free prefix end).
-};
 
 /// What a staging-server loss cost the in-flight staged buffers.
 struct ShedReport {
@@ -107,21 +32,30 @@ struct ShedReport {
 
 class ExecutionSubstrate {
  public:
+  ExecutionSubstrate() = default;
+  ExecutionSubstrate(const ExecutionSubstrate&) = delete;
+  ExecutionSubstrate& operator=(const ExecutionSubstrate&) = delete;
   virtual ~ExecutionSubstrate() = default;
 
   virtual const char* name() const noexcept = 0;
 
   /// Simulation-partition clock (eq. 4).
-  virtual double sim_now() const noexcept = 0;
+  double sim_now() const noexcept { return t_sim_; }
   /// Time the staging partition finishes its current backlog (eq. 5).
-  virtual double staging_free_at() const noexcept = 0;
+  double staging_free_at() const noexcept { return staging_free_at_; }
   /// Bytes currently cached in the staging area (released when the
   /// corresponding in-transit analysis completes).
-  virtual std::size_t staging_mem_used() const noexcept = 0;
+  std::size_t staging_mem_used() const noexcept { return mem_used_; }
+  /// Seconds until the staging cores finish their backlog, as seen from the
+  /// simulation clock (the monitor's eq. 7 input); 0 when staging is idle.
+  double backlog_seconds() const noexcept {
+    return std::max(0.0, staging_free_at_ - t_sim_);
+  }
 
-  /// Advance the simulation clock: sim steps, reductions, in-situ analyses,
-  /// adaptation overhead, and transfer-initiation costs all accrue here.
-  virtual void advance_sim(double seconds) = 0;
+  /// Advance the simulation clock by a finite, non-negative `seconds`: sim
+  /// steps, reductions, in-situ analyses, adaptation overhead, and transfer
+  /// initiation and retry costs all accrue here.
+  void advance_sim(double seconds);
 
   /// Release staged buffers whose in-transit analysis completed by the
   /// current simulation clock. Called once per step before the monitor
@@ -137,86 +71,63 @@ class ExecutionSubstrate {
   /// Hand `bytes` arriving at `arrive` to the staging partition; the buffer
   /// occupies staging memory until its `analysis_seconds` of in-transit work
   /// completes (FIFO behind the existing backlog). Returns completion time.
-  virtual double enqueue_intransit(double arrive, double analysis_seconds,
-                                   std::size_t bytes) = 0;
+  double enqueue_intransit(double arrive, double analysis_seconds, std::size_t bytes);
 
   /// Fault path: staging servers died, losing `lost_fraction` of every
   /// in-flight staged buffer (1.0 = the whole partition went down, which also
-  /// abandons the backlog). Buffers shrink in FIFO order with identical
-  /// arithmetic on both substrates so faulted timelines stay bit-identical.
-  virtual ShedReport shed_staged(double lost_fraction) = 0;
+  /// abandons the backlog). Buffers shrink in FIFO order; a fully shed buffer
+  /// stays in the FIFO as a zero-byte entry until its analysis completes.
+  ShedReport shed_staged(double lost_fraction);
 
   /// Drain all outstanding staging work and return the time-to-solution:
   /// max of the two partition clocks (eq. 6).
   virtual double finish() = 0;
+
+ protected:
+  /// Release FIFO heads whose analysis completed by `t`. A full outage pulls
+  /// the staging clock back, so completion times need not be monotone along
+  /// the FIFO: a buffer behind a later-finishing head waits for that head.
+  void release_until(double t);
+  bool has_staged() const noexcept { return !staged_.empty(); }
+  /// Completion time of the FIFO head (requires has_staged()).
+  double head_done_at() const noexcept { return staged_.front().first; }
+
+  double t_sim_ = 0.0;
+
+ private:
+  /// A buffer completing at `done` joined the FIFO.
+  virtual void on_enqueue(double /*done*/) {}
+
+  double staging_free_at_ = 0.0;
+  std::size_t mem_used_ = 0;
+  std::deque<std::pair<double, std::size_t>> staged_;  ///< (completion time, live bytes).
 };
 
-/// Closed-form analytic clocks: the original CoupledWorkflow timeline state,
-/// extracted verbatim.
+/// Closed-form clocks: releases happen only when the pipeline asks.
 class AnalyticSubstrate final : public ExecutionSubstrate {
  public:
   const char* name() const noexcept override { return "analytic"; }
-  double sim_now() const noexcept override { return t_sim_; }
-  double staging_free_at() const noexcept override { return staging_free_at_; }
-  std::size_t staging_mem_used() const noexcept override { return mem_used_; }
-
-  void advance_sim(double seconds) override { t_sim_ += seconds; }
-
   void release_completed() override { release_until(t_sim_); }
-
   double wait_for_staging_memory(std::size_t bytes, std::size_t capacity) override;
-
-  double enqueue_intransit(double arrive, double analysis_seconds,
-                           std::size_t bytes) override;
-
-  ShedReport shed_staged(double lost_fraction) override;
-
-  double finish() override;
-
- private:
-  void release_until(double t);
-
-  double t_sim_ = 0.0;
-  double staging_free_at_ = 0.0;
-  std::size_t mem_used_ = 0;
-  std::deque<std::pair<double, std::size_t>> staged_;  ///< (release time, bytes).
+  double finish() override { return std::max(t_sim_, staging_free_at()); }
 };
 
 /// The same timeline driven through the deterministic discrete-event engine:
-/// each staged buffer's release is an event; waits and drains run the queue.
+/// each staged buffer's completion is a release event; waits and drains run
+/// the queue.
 class EventQueueSubstrate final : public ExecutionSubstrate {
  public:
   const char* name() const noexcept override { return "discrete-event"; }
-  double sim_now() const noexcept override { return t_sim_; }
-  double staging_free_at() const noexcept override { return staging_free_at_; }
-  std::size_t staging_mem_used() const noexcept override { return mem_used_; }
-
-  void advance_sim(double seconds) override { t_sim_ += seconds; }
-
   void release_completed() override { queue_.run_until(t_sim_); }
-
   double wait_for_staging_memory(std::size_t bytes, std::size_t capacity) override;
-
-  double enqueue_intransit(double arrive, double analysis_seconds,
-                           std::size_t bytes) override;
-
-  ShedReport shed_staged(double lost_fraction) override;
-
   double finish() override;
 
   const cluster::EventQueue& queue() const noexcept { return queue_; }
 
  private:
+  void on_enqueue(double done) override;
+
   cluster::EventQueue queue_;
-  double t_sim_ = 0.0;
-  double staging_free_at_ = 0.0;
-  std::size_t mem_used_ = 0;
-  /// Live bytes per staged buffer, keyed by insertion id. Ids are handed out
-  /// monotonically, and the ledger iterates in ascending id order — THAT is
-  /// the FIFO invariant the shed arithmetic relies on (not any property of
-  /// the container). Release events look bytes up here rather than capturing
-  /// them, so a shed can shrink a buffer after its release was scheduled.
-  StagedLedger staged_bytes_;
 };
 
 }  // namespace xl::workflow

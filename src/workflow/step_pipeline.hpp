@@ -1,28 +1,31 @@
-// The per-step phase pipeline the coupled workflow executes (paper §3's
-// layered runtime made explicit). Each step flows through eight phases over
-// a shared StepContext:
+// The per-step pipeline the coupled workflow executes (paper §3's layered
+// runtime made explicit). run_step calls eight phases, in order, over a
+// shared StepContext:
 //
-//   Simulate -> Monitor -> Adapt -> Reduce -> Placement -> Transfer
-//            -> Analyze -> Drain
+//   simulate -> monitor -> adapt -> reduce -> place -> transfer
+//            -> analyze -> drain
 //
-//  * SimulatePhase  — advance the AMR solver one step on the sim partition.
-//  * MonitorPhase   — release completed staging buffers, snapshot the
-//                     OperationalState the Adaptation Engine consumes.
-//  * AdaptPhase     — run the cross-layer engine on sampling steps; apply
-//                     the temporal-adaptation gate.
-//  * ReducePhase    — application-layer down-sampling (factor X, in-situ).
-//  * PlacementPhase — resolve where this step's analysis runs (including
-//                     the hybrid split and capacity-forced fallbacks).
-//  * TransferPhase  — admission control + transfer planning for the
-//                     in-transit share (the paper's T_insitu_wait and T_sd).
-//  * AnalyzePhase   — charge the analysis to the owning partition clock(s);
-//                     the planned transfer commits here, after the blocking
-//                     in-situ share, matching when the simulation actually
-//                     hands the buffer off.
-//  * DrainPhase     — finalize the StepRecord, accumulate run counters.
+//  * simulate — advance the AMR solver one step on the sim partition.
+//  * monitor  — release completed staging buffers, apply this step's staging
+//               faults, snapshot the OperationalState the Adaptation Engine
+//               consumes.
+//  * adapt    — run the cross-layer engine on sampling steps; apply the
+//               temporal-adaptation gate.
+//  * reduce   — application-layer down-sampling (factor X, in-situ).
+//  * place    — resolve where this step's analysis runs (including the
+//               hybrid split and capacity-forced fallbacks).
+//  * transfer — the retry ladder, admission control and transfer planning
+//               for the in-transit share (the paper's T_insitu_wait, T_sd).
+//  * analyze  — charge the analysis to the owning partition clock(s); the
+//               planned transfer commits here, after the blocking in-situ
+//               share, matching when the simulation actually hands the
+//               buffer off.
+//  * drain    — finalize the StepRecord, accumulate run counters.
 //
-// All timing flows through the Timeline/ExecutionSubstrate seam, and every
-// phase reports into the WorkflowObserver event stream.
+// The pipeline only orchestrates: the clocks and the staged-buffer FIFO live
+// in the ExecutionSubstrate, the retry ladder in transport/retry_ladder, the
+// crash-loss closed form in staging::crash_loss_fraction. Every phase reports
+// into the WorkflowObserver event stream.
 #pragma once
 
 #include <algorithm>
@@ -34,10 +37,11 @@
 #include "cluster/cost_model.hpp"
 #include "common/buffer_pool.hpp"
 #include "runtime/adaptation_engine.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/monitor.hpp"
 #include "workflow/coupled_workflow.hpp"
+#include "workflow/execution_substrate.hpp"
 #include "workflow/observer.hpp"
-#include "workflow/timeline.hpp"
 
 namespace xl::workflow {
 
@@ -63,48 +67,16 @@ struct StepContext {
   bool split = false;              ///< hybrid: analysis split across partitions.
   double intransit_share = 0.0;    ///< staged fraction (1.0 = everything).
   double intransit_full_seconds = 0.0;  ///< hybrid: full-kernel in-transit time.
-  // Planned asynchronous transfer (committed by AnalyzePhase).
+  // Planned asynchronous transfer (committed by analyze).
   bool pending_transfer = false;
   std::size_t transfer_bytes = 0;
   double wire_seconds = 0.0;
   StepRecord record;
 };
 
-class StepPipeline;
-
-class StepPhase {
- public:
-  virtual ~StepPhase() = default;
-  virtual const char* name() const noexcept = 0;
-  virtual void run(StepContext& ctx) = 0;
-
- protected:
-  explicit StepPhase(StepPipeline& pipeline) : p_(pipeline) {}
-  StepPipeline& p_;
-};
-
-#define XL_DECLARE_PHASE(Phase)                              \
-  class Phase final : public StepPhase {                     \
-   public:                                                   \
-    explicit Phase(StepPipeline& pipeline) : StepPhase(pipeline) {} \
-    const char* name() const noexcept override;              \
-    void run(StepContext& ctx) override;                     \
-  }
-
-XL_DECLARE_PHASE(SimulatePhase);
-XL_DECLARE_PHASE(MonitorPhase);
-XL_DECLARE_PHASE(AdaptPhase);
-XL_DECLARE_PHASE(ReducePhase);
-XL_DECLARE_PHASE(PlacementPhase);
-XL_DECLARE_PHASE(TransferPhase);
-XL_DECLARE_PHASE(AnalyzePhase);
-XL_DECLARE_PHASE(DrainPhase);
-
-#undef XL_DECLARE_PHASE
-
-/// Orchestrates the phases over an execution substrate, owning the run-wide
-/// state the phases share: monitor, adaptation engine, timeline, carried
-/// decisions, and the accumulating WorkflowResult.
+/// Runs the phases over an execution substrate, owning the run-wide state
+/// they share: monitor, adaptation engine, carried decisions, staging health,
+/// and the accumulating WorkflowResult.
 class StepPipeline {
  public:
   StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& substrate,
@@ -120,18 +92,20 @@ class StepPipeline {
   /// hand over the result. Call once, after the last step.
   WorkflowResult finish();
 
-  /// Phase names in execution order (for docs, tracing, and tests).
-  std::vector<const char*> phase_names() const;
-
  private:
-  friend class SimulatePhase;
-  friend class MonitorPhase;
-  friend class AdaptPhase;
-  friend class ReducePhase;
-  friend class PlacementPhase;
-  friend class TransferPhase;
-  friend class AnalyzePhase;
-  friend class DrainPhase;
+  void simulate(StepContext& ctx);
+  void monitor(StepContext& ctx);
+  void adapt(StepContext& ctx);
+  void reduce(StepContext& ctx);
+  void place(StepContext& ctx);
+  void transfer(StepContext& ctx);
+  void analyze(StepContext& ctx);
+  void drain(StepContext& ctx);
+
+  /// Apply `step`'s scheduled crashes and stragglers to health_ (fault
+  /// injection enabled only): shed, replica-loss and repair bookkeeping on
+  /// declared crash onset, and the suspicion/straggler/recovery edges.
+  void apply_faults(int step);
 
   int staging_nodes(int cores) const noexcept;
   std::size_t staging_capacity(int cores) const noexcept;
@@ -141,7 +115,7 @@ class StepPipeline {
   /// servers the fault plan killed (0 = whole partition down). Equals
   /// cur_cores_ whenever fault injection is disabled.
   int effective_cores() const noexcept {
-    return std::max(0, cur_cores_ - servers_down_now_);
+    return std::max(0, cur_cores_ - health_.servers_down);
   }
   /// Stamp the partition clocks onto `event` and append it to the step batch.
   /// Clocks are read at emission time (not flush time), so batching changes
@@ -152,15 +126,19 @@ class StepPipeline {
   void flush_events();
 
   const WorkflowConfig& config_;
+  ExecutionSubstrate& substrate_;
   amr::SyntheticAmrEvolution evolution_;
   cluster::CostModel cost_;
   runtime::Monitor monitor_;
-  Timeline timeline_;
   WorkflowObserver* observer_;
   std::vector<WorkflowEvent> batch_;  ///< stamped events awaiting delivery.
   std::unique_ptr<runtime::AdaptationEngine> engine_;
-  std::vector<std::unique_ptr<StepPhase>> phases_;
   WorkflowResult result_;
+
+  // Run-level accounting: T_i_sim proper (everything else on the simulation
+  // clock is overhead) and each step's start, for the per-step windows.
+  double pure_sim_seconds_ = 0.0;
+  std::vector<double> step_starts_;
 
   // Derived constants.
   int sim_nodes_ = 1;
@@ -185,14 +163,9 @@ class StepPipeline {
   // capacity, shed, and recovery; the actual-minus-detected gap is the
   // suspected set that only forces transfer retries.
   runtime::FaultPlan fault_plan_;
-  int servers_down_now_ = 0;        ///< declared dead (lease expired).
-  int prev_servers_down_ = 0;
-  int servers_suspected_now_ = 0;   ///< crashed, lease still running.
-  int prev_servers_suspected_ = 0;
-  double slowdown_now_ = 1.0;
-  double prev_slowdown_ = 1.0;
-  /// Recovery edge, sticky until the adaptation engine consumes it.
-  bool staging_recovered_now_ = false;
+  /// Staging liveness as of this step's monitor phase; its just_recovered
+  /// edge stays set until the adaptation engine consumes it.
+  runtime::StagingHealth health_;
   std::uint64_t transfer_seq_ = 0;  ///< fault-oracle key for each transfer.
   // Replication repair state (inert when config.replication == 1).
   std::size_t repair_pending_bytes_ = 0;  ///< replica bytes awaiting re-creation.

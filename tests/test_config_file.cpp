@@ -128,6 +128,45 @@ TEST(ConfigFile, RejectsBadTriggerAndSamplingValues) {
   }
 }
 
+TEST(ConfigFile, NumbersMustBeTheWholeValueAndErrorsNameTheKey) {
+  // Prefix parses, signs on unsigned keys and non-finite values are errors,
+  // raised at parse time and naming the key.
+  for (const std::string text :
+       {"steps = 5x", "front_speed = 0.004abc", "domain = 64 32 32 extra", "factors = 2 4x",
+        "factors = 0", "seed = -1", "trigger_seed = 1.5", "active_cell_fraction = nan",
+        "staging_usable_fraction = inf", "euler = 1y"}) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ContractError& e) {
+      const std::string key = text.substr(0, text.find(' '));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ConfigFile, SeedsTakeAnyUint64) {
+  EXPECT_EQ(parse("seed = 99999999999").geometry.seed, 99999999999u);
+  EXPECT_EQ(parse("trigger_seed = 18446744073709551615").monitor.trigger.seed,
+            18446744073709551615u);
+}
+
+TEST(ConfigFile, TriggerNamesRoundTrip) {
+  for (runtime::TriggerPolicy policy :
+       {runtime::TriggerPolicy::FixedPeriod, runtime::TriggerPolicy::Percentile,
+        runtime::TriggerPolicy::Hybrid}) {
+    const std::string name = runtime::trigger_policy_name(policy);
+    EXPECT_EQ(runtime::parse_trigger_policy(name, "--trigger"), policy);
+    EXPECT_EQ(parse("trigger = " + name).monitor.trigger.policy, policy);
+  }
+  try {
+    runtime::parse_trigger_policy("sometimes", "--trigger");
+    ADD_FAILURE() << "unknown policy accepted";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("--trigger"), std::string::npos) << e.what();
+  }
+}
+
 TEST(ConfigFile, ParsedConfigActuallyRuns) {
   const WorkflowConfig c = parse(R"(
     machine = test

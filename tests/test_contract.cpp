@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -131,6 +132,24 @@ TEST(GuardedConversions, ToDoubleRejectsPrecisionLoss) {
   } else {
     EXPECT_THROW(to_double(too_big), InternalError);
   }
+}
+
+// --- parse_number ------------------------------------------------------------
+
+TEST(ParseNumber, RejectsAnythingButOneWholeNumberNamingTheSource) {
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "k"),
+            std::numeric_limits<std::uint64_t>::max());
+  const std::pair<const char*, const char*> bad[] = {
+      {"abc", "--threads"}, {"2x", "--replication"}, {" 5", "steps"}, {"99999999999", "steps"}};
+  for (const auto& [text, what] : bad) {
+    try {
+      parse_number<int>(text, what);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(parse_number<double>("1e999", "k"), ContractError);
 }
 
 // --- checked accessors -------------------------------------------------------

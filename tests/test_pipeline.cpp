@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <sstream>
 #include <string>
@@ -15,7 +14,6 @@
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
 #include "workflow/observer.hpp"
-#include "workflow/step_pipeline.hpp"
 #include "workflow/trace_io.hpp"
 
 using namespace xl;
@@ -162,17 +160,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(StepPipeline, PhaseNamesInExecutionOrder) {
-  const WorkflowConfig config = golden_config(Mode::Global);
-  AnalyticSubstrate substrate;
-  StepPipeline pipeline(config, substrate, nullptr);
-  const auto names = pipeline.phase_names();
-  ASSERT_EQ(names.size(), 8u);
-  const char* expected[] = {"simulate", "monitor",   "adapt",    "reduce",
-                            "placement", "transfer", "analyze",  "drain"};
-  for (std::size_t i = 0; i < names.size(); ++i) EXPECT_STREQ(names[i], expected[i]);
-}
-
 TEST(StepPipeline, RunMatchesRunOnAnalytic) {
   const WorkflowConfig config = golden_config(Mode::Global);
   const WorkflowResult a = CoupledWorkflow(config).run();
@@ -209,76 +196,58 @@ TEST(EventKindNames, AreStable) {
   EXPECT_STREQ(event_kind_name(EventKind::RunEnd), "run-end");
 }
 
-// --- staged-byte ledger ------------------------------------------------------
+// --- substrate contract ------------------------------------------------------
 
-TEST(StagedLedger, AppendsMonotonicIdsAndFindsLiveBytes) {
-  StagedLedger ledger;
-  EXPECT_EQ(ledger.append(100), 0u);
-  EXPECT_EQ(ledger.append(200), 1u);
-  EXPECT_EQ(ledger.append(300), 2u);
-  ASSERT_NE(ledger.find(1), nullptr);
-  EXPECT_EQ(*ledger.find(1), 200u);
-  EXPECT_EQ(ledger.find(99), nullptr);  // never issued
-  EXPECT_EQ(ledger.live_span(), 3u);
-}
-
-TEST(StagedLedger, ZeroBytesIsLiveUntilReleased) {
-  // A fully shed buffer keeps a 0-byte LIVE entry until its release event
-  // fires — 0 is a value, not a tombstone.
-  StagedLedger ledger;
-  const std::uint64_t id = ledger.append(512);
-  *ledger.find(id) = 0;  // what a full shed does
-  ASSERT_NE(ledger.find(id), nullptr);
-  EXPECT_EQ(*ledger.find(id), 0u);
-  ledger.release(id);
-  EXPECT_EQ(ledger.find(id), nullptr);
-  ledger.release(id);  // double release is a no-op
-  EXPECT_EQ(ledger.find(id), nullptr);
-}
-
-TEST(StagedLedger, ForEachLiveVisitsAscendingIdsSkippingReleased) {
-  StagedLedger ledger;
-  for (std::size_t i = 0; i < 6; ++i) ledger.append(10 * (i + 1));
-  ledger.release(1);
-  ledger.release(4);
-  std::vector<std::uint64_t> ids;
-  std::vector<std::size_t> bytes;
-  ledger.for_each_live([&](std::uint64_t id, std::size_t& b) {
-    ids.push_back(id);
-    bytes.push_back(b);
-  });
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 2, 3, 5}));
-  EXPECT_EQ(bytes, (std::vector<std::size_t>{10, 30, 40, 60}));
-}
-
-TEST(StagedLedger, CompactionPreservesIdsAndFifoOrder) {
-  StagedLedger ledger;
-  constexpr std::size_t kN = 150;
-  for (std::size_t i = 0; i < kN; ++i) ledger.append(i + 1);
-  // Release a long prefix in FIFO order: the dead window dominates and the
-  // ledger compacts. Ids and bytes of the survivors must be untouched.
-  for (std::size_t i = 0; i < 100; ++i) ledger.release(i);
-  EXPECT_EQ(ledger.live_span(), kN - 100);
-  for (std::uint64_t id = 100; id < kN; ++id) {
-    ASSERT_NE(ledger.find(id), nullptr) << "id " << id;
-    EXPECT_EQ(*ledger.find(id), id + 1) << "id " << id;
+TEST(SubstrateContract, ShedBuffersReleaseHeadOfLineOnBothSubstrates) {
+  AnalyticSubstrate analytic;
+  EventQueueSubstrate des;
+  // Apply `op` to both substrates: its result, the simulation clock and the
+  // staged bytes must agree after every call.
+  const auto both = [&](const char* what, auto op) {
+    const auto a = op(static_cast<ExecutionSubstrate&>(analytic));
+    EXPECT_EQ(a, op(static_cast<ExecutionSubstrate&>(des))) << what;
+    EXPECT_EQ(analytic.sim_now(), des.sim_now()) << what;
+    EXPECT_EQ(analytic.staging_mem_used(), des.staging_mem_used()) << what;
+    return a;
+  };
+  const auto advance = [&](double seconds) {
+    both("advance", [&](ExecutionSubstrate& s) {
+      s.advance_sim(seconds);
+      s.release_completed();
+      return s.sim_now();
+    });
+  };
+  for (std::size_t bytes : {100, 200, 300}) {
+    both("enqueue", [&](ExecutionSubstrate& s) {
+      return s.enqueue_intransit(0.0, 10.0, bytes);  // done at 10, 20, 30
+    });
   }
-  EXPECT_EQ(ledger.find(99), nullptr);
-  // Ids keep counting monotonically across compaction.
-  EXPECT_EQ(ledger.append(9999), kN);
-}
+  // A partial shed shrinks every buffer in FIFO order: releasing the head
+  // then frees exactly the head's remainder.
+  EXPECT_EQ(both("half shed", [](ExecutionSubstrate& s) { return s.shed_staged(0.5).bytes; }),
+            300u);
+  advance(12.0);
+  EXPECT_EQ(analytic.staging_mem_used(), 250u);
 
-TEST(StagedLedger, FullDrainResetsWindowButNeverReissuesIds) {
-  StagedLedger ledger;
-  const std::uint64_t a = ledger.append(1);
-  const std::uint64_t b = ledger.append(2);
-  ledger.release(a);
-  ledger.release(b);
-  EXPECT_EQ(ledger.live_span(), 0u);
-  const std::uint64_t c = ledger.append(3);
-  EXPECT_EQ(c, 2u);  // monotonic: ids never repeat after a drain
-  EXPECT_EQ(ledger.find(a), nullptr);
-  EXPECT_EQ(*ledger.find(c), 3u);
+  // A full shed keeps both remaining buffers as zero-byte entries and pulls
+  // the staging clock back to now, so the next buffer finishes (at 14)
+  // before them and must wait behind them.
+  EXPECT_EQ(both("full shed", [](ExecutionSubstrate& s) { return s.shed_staged(1.0).bytes; }),
+            250u);
+  EXPECT_EQ(analytic.staging_free_at(), 12.0);
+  EXPECT_EQ(both("late", [](ExecutionSubstrate& s) { return s.enqueue_intransit(13.0, 1.0, 400); }),
+            14.0);
+  advance(3.0);
+  EXPECT_EQ(analytic.staging_mem_used(), 400u);
+  EXPECT_EQ(both("wait", [](ExecutionSubstrate& s) { return s.wait_for_staging_memory(100, 450); }),
+            15.0);  // until the last zero-byte entry completes at 30
+  EXPECT_EQ(analytic.staging_mem_used(), 0u);
+
+  both("enqueue", [](ExecutionSubstrate& s) { return s.enqueue_intransit(30.0, 5.0, 100); });
+  advance(1.0);
+  both("wait", [](ExecutionSubstrate& s) { return s.wait_for_staging_memory(50, 100); });
+  EXPECT_EQ(analytic.sim_now(), 35.0);
+  both("finish", [](ExecutionSubstrate& s) { return s.finish(); });
 }
 
 // --- observer batching -------------------------------------------------------

@@ -177,6 +177,51 @@ TEST(LossPolicy, DropAbandonsLastCopies) {
   EXPECT_EQ(space.object_count(), 16u - on0);
 }
 
+// --- crash-loss closed form --------------------------------------------------
+
+TEST(CrashLoss, SingleCopyLosesTheDeadServersShareOfTheSurvivors) {
+  EXPECT_EQ(crash_loss_fraction(8, 1, 0, 2), 2.0 / 8.0);
+  EXPECT_EQ(crash_loss_fraction(8, 1, 2, 4), 2.0 / 6.0);  // of the six survivors
+  EXPECT_EQ(crash_loss_fraction(8, 1, 3, 8), 1.0);
+}
+
+TEST(CrashLoss, ReplicatedObjectsDieOnlyWithAllTheirReplicas) {
+  EXPECT_EQ(crash_loss_fraction(8, 2, 0, 1), 0.0);  // d < k
+  EXPECT_DOUBLE_EQ(crash_loss_fraction(8, 2, 0, 2), 1.0 / 28.0);  // C(2,2)/C(8,2)
+  // C(4,2)/C(8,2) = 6/28 in all, of which 5/27 falls on the 27/28 that
+  // survived the first crash.
+  EXPECT_DOUBLE_EQ(crash_loss_fraction(8, 2, 2, 4), 5.0 / 27.0);
+  EXPECT_EQ(crash_loss_fraction(8, 3, 1, 8), 1.0);
+}
+
+TEST(CrashLoss, IncrementalShedsComposeToTheOneShotLoss) {
+  for (int k : {1, 2, 3}) {
+    const double first = crash_loss_fraction(12, k, 0, 4);
+    const double second = crash_loss_fraction(12, k, 4, 7);
+    EXPECT_NEAR(first + (1.0 - first) * second, crash_loss_fraction(12, k, 0, 7), 1e-12)
+        << "k=" << k;
+  }
+}
+
+TEST(CrashLoss, RejectsImpossibleCounts) {
+  EXPECT_THROW(crash_loss_fraction(8, 1, 2, 2), ContractError);  // nothing new died
+  EXPECT_THROW(crash_loss_fraction(8, 1, 0, 9), ContractError);
+  EXPECT_THROW(crash_loss_fraction(8, 9, 0, 1), ContractError);
+}
+
+TEST(CrashLoss, SingleCopyMatchesTheObjectModelOnAverage) {
+  // k = 1: the Morton hash spreads objects near-uniformly, so killing d of M
+  // servers drops close to d/M of the bytes.
+  StagingSpace space(8, std::size_t{1} << 30, /*replication=*/1);
+  for (int i = 0; i < 512; ++i) {
+    space.put(0, Box::cube({(i % 8) * 16, (i / 8 % 8) * 16, (i / 64) * 16}, 8), 1, 4096);
+  }
+  std::size_t dropped = 0;
+  for (int server : {0, 1, 2}) dropped += space.fail_server(server, LossPolicy::Drop).dropped_bytes;
+  EXPECT_NEAR(static_cast<double>(dropped) / (512.0 * 4096.0), crash_loss_fraction(8, 1, 0, 3),
+              0.08);
+}
+
 // --- anti-entropy budget and read-repair -------------------------------------
 
 TEST(AntiEntropy, ByteBudgetBoundsOnePass) {

@@ -15,11 +15,12 @@
 //   steps = 50
 //   factors = 2 4
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <string>
 
+#include "common/contract.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "runtime/trigger.hpp"
@@ -50,6 +51,15 @@ int usage() {
             << "  backoff_mult=X timeout=SECONDS lease=STEPS\n"
             << "  crash=STEP[:SERVERS[:DURATION]] straggler=STEP[:SLOW[:DURATION]]\n";
   return 2;
+}
+
+/// The integer value of `flag`, at least `min`; errors name the flag.
+int flag_int(const char* text, const char* flag, int min) {
+  const int value = parse_number<int>(text, flag);
+  if (value < min) {
+    throw ContractError(std::string(flag) + " needs an integer >= " + std::to_string(min));
+  }
+  return value;
 }
 
 void print_default_config() {
@@ -104,11 +114,9 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
       fault_spec = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 0) return usage();
+      threads = flag_int(argv[++i], "--threads", 0);
     } else if (std::strcmp(argv[i], "--replication") == 0 && i + 1 < argc) {
-      replication = std::atoi(argv[++i]);
-      if (replication < 1) return usage();
+      replication = flag_int(argv[++i], "--replication", 1);
     } else if (std::strcmp(argv[i], "--trigger") == 0 && i + 1 < argc) {
       trigger_policy = argv[++i];
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -123,14 +131,7 @@ int run(int argc, char** argv) {
   if (threads >= 0) config.threads = threads;
   if (replication >= 1) config.replication = replication;
   if (!trigger_policy.empty()) {
-    if (trigger_policy == "fixed")
-      config.monitor.trigger.policy = runtime::TriggerPolicy::FixedPeriod;
-    else if (trigger_policy == "percentile")
-      config.monitor.trigger.policy = runtime::TriggerPolicy::Percentile;
-    else if (trigger_policy == "hybrid")
-      config.monitor.trigger.policy = runtime::TriggerPolicy::Hybrid;
-    else
-      return usage();
+    config.monitor.trigger.policy = runtime::parse_trigger_policy(trigger_policy, "--trigger");
   }
   // Size the process-wide pool to match, so any real kernels invoked in this
   // process (calibration, validation paths) use the same thread count the
