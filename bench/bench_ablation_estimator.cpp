@@ -8,7 +8,6 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
 namespace {
 
@@ -21,27 +20,9 @@ WorkflowConfig config_for(runtime::EstimatorKind kind, double alpha) {
   return c;
 }
 
-std::string key_of(runtime::EstimatorKind kind, double alpha) {
-  switch (kind) {
-    case runtime::EstimatorKind::Ewma:
-      return "est/ewma-" + std::to_string(alpha);
-    case runtime::EstimatorKind::LastValue:
-      return "est/last";
-    case runtime::EstimatorKind::Oracle:
-      return "est/oracle";
-  }
-  return "est/?";
-}
+}  // namespace
 
-void bench_run(benchmark::State& state) {
-  const auto kind = static_cast<runtime::EstimatorKind>(state.range(0));
-  const double alpha = state.range(1) / 100.0;
-  state.SetLabel(key_of(kind, alpha));
-  xl::bench::run_workflow_benchmark(state, key_of(kind, alpha),
-                                    [=] { return config_for(kind, alpha); });
-}
-
-void print_table() {
+int main() {
   std::cout << "\n=== Ablation: execution-time estimator for the middleware policy ===\n";
   Table t({"estimator", "overhead (s)", "data moved (GB)", "in-situ", "in-transit"});
   struct Row {
@@ -57,9 +38,7 @@ void print_table() {
       {runtime::EstimatorKind::LastValue, 0.5, "last value"},
   };
   for (const Row& row : rows) {
-    const WorkflowResult& r =
-        RunCache::instance().get(key_of(row.kind, row.alpha),
-                                 [=] { return config_for(row.kind, row.alpha); });
+    const WorkflowResult r = bench::run(config_for(row.kind, row.alpha)).result;
     t.row()
         .cell(row.label)
         .cell(r.overhead_seconds, 3)
@@ -72,22 +51,5 @@ void print_table() {
                "drifts smoothly (the paper's claim that simple runtime estimation\n"
                "suffices at scale); the oracle row bounds what a perfect predictor\n"
                "could add.\n";
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->Args({static_cast<long>(runtime::EstimatorKind::Oracle), 50})
-    ->Args({static_cast<long>(runtime::EstimatorKind::Ewma), 20})
-    ->Args({static_cast<long>(runtime::EstimatorKind::Ewma), 50})
-    ->Args({static_cast<long>(runtime::EstimatorKind::Ewma), 90})
-    ->Args({static_cast<long>(runtime::EstimatorKind::LastValue), 50})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
   return 0;
 }

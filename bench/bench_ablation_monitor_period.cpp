@@ -8,33 +8,15 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-constexpr int kScale = 1;  // 4K cores
-
-WorkflowConfig config_for(int period) {
-  WorkflowConfig c = titan_middleware_experiment(kScale, Mode::AdaptiveMiddleware);
-  c.monitor.sampling_period = period;
-  return c;
-}
-
-std::string key_of(int period) { return "period/" + std::to_string(period); }
-
-void bench_run(benchmark::State& state) {
-  const int period = static_cast<int>(state.range(0));
-  state.SetLabel(key_of(period));
-  xl::bench::run_workflow_benchmark(state, key_of(period),
-                                    [=] { return config_for(period); });
-}
-
-void print_table() {
+int main() {
+  constexpr int kScale = 1;  // 4K cores
   std::cout << "\n=== Ablation: monitor sampling period (steps between adaptations) ===\n";
   Table t({"period k", "overhead (s)", "data moved (GB)", "placement flips"});
   for (int period : {1, 2, 5, 10}) {
-    const WorkflowResult& r =
-        RunCache::instance().get(key_of(period), [=] { return config_for(period); });
+    WorkflowConfig c = titan_middleware_experiment(kScale, Mode::AdaptiveMiddleware);
+    c.monitor.sampling_period = period;
+    const WorkflowResult r = bench::run(c).result;
     int flips = 0;
     for (std::size_t i = 1; i < r.steps.size(); ++i) {
       flips += r.steps[i].placement != r.steps[i - 1].placement;
@@ -51,15 +33,5 @@ void print_table() {
                "end-to-end cost is nearly flat (the paper's choice of periodic\n"
                "sampling is cheap AND sufficient), while the placement mix and\n"
                "data movement shift by ~10% as k grows.\n";
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)->Arg(1)->Arg(2)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
   return 0;
 }

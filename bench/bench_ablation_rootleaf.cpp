@@ -9,17 +9,8 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
 namespace {
-
-constexpr int kScale = 1;  // 4K cores
-
-WorkflowConfig config_for(runtime::PlanOrder order) {
-  WorkflowConfig c = titan_global_experiment(kScale, Mode::Global);
-  c.plan_order = order;
-  return c;
-}
 
 const char* order_name(runtime::PlanOrder order) {
   switch (order) {
@@ -30,25 +21,18 @@ const char* order_name(runtime::PlanOrder order) {
   return "?";
 }
 
-std::string key_of(runtime::PlanOrder order) {
-  return std::string("rootleaf/") + order_name(order);
-}
+}  // namespace
 
-void bench_run(benchmark::State& state) {
-  const auto order = static_cast<runtime::PlanOrder>(state.range(0));
-  state.SetLabel(key_of(order));
-  xl::bench::run_workflow_benchmark(state, key_of(order),
-                                    [=] { return config_for(order); });
-}
-
-void print_table() {
+int main() {
+  constexpr int kScale = 1;  // 4K cores
   std::cout << "\n=== Ablation: cross-layer mechanism execution order (sec 4.4) ===\n";
   Table t({"order", "overhead (s)", "data moved (GB)", "in-situ", "in-transit"});
   for (auto order : {runtime::PlanOrder::LeavesThenRoots,
                      runtime::PlanOrder::RootsThenLeaves,
                      runtime::PlanOrder::Unordered}) {
-    const WorkflowResult& r =
-        RunCache::instance().get(key_of(order), [=] { return config_for(order); });
+    WorkflowConfig c = titan_global_experiment(kScale, Mode::Global);
+    c.plan_order = order;
+    const WorkflowResult r = bench::run(c).result;
     t.row()
         .cell(order_name(order))
         .cell(r.overhead_seconds, 3)
@@ -65,20 +49,5 @@ void print_table() {
                "over-provisioned) but moves ~60% more data and loses exactly the\n"
                "mechanism Figs. 7/8 rely on; the paper's leaves-to-roots order is\n"
                "what keeps every policy's inputs consistent with what executes.\n";
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->Arg(static_cast<long>(runtime::PlanOrder::LeavesThenRoots))
-    ->Arg(static_cast<long>(runtime::PlanOrder::RootsThenLeaves))
-    ->Arg(static_cast<long>(runtime::PlanOrder::Unordered))
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
   return 0;
 }

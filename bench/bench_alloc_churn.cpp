@@ -24,17 +24,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <new>
-#include <string>
 #include <vector>
 
 #include "common/buffer_pool.hpp"
-#include "gate_flags.hpp"
 #include "mesh/box.hpp"
 #include "mesh/fab.hpp"
+#include "report.hpp"
 #include "staging/space.hpp"
 
 namespace {
@@ -48,18 +45,21 @@ std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: once one side is inlined, GCC's
+// -Wmismatched-new-delete pairs malloc/free with the other side's
+// operator new/delete and warns, although both sides use malloc/free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
 
 // The pool's AlignedAllocator allocates through the align_val_t forms; count
 // those too so pooled (aligned) and plain allocations land in one ledger.
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
@@ -70,18 +70,18 @@ void* operator new(std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -194,27 +194,12 @@ void print_phase(const char* name, const PhaseReport& r) {
               r.copied_bytes_per_step / 1e6);
 }
 
-void write_json(const std::string& path, const mesh::Box& domain, int steps,
-                bool quick, const PhaseReport& before, const PhaseReport& after,
-                double alloc_reduction, double copied_reduction) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"bench\": \"alloc_churn\",\n"
-     << "  \"domain\": [" << domain.size()[0] << ", " << domain.size()[1] << ", "
-     << domain.size()[2] << "],\n"
-     << "  \"steps\": " << steps << ",\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"before\": {\"allocs_per_step\": " << before.allocs_per_step
-     << ", \"alloc_bytes_per_step\": " << before.alloc_bytes_per_step
-     << ", \"copied_bytes_per_step\": " << before.copied_bytes_per_step << "},\n"
-     << "  \"after\": {\"allocs_per_step\": " << after.allocs_per_step
-     << ", \"alloc_bytes_per_step\": " << after.alloc_bytes_per_step
-     << ", \"copied_bytes_per_step\": " << after.copied_bytes_per_step << "},\n"
-     << "  \"alloc_reduction\": " << alloc_reduction << ",\n"
-     << "  \"copied_reduction\": " << copied_reduction << ",\n"
-     << "  \"max_allocs_per_step_after\": " << kMaxAllocsPerStepAfter << ",\n"
-     << "  \"min_copied_reduction\": " << kMinCopiedReduction << "\n"
-     << "}\n";
+bench::Record phase_record(const char* name, const PhaseReport& r) {
+  return bench::Record()
+      .set("phase", name)
+      .set("allocs_per_step", r.allocs_per_step)
+      .set("alloc_bytes_per_step", r.alloc_bytes_per_step)
+      .set("copied_bytes_per_step", r.copied_bytes_per_step);
 }
 
 }  // namespace
@@ -222,7 +207,8 @@ void write_json(const std::string& path, const mesh::Box& domain, int steps,
 int main(int argc, char** argv) {
   const auto flags = bench::parse_gate_flags(argc, argv, "bench_alloc_churn");
   if (!flags) return 2;
-  const auto& [quick, check, json_path] = *flags;
+  const bool quick = flags->quick;
+  bench::Report report("alloc_churn", *flags);
 
   // Fig-8 base domain (2K-core Titan scale); quick mode shrinks it for CI.
   const mesh::Box domain = quick ? mesh::Box::domain({64, 32, 32})
@@ -231,12 +217,7 @@ int main(int argc, char** argv) {
 
   const PhaseReport before = run_phase(domain, steps, /*deep_copy=*/true);
   const PhaseReport after = run_phase(domain, steps, /*deep_copy=*/false);
-
-  if (before.checksum != after.checksum) {
-    std::cerr << "FAIL: pooled phase changed values (checksum " << after.checksum
-              << " vs " << before.checksum << ")\n";
-    return 1;
-  }
+  const bool identical = before.checksum == after.checksum;
 
   const double alloc_reduction =
       before.allocs_per_step > 0.0
@@ -252,30 +233,34 @@ int main(int argc, char** argv) {
               domain.size()[2]);
   print_phase("before", before);
   print_phase("after", after);
-  std::printf("reduction: allocs %.1f%%   copied bytes %.1f%%   (values bit-identical)\n",
-              100.0 * alloc_reduction, 100.0 * copied_reduction);
+  std::printf("reduction: allocs %.1f%%   copied bytes %.1f%%   (values %s)\n",
+              100.0 * alloc_reduction, 100.0 * copied_reduction,
+              identical ? "bit-identical" : "DIFFER");
 
-  if (!json_path.empty()) {
-    write_json(json_path, domain, steps, quick, before, after, alloc_reduction,
-               copied_reduction);
-  }
+  report.set("nx", domain.size()[0])
+      .set("ny", domain.size()[1])
+      .set("nz", domain.size()[2])
+      .set("steps", steps)
+      .set("alloc_reduction", alloc_reduction)
+      .set("copied_reduction", copied_reduction)
+      .set("max_allocs_per_step_after", kMaxAllocsPerStepAfter)
+      .set("min_copied_reduction", kMinCopiedReduction);
+  report.add("phases", phase_record("before", before));
+  report.add("phases", phase_record("after", after));
 
-  if (check) {
-    bool ok = true;
-    if (after.allocs_per_step > kMaxAllocsPerStepAfter) {
-      std::cerr << "FAIL: pooled steady state allocates " << after.allocs_per_step
-                << " per step (threshold " << kMaxAllocsPerStepAfter << ")\n";
-      ok = false;
-    }
-    if (copied_reduction < kMinCopiedReduction) {
-      std::cerr << "FAIL: copied-bytes reduction " << copied_reduction
-                << " below threshold " << kMinCopiedReduction << "\n";
-      ok = false;
-    }
-    if (!ok) return 1;
-    std::printf("check: OK (allocs/step %.1f <= %.0f, copied reduction %.0f%% >= %.0f%%)\n",
-                after.allocs_per_step, kMaxAllocsPerStepAfter,
-                100.0 * copied_reduction, 100.0 * kMinCopiedReduction);
-  }
-  return 0;
+  report.invariant("values_identical", identical,
+                   bench::strprintf("pooled phase changed values (checksum %g vs %g)",
+                                    after.checksum, before.checksum));
+  report.threshold("allocs_per_step_after",
+                   after.allocs_per_step <= kMaxAllocsPerStepAfter,
+                   bench::strprintf("pooled steady state allocates %g per step "
+                                    "(threshold %g)",
+                                    after.allocs_per_step, kMaxAllocsPerStepAfter));
+  report.threshold("copied_reduction", copied_reduction >= kMinCopiedReduction,
+                   bench::strprintf("copied-bytes reduction %g below threshold %g",
+                                    copied_reduction, kMinCopiedReduction));
+  return report.finish(bench::strprintf(
+      "allocs/step %.1f <= %.0f, copied reduction %.0f%% >= %.0f%%",
+      after.allocs_per_step, kMaxAllocsPerStepAfter, 100.0 * copied_reduction,
+      100.0 * kMinCopiedReduction));
 }

@@ -26,15 +26,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/machine.hpp"
-#include "gate_flags.hpp"
 #include "mesh/layout.hpp"
+#include "report.hpp"
 #include "runtime/fault.hpp"
 #include "staging/space.hpp"
 #include "workflow/coupled_workflow.hpp"
@@ -119,6 +117,7 @@ struct ObjectResult {
   std::size_t deficit_after = 0;     ///< must be 0 after recover + repair.
   std::size_t repaired_replicas = 0;
   std::uint64_t checksum = 0;        ///< must match the rerun's.
+  bool rerun_identical = true;
   bool ok = false;
 };
 
@@ -231,7 +230,6 @@ WorkflowConfig chaos_config(const WorkflowCase& wc) {
   // adaptive middleware cannot dodge the fault by going in-situ).
   c.mode = Mode::StaticInTransit;
   c.geometry.base_domain = Box::domain({256, 128, 128});
-  c.geometry.nranks = 128;
   c.geometry.tile_size = 8;
   c.geometry.front_speed = 0.01;
   c.memory_model.ncomp = 1;
@@ -330,51 +328,13 @@ WorkflowCaseResult run_workflow_case(const WorkflowCase& wc) {
   return r;
 }
 
-// --- report ------------------------------------------------------------------
-
-void write_json(const std::string& path, bool quick,
-                const std::vector<ObjectResult>& objects,
-                const std::vector<WorkflowCaseResult>& workflows) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"bench\": \"chaos_sweep\",\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"object_cases\": [\n";
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    const ObjectResult& r = objects[i];
-    os << "    {\"case\": \"" << r.label << "\", \"replication\": " << r.k
-       << ", \"dropped_objects\": " << r.dropped_objects
-       << ", \"objects_after\": " << r.objects_after
-       << ", \"deficit_after\": " << r.deficit_after
-       << ", \"repaired_replicas\": " << r.repaired_replicas
-       << ", \"checksum\": " << r.checksum << ", \"ok\": " << (r.ok ? "true" : "false")
-       << "}" << (i + 1 < objects.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"workflow_cases\": [\n";
-  for (std::size_t i = 0; i < workflows.size(); ++i) {
-    const WorkflowCaseResult& r = workflows[i];
-    os << "    {\"case\": \"" << r.label << "\", \"dropped_bytes\": " << r.dropped_bytes
-       << ", \"suspicions\": " << r.suspicions << ", \"repairs\": " << r.repairs
-       << ", \"read_repairs\": " << r.read_repairs
-       << ", \"end_to_end_seconds\": " << r.end_to_end_seconds
-       << ", \"csv_checksum\": " << r.csv_checksum
-       << ", \"identical_substrates\": " << (r.identical_substrates ? "true" : "false")
-       << ", \"identical_rerun\": " << (r.identical_rerun ? "true" : "false")
-       << ", \"zero_loss_required\": " << (r.zero_loss_required ? "true" : "false")
-       << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-       << (i + 1 < workflows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto flags = bench::parse_gate_flags(argc, argv, "bench_chaos_sweep");
   if (!flags) return 2;
-  const auto& [quick, check, json_path] = *flags;
-
-  bool ok = true;
+  const bool quick = flags->quick;
+  bench::Report report("chaos_sweep", *flags);
 
   // --- part (a): object chaos (cheap; identical in quick and full mode) ----
   std::printf("=== Chaos sweep (a): staged-object durability, %d servers / %d domains ===\n",
@@ -386,11 +346,8 @@ int main(int argc, char** argv) {
     for (const ScheduleSpec& spec : kSchedules) {
       if (k < spec.min_k) continue;
       ObjectResult r = run_object_schedule(k, spec);
-      const ObjectResult rerun = run_object_schedule(k, spec);
-      if (rerun.checksum != r.checksum) {
-        std::cerr << "FAIL: " << r.label << " checksum drifted across reruns\n";
-        r.ok = false;
-      }
+      r.rerun_identical = run_object_schedule(k, spec).checksum == r.checksum;
+      r.ok = r.ok && r.rerun_identical;
       objects.push_back(r);
     }
     objects.push_back(run_overload_control(k));
@@ -400,10 +357,19 @@ int main(int argc, char** argv) {
                 r.dropped_objects, r.objects_after, r.deficit_after,
                 r.repaired_replicas, static_cast<unsigned long long>(r.checksum),
                 r.ok ? "yes" : "NO");
-    if (!r.ok) {
-      std::cerr << "FAIL: " << r.label << " violated its invariant\n";
-      ok = false;
-    }
+    report.invariant(r.label, r.ok,
+                     r.label + (r.rerun_identical ? " violated its invariant"
+                                                  : " checksum drifted across reruns"));
+    report.add("object_cases", bench::Record()
+                                   .set("case", r.label)
+                                   .set("replication", r.k)
+                                   .set("dropped_objects", r.dropped_objects)
+                                   .set("objects_after", r.objects_after)
+                                   .set("deficit_after", r.deficit_after)
+                                   .set("repaired_replicas", r.repaired_replicas)
+                                   .set("checksum", r.checksum)
+                                   .set("rerun_identical", r.rerun_identical)
+                                   .set("ok", r.ok));
   }
 
   // --- part (b): workflow chaos on both substrates --------------------------
@@ -417,39 +383,43 @@ int main(int argc, char** argv) {
               quick ? "quick" : "full");
   std::printf("%-42s %12s %5s %7s %7s %10s %6s %5s %5s\n", "case", "dropped_B",
               "susp", "repairs", "rd-rep", "end-to-end", "subst", "rerun", "ok");
-  std::vector<WorkflowCaseResult> workflows;
+  int workflow_cases = 0;
   for (const char* schedule : schedules) {
     const int max_down = std::strcmp(schedule, "simultaneous") == 0 ? 2 : 1;
     for (int k : {1, 2}) {
       for (int lease : {0, 2}) {
-        WorkflowCaseResult r = run_workflow_case({schedule, k, lease, max_down});
+        const WorkflowCaseResult r = run_workflow_case({schedule, k, lease, max_down});
         std::printf("%-42s %12zu %5d %7d %7d %9.1fs %6s %5s %5s\n", r.label.c_str(),
                     r.dropped_bytes, r.suspicions, r.repairs, r.read_repairs,
                     r.end_to_end_seconds, r.identical_substrates ? "yes" : "NO",
                     r.identical_rerun ? "yes" : "NO", r.ok ? "yes" : "NO");
-        if (!r.ok) {
-          std::cerr << "FAIL: " << r.label
-                    << (r.identical_substrates ? "" : " substrates diverged")
-                    << (r.identical_rerun ? "" : " rerun diverged")
-                    << (r.zero_loss_required && r.dropped_bytes > 0
-                            ? " lost staged bytes under <= k-1 failures"
-                            : "")
-                    << "\n";
-          ok = false;
-        }
-        workflows.push_back(r);
+        report.invariant(r.label, r.ok,
+                         r.label + (r.identical_substrates ? "" : " substrates diverged") +
+                             (r.identical_rerun ? "" : " rerun diverged") +
+                             (r.zero_loss_required && r.dropped_bytes > 0
+                                  ? " lost staged bytes under <= k-1 failures"
+                                  : ""));
+        report.add("workflow_cases",
+                   bench::Record()
+                       .set("case", r.label)
+                       .set("dropped_bytes", r.dropped_bytes)
+                       .set("suspicions", r.suspicions)
+                       .set("repairs", r.repairs)
+                       .set("read_repairs", r.read_repairs)
+                       .set("end_to_end_seconds", r.end_to_end_seconds)
+                       .set("csv_checksum", r.csv_checksum)
+                       .set("identical_substrates", r.identical_substrates)
+                       .set("identical_rerun", r.identical_rerun)
+                       .set("zero_loss_required", r.zero_loss_required)
+                       .set("ok", r.ok));
+        ++workflow_cases;
       }
     }
   }
   std::printf("(event CSVs bit-identical across substrates and reruns in every case)\n");
 
-  if (!json_path.empty()) write_json(json_path, quick, objects, workflows);
-
-  if (check) {
-    if (!ok) return 1;
-    std::printf("check: OK (%zu object cases zero-loss + negative control, "
-                "%zu workflow cases substrate- and rerun-identical)\n",
-                objects.size(), workflows.size());
-  }
-  return ok ? 0 : 1;
+  return report.finish(bench::strprintf(
+      "%zu object cases zero-loss + negative control, %d workflow cases substrate- "
+      "and rerun-identical",
+      objects.size(), workflow_cases));
 }

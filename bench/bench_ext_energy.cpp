@@ -10,38 +10,20 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-constexpr int kScale = 1;  // 4K cores
-
-WorkflowConfig config_for(Mode mode) {
-  return mode == Mode::Global || mode == Mode::AdaptiveResource
-             ? titan_global_experiment(kScale, mode)
-             : titan_middleware_experiment(kScale, mode);
-}
-
-std::string key_of(Mode mode) { return std::string("energy/") + mode_name(mode); }
-
-void bench_run(benchmark::State& state) {
-  const Mode mode = static_cast<Mode>(state.range(0));
-  state.SetLabel(key_of(mode));
-  xl::bench::run_workflow_benchmark(state, key_of(mode),
-                                    [=] { return config_for(mode); });
-}
-
-void print_table() {
+int main() {
+  constexpr int kScale = 1;  // 4K cores
   std::cout << "\n=== Extension: energy accounting across strategies (4K cores) ===\n";
   Table t({"strategy", "compute (MJ)", "staging (MJ)", "idle (MJ)", "network (kJ)",
            "total (MJ)", "vs static in-situ"});
-  const Mode modes[] = {Mode::StaticInSitu, Mode::StaticInTransit,
-                        Mode::AdaptiveMiddleware, Mode::Global};
   double baseline = 0.0;
-  for (Mode mode : modes) {
-    const WorkflowResult& r =
-        RunCache::instance().get(key_of(mode), [=] { return config_for(mode); });
-    const EnergyReport e = estimate_energy(r, config_for(mode).sim_cores);
+  for (Mode mode : {Mode::StaticInSitu, Mode::StaticInTransit, Mode::AdaptiveMiddleware,
+                    Mode::Global}) {
+    const WorkflowConfig config = mode == Mode::Global
+                                      ? titan_global_experiment(kScale, mode)
+                                      : titan_middleware_experiment(kScale, mode);
+    const WorkflowResult r = bench::run(config).result;
+    const EnergyReport e = estimate_energy(r, config.sim_cores);
     const double mj = 1.0e6;
     const double total = e.total_joules() / mj;
     if (mode == Mode::StaticInSitu) baseline = total;
@@ -60,21 +42,5 @@ void print_table() {
                "the network term, and the resource layer idles fewer staging\n"
                "cores — the quantitative handle the paper's future-work section\n"
                "asks for.\n";
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->Arg(static_cast<long>(Mode::StaticInSitu))
-    ->Arg(static_cast<long>(Mode::StaticInTransit))
-    ->Arg(static_cast<long>(Mode::AdaptiveMiddleware))
-    ->Arg(static_cast<long>(Mode::Global))
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
   return 0;
 }

@@ -1,5 +1,5 @@
-// Fault sweep: end-to-end resilience of the adaptive workflow under the
-// PR's deterministic fault injection. Two sweeps on the Titan 2K-core
+// Fault sweep: end-to-end resilience of the adaptive workflow under
+// deterministic fault injection. Two sweeps on the Titan 2K-core
 // Advection-Diffusion setup (adaptive middleware placement):
 //
 //  (a) transfer-fault rate 0..20%: every staged buffer runs the retry/backoff
@@ -12,25 +12,23 @@
 //
 // No paper figure corresponds to this bench: the paper assumes an always-up
 // staging area. This is the robustness envelope around its §5 experiments.
-#include <cstdlib>
+//
+// --replication N  replication factor of every run (default 1, the
+//                  unreplicated sweeps); k > 1 re-runs them against the
+//                  durable space.
 #include <cstring>
 #include <iostream>
-#include <iterator>
+#include <optional>
 
 #include "bench_util.hpp"
+#include "common/contract.hpp"
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
 namespace {
 
 const double kDropRates[] = {0.0, 0.02, 0.05, 0.10, 0.20};
-
-/// Replication factor for every run of the sweep (the --replication N flag,
-/// stripped from argv before google-benchmark sees it). 1 reproduces the
-/// unreplicated PR 2 sweeps; k > 1 re-runs them against the durable space.
-int g_replication = 1;
 
 struct CrashCase {
   const char* label;
@@ -43,17 +41,16 @@ const CrashCase kCrashCases[] = {
     {"full/5-steps", 128, 5}, {"full/permanent", 128, 0},
 };
 
-WorkflowConfig drop_config(std::size_t rate_index) {
+WorkflowConfig drop_config(double rate, int replication) {
   WorkflowConfig c = titan_middleware_experiment(0, Mode::AdaptiveMiddleware);
-  c.faults.transfer_drop_rate = kDropRates[rate_index];
-  c.replication = g_replication;
+  c.faults.transfer_drop_rate = rate;
+  c.replication = replication;
   return c;
 }
 
-WorkflowConfig crash_config(std::size_t case_index) {
+WorkflowConfig crash_config(const CrashCase& cc, int replication) {
   WorkflowConfig c = titan_middleware_experiment(0, Mode::AdaptiveMiddleware);
-  const CrashCase& cc = kCrashCases[case_index];
-  c.replication = g_replication;
+  c.replication = replication;
   if (cc.servers > 0) {
     runtime::FaultSpec spec;
     spec.kind = runtime::FaultKind::ServerCrash;
@@ -65,25 +62,6 @@ WorkflowConfig crash_config(std::size_t case_index) {
   return c;
 }
 
-std::string drop_key(std::size_t i) {
-  return "fault/drop/" + std::to_string(kDropRates[i]);
-}
-std::string crash_key(std::size_t i) {
-  return std::string("fault/crash/") + kCrashCases[i].label;
-}
-
-void bench_drop(benchmark::State& state) {
-  const auto i = static_cast<std::size_t>(state.range(0));
-  state.SetLabel(drop_key(i));
-  xl::bench::run_workflow_benchmark(state, drop_key(i), [=] { return drop_config(i); });
-}
-
-void bench_crash(benchmark::State& state) {
-  const auto i = static_cast<std::size_t>(state.range(0));
-  state.SetLabel(crash_key(i));
-  xl::bench::run_workflow_benchmark(state, crash_key(i), [=] { return crash_config(i); });
-}
-
 /// Fraction of scheduled analyses this run completed on the simulation
 /// partition only because of a fault (transfer exhausted or staging down).
 double degraded_fraction(const WorkflowResult& r) {
@@ -91,20 +69,42 @@ double degraded_fraction(const WorkflowResult& r) {
   return analyses > 0.0 ? static_cast<double>(r.degraded_insitu_count) / analyses : 0.0;
 }
 
-void print_figure() {
+/// The replication factor from `--replication N` (1 when absent); nullopt
+/// for any other argument or for N that is not a whole integer >= 1.
+std::optional<int> parse_replication(int argc, char** argv) {
+  if (argc == 1) return 1;
+  if (argc != 3 || std::strcmp(argv[1], "--replication") != 0) return std::nullopt;
+  try {
+    const int k = parse_number<int>(argv[2], "--replication");
+    if (k >= 1) return k;
+  } catch (const ContractError& e) {
+    std::cerr << e.what() << "\n";
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::optional<int> replication = parse_replication(argc, argv);
+  if (!replication) {
+    std::cerr << "usage: bench_fault_sweep [--replication N>=1]\n";
+    return 2;
+  }
+  const int k = *replication;
+
   std::cout << "\n=== Fault sweep (a): transfer-fault rate vs end-to-end cost"
-            << " (replication " << g_replication << ") ===\n";
-  const double base_drop =
-      RunCache::instance().get(drop_key(0), [] { return drop_config(0); }).end_to_end_seconds;
+            << " (replication " << k << ") ===\n";
+  std::vector<WorkflowResult> drops;
+  for (double rate : kDropRates) drops.push_back(bench::run(drop_config(rate, k)).result);
   Table td({"drop rate", "end-to-end", "slowdown", "retries", "failures",
             "degraded analyses", "in-transit"});
-  for (std::size_t i = 0; i < std::size(kDropRates); ++i) {
-    const WorkflowResult& r =
-        RunCache::instance().get(drop_key(i), [=] { return drop_config(i); });
+  for (std::size_t i = 0; i < drops.size(); ++i) {
+    const WorkflowResult& r = drops[i];
     td.row()
         .cell(format_percent(kDropRates[i]))
         .cell(format_seconds(r.end_to_end_seconds))
-        .cell(r.end_to_end_seconds / base_drop, 3)
+        .cell(r.end_to_end_seconds / drops[0].end_to_end_seconds, 3)
         .cell(r.transfer_retries)
         .cell(r.transfer_failures)
         .cell(format_percent(degraded_fraction(r)))
@@ -113,54 +113,24 @@ void print_figure() {
   std::cout << td.to_string();
 
   std::cout << "\n=== Fault sweep (b): staging crash at step 10"
-            << " (replication " << g_replication << ") ===\n";
-  const double base_crash =
-      RunCache::instance().get(crash_key(0), [] { return crash_config(0); }).end_to_end_seconds;
+            << " (replication " << k << ") ===\n";
+  std::vector<WorkflowResult> crashes;
+  for (const CrashCase& cc : kCrashCases) {
+    crashes.push_back(bench::run(crash_config(cc, k)).result);
+  }
   Table tc({"crash", "end-to-end", "slowdown", "recoveries", "dropped bytes",
             "degraded analyses", "completed steps"});
-  for (std::size_t i = 0; i < std::size(kCrashCases); ++i) {
-    const WorkflowResult& r =
-        RunCache::instance().get(crash_key(i), [=] { return crash_config(i); });
+  for (std::size_t i = 0; i < crashes.size(); ++i) {
+    const WorkflowResult& r = crashes[i];
     tc.row()
         .cell(kCrashCases[i].label)
         .cell(format_seconds(r.end_to_end_seconds))
-        .cell(r.end_to_end_seconds / base_crash, 3)
+        .cell(r.end_to_end_seconds / crashes[0].end_to_end_seconds, 3)
         .cell(r.recoveries)
         .cell(format_bytes(static_cast<double>(r.dropped_bytes)))
         .cell(format_percent(degraded_fraction(r)))
         .cell(static_cast<int>(r.steps.size()));
   }
   std::cout << tc.to_string();
-}
-
-}  // namespace
-
-BENCHMARK(bench_drop)
-    ->DenseRange(0, static_cast<int>(std::size(kDropRates)) - 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(bench_crash)
-    ->DenseRange(0, static_cast<int>(std::size(kCrashCases)) - 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  // Strip --replication N before google-benchmark parses (and rejects) it.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--replication") == 0 && i + 1 < argc) {
-      g_replication = std::atoi(argv[++i]);
-      if (g_replication < 1) {
-        std::cerr << "usage: bench_fault_sweep [--replication N>=1] [benchmark flags]\n";
-        return 2;
-      }
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_figure();
   return 0;
 }

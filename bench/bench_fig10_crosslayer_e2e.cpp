@@ -10,41 +10,20 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-std::string key_of(int scale, Mode mode) {
-  return "fig10/" + std::string(titan_scales()[static_cast<std::size_t>(scale)].label) +
-         "/" + mode_name(mode);
-}
-
-void bench_run(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  const Mode mode = state.range(1) == 0 ? Mode::AdaptiveMiddleware : Mode::Global;
-  state.SetLabel(key_of(scale, mode));
-  xl::bench::run_workflow_benchmark(state, key_of(scale, mode), [=] {
-    return titan_global_experiment(scale, mode);
-  });
-}
-
-void print_figure() {
+int main() {
   std::cout << "\n=== Figure 10: end-to-end time, local vs global adaptation ===\n";
   Table t({"cores", "adaptation", "sim time", "overhead", "end-to-end",
            "layers engaged"});
   std::vector<double> local_ovh(4), global_ovh(4);
   for (int scale = 0; scale < 4; ++scale) {
     for (Mode mode : {Mode::AdaptiveMiddleware, Mode::Global}) {
-      const xl::bench::CachedRun& run =
-          RunCache::instance().get_run(key_of(scale, mode), [=] {
-            return titan_global_experiment(scale, mode);
-          });
+      const bench::Run run = bench::run(titan_global_experiment(scale, mode));
       const WorkflowResult& r = run.result;
       // §5.2.4's "employs all the adaptations at these three layers": count
       // the layers that actually fired, from the Decision events.
       bool app = false, res = false, mw = false;
-      for (const WorkflowEvent* e :
-           xl::bench::events_of_kind(run.events, EventKind::Decision)) {
+      for (const WorkflowEvent* e : bench::events_of_kind(run.events, EventKind::Decision)) {
         app = app || e->app_adapted;
         res = res || e->resource_adapted;
         mw = mw || e->middleware_adapted;
@@ -72,18 +51,5 @@ void print_figure() {
         .cell(paper[s]);
   }
   std::cout << "\n" << red.to_string();
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_figure();
   return 0;
 }

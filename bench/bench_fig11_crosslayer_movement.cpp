@@ -14,38 +14,17 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-std::string key_of(int scale, Mode mode) {
-  return "fig11/" + std::string(titan_scales()[static_cast<std::size_t>(scale)].label) +
-         "/" + mode_name(mode);
-}
-
-void bench_run(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  const Mode mode = state.range(1) == 0 ? Mode::AdaptiveMiddleware : Mode::Global;
-  state.SetLabel(key_of(scale, mode));
-  xl::bench::run_workflow_benchmark(state, key_of(scale, mode), [=] {
-    return titan_global_experiment(scale, mode);
-  });
-}
-
-void print_figure() {
+int main() {
   std::cout << "\n=== Figure 11: data movement, local vs global adaptation (GB) ===\n";
   Table t({"cores", "local adaptation", "global adaptation", "reduction",
            "paper reduction", "in-transit steps (local/global)"});
   const char* paper[] = {"45.93%", "17.25%", "5.76%", "32.41%"};
   for (int scale = 0; scale < 4; ++scale) {
-    const WorkflowResult& local =
-        RunCache::instance().get(key_of(scale, Mode::AdaptiveMiddleware), [=] {
-          return titan_global_experiment(scale, Mode::AdaptiveMiddleware);
-        });
-    const WorkflowResult& global =
-        RunCache::instance().get(key_of(scale, Mode::Global), [=] {
-          return titan_global_experiment(scale, Mode::Global);
-        });
+    const WorkflowResult local =
+        bench::run(titan_global_experiment(scale, Mode::AdaptiveMiddleware)).result;
+    const WorkflowResult global =
+        bench::run(titan_global_experiment(scale, Mode::Global)).result;
     t.row()
         .cell(titan_scales()[static_cast<std::size_t>(scale)].label)
         .cell(static_cast<double>(local.bytes_moved) / 1e9, 1)
@@ -57,18 +36,5 @@ void print_figure() {
               std::to_string(global.intransit_count));
   }
   std::cout << t.to_string();
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_figure();
   return 0;
 }

@@ -12,44 +12,20 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-const Mode kModes[] = {Mode::StaticInSitu, Mode::StaticInTransit,
-                       Mode::AdaptiveMiddleware};
-
-std::string key_of(int scale, Mode mode) {
-  return "fig7/" + std::string(titan_scales()[static_cast<std::size_t>(scale)].label) +
-         "/" + mode_name(mode);
-}
-
-void bench_run(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  const Mode mode = kModes[state.range(1)];
-  state.SetLabel(key_of(scale, mode));
-  xl::bench::run_workflow_benchmark(state, key_of(scale, mode), [=] {
-    return titan_middleware_experiment(scale, mode);
-  });
-}
-
-void print_figure() {
+int main() {
   std::cout << "\n=== Figure 7: cumulative end-to-end execution time (seconds) ===\n";
   Table t({"cores", "placement", "sim time", "overhead", "end-to-end",
            "ovh % of sim", "in-situ", "in-transit", "transfers"});
   std::vector<double> adaptive_ovh(4), insitu_ovh(4), intransit_ovh(4);
   for (int scale = 0; scale < 4; ++scale) {
-    for (Mode mode : kModes) {
-      const xl::bench::CachedRun& run =
-          RunCache::instance().get_run(key_of(scale, mode), [=] {
-            return titan_middleware_experiment(scale, mode);
-          });
+    for (Mode mode : {Mode::StaticInSitu, Mode::StaticInTransit, Mode::AdaptiveMiddleware}) {
+      const bench::Run run = bench::run(titan_middleware_experiment(scale, mode));
       const WorkflowResult& r = run.result;
       // Placement counts come from the observer event stream: one StepEnd
       // per step carries the final placement.
       int insitu = 0, intransit = 0;
-      for (const WorkflowEvent* e :
-           xl::bench::events_of_kind(run.events, EventKind::StepEnd)) {
+      for (const WorkflowEvent* e : bench::events_of_kind(run.events, EventKind::StepEnd)) {
         if (e->skipped) continue;
         (e->placement == runtime::Placement::InSitu ? insitu : intransit)++;
       }
@@ -84,18 +60,5 @@ void print_figure() {
         .cell(paper_it[s]);
   }
   std::cout << "\n" << red.to_string();
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_figure();
   return 0;
 }

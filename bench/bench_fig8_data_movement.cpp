@@ -9,38 +9,17 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-std::string key_of(int scale, Mode mode) {
-  return "fig8/" + std::string(titan_scales()[static_cast<std::size_t>(scale)].label) +
-         "/" + mode_name(mode);
-}
-
-void bench_run(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  const Mode mode = state.range(1) == 0 ? Mode::StaticInTransit : Mode::AdaptiveMiddleware;
-  state.SetLabel(key_of(scale, mode));
-  xl::bench::run_workflow_benchmark(state, key_of(scale, mode), [=] {
-    return titan_middleware_experiment(scale, mode);
-  });
-}
-
-void print_figure() {
+int main() {
   std::cout << "\n=== Figure 8: aggregated in-situ -> in-transit transfers (GB) ===\n";
   Table t({"cores", "in-transit placement", "adaptive placement", "reduction",
            "paper reduction"});
   const char* paper[] = {"50.00%", "48.00%", "47.90%", "39.04%"};
   for (int scale = 0; scale < 4; ++scale) {
-    const WorkflowResult& fixed =
-        RunCache::instance().get(key_of(scale, Mode::StaticInTransit), [=] {
-          return titan_middleware_experiment(scale, Mode::StaticInTransit);
-        });
-    const WorkflowResult& adaptive =
-        RunCache::instance().get(key_of(scale, Mode::AdaptiveMiddleware), [=] {
-          return titan_middleware_experiment(scale, Mode::AdaptiveMiddleware);
-        });
+    const WorkflowResult fixed =
+        bench::run(titan_middleware_experiment(scale, Mode::StaticInTransit)).result;
+    const WorkflowResult adaptive =
+        bench::run(titan_middleware_experiment(scale, Mode::AdaptiveMiddleware)).result;
     t.row()
         .cell(titan_scales()[static_cast<std::size_t>(scale)].label)
         .cell(static_cast<double>(fixed.bytes_moved) / 1e9, 1)
@@ -50,18 +29,5 @@ void print_figure() {
         .cell(paper[scale]);
   }
   std::cout << t.to_string();
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_figure();
   return 0;
 }

@@ -12,44 +12,23 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-std::string key_of(Mode mode) { return std::string("fig9/") + mode_name(mode); }
-
-void bench_run(benchmark::State& state) {
-  const Mode mode = state.range(0) == 0 ? Mode::StaticInTransit : Mode::AdaptiveResource;
-  state.SetLabel(key_of(mode));
-  xl::bench::run_workflow_benchmark(state, key_of(mode), [=] {
-    return intrepid_resource_experiment(mode);
-  });
-}
-
-void print_figure() {
-  const xl::bench::CachedRun& fixed_run =
-      RunCache::instance().get_run(key_of(Mode::StaticInTransit), [] {
-        return intrepid_resource_experiment(Mode::StaticInTransit);
-      });
-  const xl::bench::CachedRun& adaptive_run =
-      RunCache::instance().get_run(key_of(Mode::AdaptiveResource), [] {
-        return intrepid_resource_experiment(Mode::AdaptiveResource);
-      });
+int main() {
+  const bench::Run fixed_run = bench::run(intrepid_resource_experiment(Mode::StaticInTransit));
+  const bench::Run adaptive_run =
+      bench::run(intrepid_resource_experiment(Mode::AdaptiveResource));
   const WorkflowResult& fixed = fixed_run.result;
   const WorkflowResult& adaptive = adaptive_run.result;
 
   // The per-step series comes from the observer event stream: StepEnd
   // carries the final M and analyzed cells, StepBegin the T_sim, and the
   // in-transit Analysis events the staging-side service time.
-  const auto fixed_steps =
-      xl::bench::events_of_kind(fixed_run.events, EventKind::StepEnd);
-  const auto adaptive_steps =
-      xl::bench::events_of_kind(adaptive_run.events, EventKind::StepEnd);
+  const auto fixed_steps = bench::events_of_kind(fixed_run.events, EventKind::StepEnd);
+  const auto adaptive_steps = bench::events_of_kind(adaptive_run.events, EventKind::StepEnd);
   const auto adaptive_begins =
-      xl::bench::events_of_kind(adaptive_run.events, EventKind::StepBegin);
+      bench::events_of_kind(adaptive_run.events, EventKind::StepBegin);
   std::map<int, double> intransit_seconds;
-  for (const WorkflowEvent* e :
-       xl::bench::events_of_kind(adaptive_run.events, EventKind::Analysis)) {
+  for (const WorkflowEvent* e : bench::events_of_kind(adaptive_run.events, EventKind::Analysis)) {
     if (e->placement == runtime::Placement::InTransit) {
       intransit_seconds[e->step] = e->seconds;
     }
@@ -81,15 +60,5 @@ void print_figure() {
   std::cout << "\nsame time-to-solution check: static "
             << format_seconds(fixed.end_to_end_seconds) << " vs adaptive "
             << format_seconds(adaptive.end_to_end_seconds) << "\n";
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_figure();
   return 0;
 }

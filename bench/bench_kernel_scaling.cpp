@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <span>
@@ -39,7 +38,7 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "gate_flags.hpp"
+#include "report.hpp"
 #include "seed_kernels.hpp"
 #include "viz/marching_cubes.hpp"
 
@@ -120,7 +119,8 @@ struct Kernel {
 int main(int argc, char** argv) {
   const auto flags = bench::parse_gate_flags(argc, argv, "bench_kernel_scaling");
   if (!flags) return 2;
-  const auto& [quick, check, json_path] = *flags;
+  const bool quick = flags->quick;
+  bench::Report report("kernel_scaling", *flags);
   g_repeats = quick ? kQuickRepeats : kRepeats;
   const int n = quick ? kQuickN : kN;
   const mesh::Fab field = sample_field(n);
@@ -212,11 +212,8 @@ int main(int argc, char** argv) {
         .cell(r.identical ? "yes" : "NO");
   }
   std::cout << st.to_string();
-  if (!all_identical) {
-    std::cerr << "FAIL: row-path kernel output differs from the seed "
-                 "per-cell reference\n";
-    return 1;
-  }
+  report.invariant("rows_match_seed", all_identical,
+                   "row-path kernel output differs from the seed per-cell reference");
 
   // ---- Section 2: thread scaling, bit-identity across worker counts ----
   const std::vector<Kernel> kernels = {
@@ -270,12 +267,11 @@ int main(int argc, char** argv) {
     thread_seconds.push_back(seconds);
   }
   std::cout << "\n" << t.to_string();
-  if (mismatch) {
-    std::cerr << "FAIL: kernel output changed with thread count\n";
-    return 1;
-  }
+  report.invariant("threads_identical", !mismatch,
+                   "kernel output changed with thread count");
   const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "\noutputs bit-identical across thread counts: yes\n"
+  std::cout << "\noutputs bit-identical across thread counts: "
+            << (mismatch ? "NO" : "yes") << "\n"
             << "host hardware concurrency: " << hw << "\n"
             << "best 4-thread speedup: " << best_speedup4 << "x\n"
             << "model exponent check: KernelCosts::thread_efficiency = 0.9 "
@@ -288,43 +284,30 @@ int main(int argc, char** argv) {
                  "thread_efficiency\n";
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"quick\": " << (quick ? "true" : "false")
-        << ",\n  \"n\": " << n
-        << ",\n  \"simd_active\": " << (simd::active() ? "true" : "false")
-        << ",\n  \"row_speedup\": [\n";
-    for (std::size_t i = 0; i < speedups.size(); ++i) {
-      const SpeedupRow& r = speedups[i];
-      out << "    {\"kernel\": \"" << r.name << "\", \"cells\": " << r.cells
-          << ", \"seed_ms\": " << r.seed_s * 1e3
-          << ", \"rows_ms\": " << r.fast_s * 1e3
-          << ", \"speedup\": " << r.speedup()
-          << ", \"rows_cells_per_s\": " << r.fast_cells_per_s()
-          << ", \"bit_identical\": " << (r.identical ? "true" : "false")
-          << "}" << (i + 1 < speedups.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"thread_scaling\": [\n";
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      out << "    {\"kernel\": \"" << kernels[i].name
-          << "\", \"serial_ms\": " << thread_seconds[i][0] * 1e3
-          << ", \"t2_ms\": " << thread_seconds[i][1] * 1e3
-          << ", \"t4_ms\": " << thread_seconds[i][2] * 1e3 << "}"
-          << (i + 1 < kernels.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+  report.set("n", n).set("simd_active", simd::active());
+  for (const SpeedupRow& r : speedups) {
+    report.add("row_speedup", bench::Record()
+                                  .set("kernel", r.name)
+                                  .set("cells", r.cells)
+                                  .set("seed_ms", r.seed_s * 1e3)
+                                  .set("rows_ms", r.fast_s * 1e3)
+                                  .set("speedup", r.speedup())
+                                  .set("rows_cells_per_s", r.fast_cells_per_s())
+                                  .set("bit_identical", r.identical));
   }
-
-  if (check) {
-    if (fast_enough < kMinKernelsFast) {
-      std::cerr << "check FAILED: only " << fast_enough << " of "
-                << speedups.size() << " kernels reached the " << kMinSpeedup
-                << "x row-path speedup (need >= " << kMinKernelsFast << ")\n";
-      return 1;
-    }
-    std::printf("check: OK (%d/%zu kernels >= %.1fx over the seed per-cell "
-                "path, outputs bit-identical)\n",
-                fast_enough, speedups.size(), kMinSpeedup);
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    report.add("thread_scaling", bench::Record()
+                                     .set("kernel", kernels[i].name)
+                                     .set("serial_ms", thread_seconds[i][0] * 1e3)
+                                     .set("t2_ms", thread_seconds[i][1] * 1e3)
+                                     .set("t4_ms", thread_seconds[i][2] * 1e3));
   }
-  return 0;
+  report.threshold("row_speedup", fast_enough >= kMinKernelsFast,
+                   bench::strprintf("only %d of %zu kernels reached the %gx row-path "
+                                    "speedup (need >= %d)",
+                                    fast_enough, speedups.size(), kMinSpeedup,
+                                    kMinKernelsFast));
+  return report.finish(bench::strprintf(
+      "%d/%zu kernels >= %.1fx over the seed per-cell path, outputs bit-identical",
+      fast_enough, speedups.size(), kMinSpeedup));
 }

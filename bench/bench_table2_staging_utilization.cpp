@@ -17,32 +17,15 @@
 
 using namespace xl;
 using namespace xl::workflow;
-using xl::bench::RunCache;
 
-namespace {
-
-std::string key_of(int scale) {
-  return "table2/" + std::string(titan_scales()[static_cast<std::size_t>(scale)].label);
-}
-
-void bench_run(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  state.SetLabel(key_of(scale));
-  xl::bench::run_workflow_benchmark(state, key_of(scale), [=] {
-    return titan_global_experiment(scale, Mode::Global);
-  });
-}
-
-void print_table() {
+int main() {
   std::cout << "\n=== Table 2: actual in-transit core utilization (global adaptation) ===\n";
   Table t({"sim:staging", "total steps", "in-transit steps", "100% cores", "75% cores",
            "50% cores", "<50% cores", "mean M / pool"});
   for (int scale = 0; scale < 4; ++scale) {
     // Copy: titan_scales() returns a fresh vector, references would dangle.
     const TitanScale ts = titan_scales()[static_cast<std::size_t>(scale)];
-    const WorkflowResult& r = RunCache::instance().get(key_of(scale), [=] {
-      return titan_global_experiment(scale, Mode::Global);
-    });
+    const WorkflowResult r = bench::run(titan_global_experiment(scale, Mode::Global)).result;
     int b100 = 0, b75 = 0, b50 = 0, blt = 0, intransit = 0;
     double m_sum = 0.0;
     for (const StepRecord& s : r.steps) {
@@ -66,15 +49,5 @@ void print_table() {
         .cell(format_percent(m_sum / intransit / ts.staging_cores));
   }
   std::cout << t.to_string();
-}
-
-}  // namespace
-
-BENCHMARK(bench_run)->DenseRange(0, 3)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
   return 0;
 }

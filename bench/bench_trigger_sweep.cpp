@@ -36,15 +36,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/machine.hpp"
-#include "gate_flags.hpp"
 #include "mesh/layout.hpp"
+#include "report.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
@@ -69,7 +67,6 @@ WorkflowConfig sweep_config(bool bursty) {
   c.steps = kSteps;
   c.mode = Mode::Global;
   c.geometry.base_domain = Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.hints.factor_phases = {{0, {2, 4}}};
   c.monitor.sampling_period = 1;  // the k = 1 baseline: adapt every step.
   c.monitor.trigger.window = 8;
@@ -234,37 +231,13 @@ CaseResult run_case(const SweepCase& sc, const std::vector<int>& shocks) {
   return r;
 }
 
-void write_json(const std::string& path, bool quick,
-                const std::vector<CaseResult>& cases) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"bench\": \"trigger_sweep\",\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"steps\": " << kSteps << ",\n"
-     << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const CaseResult& r = cases[i];
-    os << "    {\"case\": \"" << r.label << "\", \"decisions\": " << r.decisions
-       << ", \"suppressed\": " << r.suppressed
-       << ", \"saved_fraction\": " << r.saved_fraction
-       << ", \"oracle_shocks\": " << r.shock_count
-       << ", \"missed_shocks\": " << r.missed_shocks
-       << ", \"false_fires\": " << r.false_fires << ", \"max_gap\": " << r.max_gap
-       << ", \"csv_checksum\": " << r.csv_checksum
-       << ", \"identical_rerun\": " << (r.identical_rerun ? "true" : "false")
-       << ", \"identical_substrates\": " << (r.identical_substrates ? "true" : "false")
-       << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-       << (i + 1 < cases.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto flags = bench::parse_gate_flags(argc, argv, "bench_trigger_sweep");
   if (!flags) return 2;
-  const auto& [quick, check, json_path] = *flags;
+  const bool quick = flags->quick;
+  bench::Report report("trigger_sweep", *flags);
 
   // The injected oracle shocks, verified visible in a FixedPeriod baseline
   // (the quiescent schedule injects none — its gate is decision savings).
@@ -281,43 +254,46 @@ int main(int argc, char** argv) {
               "suppress", "saved", "shocks", "missed", "false+", "maxgap", "subst",
               "ok");
 
-  bool ok = true;
   for (int s : shocks) {
-    if (!shock_visible(baseline, s)) {
-      std::cerr << "FAIL: injected shock at step " << s
-                << " is not visible in the baseline records (oracle vacuous)\n";
-      ok = false;
-    }
+    report.invariant(bench::strprintf("shock_visible/%d", s), shock_visible(baseline, s),
+                     bench::strprintf("injected shock at step %d is not visible in the "
+                                      "baseline records (oracle vacuous)",
+                                      s));
   }
 
-  std::vector<CaseResult> cases;
+  report.set("steps", kSteps);
+  int cases = 0;
   for (const SweepCase& sc : kCases) {
     if (quick && !sc.quick) continue;
     const bool bursty = std::strcmp(sc.schedule, "bursty") == 0;
-    CaseResult r = run_case(sc, bursty ? shocks : std::vector<int>{});
+    const CaseResult r = run_case(sc, bursty ? shocks : std::vector<int>{});
     std::printf("%-38s %9d %9d %6.0f%% %7d %7d %7d %6d %5s %5s\n", r.label.c_str(),
                 r.decisions, r.suppressed, 100.0 * r.saved_fraction,
                 r.shock_count, r.missed_shocks, r.false_fires, r.max_gap,
                 r.identical_substrates ? "yes" : "NO", r.ok ? "yes" : "NO");
-    if (!r.ok) {
-      std::cerr << "FAIL: " << r.label
-                << (r.identical_rerun ? "" : " rerun diverged")
-                << (r.identical_substrates ? "" : " substrates diverged")
-                << (r.missed_shocks > 0 ? " missed oracle shocks" : "")
-                << "\n";
-      ok = false;
-    }
-    cases.push_back(r);
+    report.invariant(r.label, r.ok,
+                     r.label + (r.identical_rerun ? "" : " rerun diverged") +
+                         (r.identical_substrates ? "" : " substrates diverged") +
+                         (r.missed_shocks > 0 ? " missed oracle shocks" : ""));
+    report.add("cases", bench::Record()
+                            .set("case", r.label)
+                            .set("decisions", r.decisions)
+                            .set("suppressed", r.suppressed)
+                            .set("saved_fraction", r.saved_fraction)
+                            .set("oracle_shocks", r.shock_count)
+                            .set("missed_shocks", r.missed_shocks)
+                            .set("false_fires", r.false_fires)
+                            .set("max_gap", r.max_gap)
+                            .set("csv_checksum", r.csv_checksum)
+                            .set("identical_rerun", r.identical_rerun)
+                            .set("identical_substrates", r.identical_substrates)
+                            .set("ok", r.ok));
+    ++cases;
   }
   std::printf("(trigger event CSVs bit-identical across substrates and reruns)\n");
 
-  if (!json_path.empty()) write_json(json_path, quick, cases);
-
-  if (check) {
-    if (!ok) return 1;
-    std::printf("check: OK (%zu cases; zero missed shocks on bursty, >= 30%% fewer "
-                "decisions on quiescent, fixed cadence untouched)\n",
-                cases.size());
-  }
-  return ok ? 0 : 1;
+  return report.finish(bench::strprintf(
+      "%d cases; zero missed shocks on bursty, >= 30%% fewer decisions on quiescent, "
+      "fixed cadence untouched",
+      cases));
 }

@@ -1,21 +1,13 @@
 // Shared helpers for the figure/table bench binaries.
 //
-// Each binary (a) registers google-benchmark timings for the computation that
-// regenerates its figure — workflow runs are registered with Iterations(1)
-// since one deterministic run IS the experiment — and (b) prints the
-// reproduced series in the paper's layout after the benchmarks finish.
-// Results are cached so the benchmark pass and the table printer share one
-// execution per configuration. Every cached run records the workflow's
-// structured event stream alongside the result, so the figure printers can
-// consume per-step series straight from the observer events.
+// Each binary runs every configuration of its figure exactly once and prints
+// the reproduced series in the paper's layout. A workflow run is
+// deterministic, so one run IS the experiment: there is nothing to repeat or
+// time. Every run records the workflow's structured event stream alongside
+// the result, so the printers can consume per-step series straight from the
+// observer events.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/table.hpp"
@@ -25,42 +17,21 @@
 
 namespace xl::bench {
 
-/// One cached workflow execution: the result plus the observer event stream
-/// the run emitted.
-struct CachedRun {
+/// One workflow execution: the result plus the observer event stream the
+/// run emitted.
+struct Run {
   workflow::WorkflowResult result;
   workflow::EventLog events;
 };
 
-/// Run-once cache keyed by a config label.
-class RunCache {
- public:
-  const CachedRun& get_run(const std::string& key,
-                           const std::function<workflow::WorkflowConfig()>& make) {
-    auto it = runs_.find(key);
-    if (it == runs_.end()) {
-      auto run = std::make_unique<CachedRun>();
-      workflow::CoupledWorkflow wf(make());
-      wf.set_observer(&run->events);
-      run->result = wf.run();
-      it = runs_.emplace(key, std::move(run)).first;
-    }
-    return *it->second;
-  }
-
-  const workflow::WorkflowResult& get(const std::string& key,
-                                      const std::function<workflow::WorkflowConfig()>& make) {
-    return get_run(key, make).result;
-  }
-
-  static RunCache& instance() {
-    static RunCache cache;
-    return cache;
-  }
-
- private:
-  std::map<std::string, std::unique_ptr<CachedRun>> runs_;
-};
+/// Runs `config` once on the analytic substrate.
+inline Run run(const workflow::WorkflowConfig& config) {
+  Run out;
+  workflow::CoupledWorkflow wf(config);
+  wf.set_observer(&out.events);
+  out.result = wf.run();
+  return out;
+}
 
 /// Events of one kind, in emission order.
 inline std::vector<const workflow::WorkflowEvent*> events_of_kind(
@@ -70,18 +41,6 @@ inline std::vector<const workflow::WorkflowEvent*> events_of_kind(
     if (e.kind == kind) out.push_back(&e);
   }
   return out;
-}
-
-/// Register a benchmark that executes (and caches) one workflow run.
-inline void run_workflow_benchmark(benchmark::State& state, const std::string& key,
-                                   const std::function<workflow::WorkflowConfig()>& make) {
-  for (auto _ : state) {
-    const workflow::WorkflowResult& r = RunCache::instance().get(key, make);
-    benchmark::DoNotOptimize(r.end_to_end_seconds);
-    state.counters["sim_s"] = r.pure_sim_seconds;
-    state.counters["overhead_s"] = r.overhead_seconds;
-    state.counters["moved_GB"] = static_cast<double>(r.bytes_moved) / 1e9;
-  }
 }
 
 }  // namespace xl::bench

@@ -36,7 +36,6 @@ WorkflowConfig make_config(Mode mode) {
   // refinement front plus drifting blobs.
   c.geometry.base_domain = mesh::Box::domain({512, 256, 256});
   c.geometry.max_levels = 3;
-  c.geometry.nranks = c.sim_cores;
   c.geometry.front_radius0 = 0.12;
   c.geometry.front_speed = 0.008;
   c.geometry.front_decay = 0.8;

@@ -58,6 +58,15 @@ double crash_loss_fraction(int servers, int k, int down_before, int down_now) {
   return before >= 1.0 ? 1.0 : (now - before) / (1.0 - before);
 }
 
+std::size_t replica_loss_bytes(std::size_t staged_bytes, int servers, int k,
+                               int down_before, int down_now) {
+  XL_REQUIRE(k >= 1 && k <= servers, "replica loss needs 1 <= k <= servers");
+  XL_REQUIRE(0 <= down_before && down_before < down_now && down_now <= servers,
+             "replica loss needs 0 <= down_before < down_now <= servers");
+  return f2s(static_cast<double>(staged_bytes) * static_cast<double>(k) *
+             static_cast<double>(down_now - down_before) / static_cast<double>(servers));
+}
+
 StagingSpace::StagingSpace(int num_servers, std::size_t memory_per_server,
                            int replication, int servers_per_domain)
     : memory_per_server_(memory_per_server),

@@ -111,6 +111,15 @@ int server_for_box(const Box& box, int num_servers);
 /// realized loss can differ from this expectation.
 double crash_loss_fraction(int servers, int k, int down_before, int down_now);
 
+/// Replica bytes the newly dead servers held when the dead-server count among
+/// `servers` rises from `down_before` to `down_now` and `staged_bytes`
+/// logical bytes (`k` replicas each) survived the crash. Each server holds
+/// k / M of the replica footprint on average, so the newly dead held
+/// k * staged_bytes * (down_now - down_before) / M; anti-entropy repair
+/// re-creates them. The same expectation caveat as crash_loss_fraction.
+std::size_t replica_loss_bytes(std::size_t staged_bytes, int servers, int k,
+                               int down_before, int down_now);
+
 class StagingSpace {
  public:
   /// `replication` copies of every object (clamped to num_servers at put

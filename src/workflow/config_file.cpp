@@ -91,10 +91,8 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
       XL_REQUIRE(*std::min_element(factors.begin(), factors.end()) >= 1,
                  "config: factors must be >= 1");
       c.hints.factor_phases = {{0, factors}};
-    } else if (key == "sim_cores") {
-      c.sim_cores = number<int>(value, key);
-      c.geometry.nranks = c.sim_cores;
-    } else if (key == "staging_cores") c.staging_cores = number<int>(value, key);
+    } else if (key == "sim_cores") c.sim_cores = number<int>(value, key);
+    else if (key == "staging_cores") c.staging_cores = number<int>(value, key);
     else if (key == "threads") {
       c.threads = number<int>(value, key);
       XL_REQUIRE(c.threads >= 0, "config: threads must be >= 0");
@@ -170,6 +168,8 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
     } else
       throw ContractError("config: unknown key '" + key + "'");
   }
+  XL_REQUIRE(!c.geometry.base_domain.empty(),
+             "config: missing required key 'domain' (NX NY NZ)");
   c.memory_model.ncomp = c.ncomp;
   return c;
 }

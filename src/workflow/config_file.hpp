@@ -21,7 +21,7 @@ namespace xl::workflow {
 ///   analysis_interval = <int>
 ///   threads = <int>                (per-rank analysis threads, 0 = serial)
 ///   thread_efficiency = <float>    (threading-speedup exponent, see KernelCosts)
-///   domain = NX NY NZ
+///   domain = NX NY NZ              (required)
 ///   max_levels, ref_ratio, max_box_size, tile_size = <int>
 ///   front_radius0, front_speed, front_thickness, front_decay = <float>
 ///   front_decay_onset, blob_onset_step, num_blobs = <int>

@@ -24,7 +24,6 @@
 #include "amr/memory_model.hpp"
 #include "amr/synthetic.hpp"
 #include "cluster/cost_model.hpp"
-#include "cluster/trace.hpp"
 #include "runtime/adaptation_engine.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/monitor.hpp"
@@ -75,6 +74,8 @@ struct WorkflowConfig {
   /// carries five). 0 means "all of ncomp".
   int analysis_ncomp = 0;
 
+  /// Geometry evolution; its nranks is ignored, the pipeline balances the
+  /// hierarchy over sim_cores ranks.
   amr::SyntheticAmrConfig geometry;
   amr::MemoryModelConfig memory_model;
 
@@ -168,7 +169,6 @@ struct WorkflowResult {
   int application_adaptations = 0;
   int resource_adaptations = 0;
   int middleware_adaptations = 0;
-  cluster::StagingTrace staging_trace;
   double utilization_efficiency = 0.0;  ///< eq. 12.
   // Fault/recovery accounting (all zero when fault injection is disabled).
   int faults_injected = 0;         ///< fault events that fired (crash/straggler onsets).

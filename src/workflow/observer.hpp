@@ -123,23 +123,4 @@ class EventLog final : public WorkflowObserver {
   std::vector<WorkflowEvent> events_;
 };
 
-/// Fan-out to several observers (e.g. a live printer plus an EventLog).
-class ObserverList final : public WorkflowObserver {
- public:
-  void add(WorkflowObserver* observer) {
-    if (observer != nullptr) observers_.push_back(observer);
-  }
-
-  void on_event(const WorkflowEvent& event) override {
-    for (WorkflowObserver* o : observers_) o->on_event(event);
-  }
-
-  void on_events(std::span<const WorkflowEvent> events) override {
-    for (WorkflowObserver* o : observers_) o->on_events(events);
-  }
-
- private:
-  std::vector<WorkflowObserver*> observers_;
-};
-
 }  // namespace xl::workflow

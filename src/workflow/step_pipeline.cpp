@@ -63,6 +63,13 @@ std::size_t analyzed_cells_of(const amr::SyntheticStep& geom, bool refined_only,
   return static_cast<std::size_t>(cells);
 }
 
+/// The run's geometry, balanced over one rank per simulation core.
+amr::SyntheticAmrConfig rank_geometry(const WorkflowConfig& config) {
+  amr::SyntheticAmrConfig geometry = config.geometry;
+  geometry.nranks = config.sim_cores;
+  return geometry;
+}
+
 }  // namespace
 
 // --- StepPipeline ------------------------------------------------------------
@@ -71,7 +78,7 @@ StepPipeline::StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& sub
                            WorkflowObserver* observer)
     : config_(config),
       substrate_(substrate),
-      evolution_(config.geometry),
+      evolution_(rank_geometry(config)),
       cost_(config.machine, config.costs, config.threads),
       monitor_(config.monitor),
       observer_(observer) {
@@ -230,23 +237,26 @@ WorkflowResult StepPipeline::finish() {
   result_.pure_sim_seconds = pure_sim_seconds_;
   result_.overhead_seconds = result_.end_to_end_seconds - result_.pure_sim_seconds;
 
-  // Per-step windows + the eq. 12 staging utilization trace.
+  // Per-step windows and eq. 12's CPU utilization efficiency: in-transit
+  // analysis time over in-transit wall time, both summed over the cores
+  // allocated at each step (every core of step j is busy for the step's
+  // analysis time and present for its whole window).
+  double analysis = 0.0, total = 0.0;
   for (std::size_t i = 0; i < result_.steps.size(); ++i) {
+    StepRecord& rec = result_.steps[i];
     const double window = (i + 1 < step_starts_.size())
                               ? step_starts_[i + 1] - step_starts_[i]
                               : result_.end_to_end_seconds - step_starts_[i];
-    result_.steps[i].window_seconds = window;
+    rec.window_seconds = window;
     if (config_.mode != Mode::StaticInSitu) {
-      cluster::StagingStepRecord trace_rec;
-      trace_rec.step = result_.steps[i].step;
-      trace_rec.cores_allocated = result_.steps[i].intransit_cores;
-      trace_rec.analysis_seconds = result_.steps[i].intransit_analysis_seconds *
-                                   static_cast<double>(result_.steps[i].intransit_cores);
-      trace_rec.wall_seconds = window;
-      result_.staging_trace.record(trace_rec);
+      XL_ASSERT(rec.intransit_cores >= 0 && window >= 0.0,
+                "step " << rec.step << ": " << rec.intransit_cores << " cores over a "
+                        << window << " s window");
+      analysis += rec.intransit_analysis_seconds * static_cast<double>(rec.intransit_cores);
+      total += static_cast<double>(rec.intransit_cores) * window;
     }
   }
-  result_.utilization_efficiency = result_.staging_trace.utilization_efficiency();
+  result_.utilization_efficiency = total > 0.0 ? analysis / total : 0.0;
 
   WorkflowEvent ev;
   ev.kind = EventKind::RunEnd;
@@ -398,17 +408,13 @@ void StepPipeline::apply_faults(int step) {
     ev.bytes = shed.bytes;
     emit(ev);
     if (k > 1) {
-      // Surviving objects lost their dead-server replicas (k * d_new / M of
-      // the surviving replica footprint on average); anti-entropy re-copies
-      // them. The copy traffic queues FIFO on the staging cores as
-      // zero-byte work, so repair genuinely competes with workflow
-      // transfers in the eq. 7 backlog (and the DES event queue) instead
-      // of completing by fiat.
-      const std::size_t staged_after = substrate_.staging_mem_used();
-      const std::size_t lost_replica_bytes =
-          f2s(static_cast<double>(staged_after) * static_cast<double>(k) *
-              static_cast<double>(down - prev.servers_down) /
-              static_cast<double>(servers));
+      // Surviving objects lost their dead-server replicas
+      // (staging::replica_loss_bytes); anti-entropy re-copies them. The copy
+      // traffic queues FIFO on the staging cores as zero-byte work, so repair
+      // genuinely competes with workflow transfers in the eq. 7 backlog (and
+      // the DES event queue) instead of completing by fiat.
+      const std::size_t lost_replica_bytes = staging::replica_loss_bytes(
+          substrate_.staging_mem_used(), servers, k, prev.servers_down, down);
       WorkflowEvent lost;
       lost.kind = EventKind::ReplicaLost;
       lost.step = step;

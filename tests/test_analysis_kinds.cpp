@@ -15,7 +15,6 @@ workflow::WorkflowConfig kind_config(workflow::AnalysisKind kind) {
   c.steps = 10;
   c.mode = workflow::Mode::StaticInSitu;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.memory_model.ncomp = 1;
   c.analysis_kind = kind;
   return c;

@@ -256,7 +256,6 @@ WorkflowConfig golden_config(Mode mode) {
   c.steps = 15;
   c.mode = mode;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.geometry.tile_size = 8;
   c.geometry.front_speed = 0.01;
   c.memory_model.ncomp = 1;

@@ -1,5 +1,5 @@
 // Tests for the cluster substrate: the deterministic event queue, machine
-// specs, the kernel/transfer cost models, and the eq. 12 utilization trace.
+// specs, and the kernel/transfer cost models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "cluster/cost_model.hpp"
 #include "cluster/event_queue.hpp"
 #include "cluster/machine.hpp"
-#include "cluster/trace.hpp"
 
 namespace xl::cluster {
 namespace {
@@ -116,32 +115,6 @@ TEST(CostModel, FasterMachineRunsFaster) {
   const CostModel fast(titan());
   EXPECT_GT(slow.sim_step_seconds(1 << 22, 64, true),
             fast.sim_step_seconds(1 << 22, 64, true));
-}
-
-TEST(StagingTrace, UtilizationEfficiencyEq12) {
-  StagingTrace trace;
-  // Step 0: 4 cores busy 1s each over a 2s window -> 4/8.
-  trace.record({0, 4, 4.0, 2.0});
-  // Step 1: 4 cores busy 2s each over a 2s window -> 8/8.
-  trace.record({1, 4, 8.0, 2.0});
-  EXPECT_DOUBLE_EQ(trace.utilization_efficiency(), 12.0 / 16.0);
-}
-
-TEST(StagingTrace, EmptyTraceIsZero) {
-  StagingTrace trace;
-  EXPECT_DOUBLE_EQ(trace.utilization_efficiency(), 0.0);
-}
-
-TEST(StagingTrace, UsedFraction) {
-  StagingStepRecord rec{3, 128, 0.0, 1.0};
-  EXPECT_DOUBLE_EQ(StagingTrace::used_fraction(rec, 256), 0.5);
-  EXPECT_THROW(StagingTrace::used_fraction(rec, 0), ContractError);
-}
-
-TEST(StagingTrace, RejectsNegativeRecords) {
-  StagingTrace trace;
-  EXPECT_THROW(trace.record({0, -1, 0.0, 1.0}), ContractError);
-  EXPECT_THROW(trace.record({0, 1, 0.0, -1.0}), ContractError);
 }
 
 // --- ladder-queue stress and contract tests ---------------------------------

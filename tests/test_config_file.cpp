@@ -6,13 +6,29 @@
 
 #include "runtime/trigger.hpp"
 #include "workflow/config_file.hpp"
+#include "workflow/observer.hpp"
+#include "workflow/trace_io.hpp"
 
 namespace xl::workflow {
 namespace {
 
+/// `text` parsed after a `domain` line: every config needs one, and each test
+/// exercises only its own keys.
 WorkflowConfig parse(const std::string& text) {
-  std::istringstream is(text);
+  std::istringstream is("domain = 64 64 64\n" + text);
   return parse_workflow_config(is);
+}
+
+/// The events CSV of running `text` parsed as a whole config file.
+std::string events_csv_of(const std::string& text) {
+  std::istringstream is(text);
+  CoupledWorkflow wf(parse_workflow_config(is));
+  EventLog log;
+  wf.set_observer(&log);
+  wf.run();
+  std::ostringstream os;
+  write_events_csv(os, log);
+  return os.str();
 }
 
 TEST(ConfigFile, ParsesFullConfig) {
@@ -39,7 +55,6 @@ TEST(ConfigFile, ParsesFullConfig) {
   EXPECT_EQ(c.analysis_kind, AnalysisKind::Statistics);
   EXPECT_EQ(c.objective, runtime::Objective::MaximizeResourceUtilization);
   EXPECT_EQ(c.sim_cores, 4096);
-  EXPECT_EQ(c.geometry.nranks, 4096);
   EXPECT_EQ(c.staging_cores, 256);
   EXPECT_EQ(c.steps, 40);
   EXPECT_EQ(c.ncomp, 5);
@@ -179,6 +194,23 @@ TEST(ConfigFile, ParsedConfigActuallyRuns) {
   const WorkflowResult r = CoupledWorkflow(c).run();
   EXPECT_EQ(r.steps.size(), 5u);
   EXPECT_GT(r.end_to_end_seconds, 0.0);
+}
+
+TEST(ConfigFile, DomainIsRequiredAndNamed) {
+  std::istringstream is("machine = test\nsteps = 3\n");
+  try {
+    parse_workflow_config(is);
+    FAIL() << "a config without a domain parsed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("'domain'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ConfigFile, GeometryIsBalancedOverTheSimulationCores) {
+  // sim_cores is the one rank count: leaving it out means its default, 2048,
+  // for the geometry's load balance as well as for the cost model.
+  const std::string file = "machine = test\ndomain = 256 128 128\nsteps = 3\n";
+  EXPECT_EQ(events_csv_of(file), events_csv_of(file + "sim_cores = 2048\n"));
 }
 
 TEST(ConfigFile, MissingFileThrows) {

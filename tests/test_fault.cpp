@@ -332,7 +332,6 @@ WorkflowConfig fault_config(Mode mode) {
   c.steps = 15;
   c.mode = mode;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.geometry.tile_size = 8;
   c.geometry.front_speed = 0.01;
   c.memory_model.ncomp = 1;
@@ -625,7 +624,6 @@ TEST(FaultPipeline, FullOutageUnderBacklogKeepsSubstratesIdentical) {
   c.staging_cores = 16;
   c.steps = 70;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 256;
   c.geometry.front_speed = 0.006;
   c.geometry.num_blobs = 3;
   c.hints.factor_phases = {{0, {1, 2}}};

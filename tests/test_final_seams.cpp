@@ -75,7 +75,6 @@ TEST(TraceIoFile, WritesCsvToDisk) {
   c.staging_cores = 4;
   c.steps = 4;
   c.geometry.base_domain = mesh::Box::domain({64, 32, 32});
-  c.geometry.nranks = 32;
   c.memory_model.ncomp = 1;
   const workflow::WorkflowResult r = workflow::CoupledWorkflow(c).run();
   const std::string path = "test_trace_io.csv";
@@ -114,7 +113,6 @@ TEST(MonitorCadence, SamplingGovernsAdaptationCount) {
   c.steps = 12;
   c.mode = workflow::Mode::Global;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.memory_model.ncomp = 1;
   c.hints.factor_phases = {{0, {2, 4}}};
   c.monitor.sampling_period = 4;

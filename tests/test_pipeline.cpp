@@ -30,7 +30,6 @@ WorkflowConfig golden_config(Mode mode) {
   c.steps = 15;
   c.mode = mode;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.geometry.tile_size = 8;
   c.geometry.front_speed = 0.01;
   c.memory_model.ncomp = 1;
@@ -167,6 +166,24 @@ TEST(StepPipeline, RunMatchesRunOnAnalytic) {
   const WorkflowResult b = CoupledWorkflow(config).run_on(substrate);
   EXPECT_EQ(a.end_to_end_seconds, b.end_to_end_seconds);
   EXPECT_EQ(a.bytes_moved, b.bytes_moved);
+}
+
+TEST(StepPipeline, UtilizationEfficiencyIsEq12OverTheStepRecords) {
+  // Eq. 12: in-transit analysis time over in-transit wall time, each summed
+  // over the cores allocated at every step; recomputed in the same order.
+  for (Mode mode : {Mode::StaticInTransit, Mode::AdaptiveResource, Mode::Global}) {
+    const WorkflowResult r = CoupledWorkflow(golden_config(mode)).run();
+    double analysis = 0.0, total = 0.0;
+    for (const StepRecord& s : r.steps) {
+      analysis += s.intransit_analysis_seconds * static_cast<double>(s.intransit_cores);
+      total += static_cast<double>(s.intransit_cores) * s.window_seconds;
+    }
+    ASSERT_GT(analysis, 0.0) << mode_name(mode);
+    EXPECT_EQ(r.utilization_efficiency, analysis / total) << mode_name(mode);
+  }
+  // Static in-situ never analyzes on the staging cores.
+  EXPECT_EQ(CoupledWorkflow(golden_config(Mode::StaticInSitu)).run().utilization_efficiency,
+            0.0);
 }
 
 TEST(EventsCsv, WritesOneRowPerEvent) {

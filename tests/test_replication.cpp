@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 #include "staging/service.hpp"
 #include "staging/space.hpp"
@@ -220,6 +221,39 @@ TEST(CrashLoss, SingleCopyMatchesTheObjectModelOnAverage) {
   for (int server : {0, 1, 2}) dropped += space.fail_server(server, LossPolicy::Drop).dropped_bytes;
   EXPECT_NEAR(static_cast<double>(dropped) / (512.0 * 4096.0), crash_loss_fraction(8, 1, 0, 3),
               0.08);
+}
+
+// --- replica-loss closed form ------------------------------------------------
+
+TEST(ReplicaLoss, NewlyDeadServersHeldTheirShareOfTheReplicaFootprint) {
+  // k = 2 copies of 800 surviving bytes on 8 servers: 200 bytes per server.
+  EXPECT_EQ(replica_loss_bytes(800, 8, 2, 0, 2), 400u);
+  EXPECT_EQ(replica_loss_bytes(800, 8, 2, 2, 3), 200u);  // only the newly dead
+  EXPECT_EQ(replica_loss_bytes(0, 8, 3, 0, 4), 0u);
+  // Evaluated as k * staged * d_new / M in doubles, the modeled pipeline's
+  // order, so the repair events it prices stay bit-identical.
+  const std::size_t staged = 123456789;
+  EXPECT_EQ(replica_loss_bytes(staged, 7, 3, 1, 4),
+            f2s(static_cast<double>(staged) * 3.0 * 3.0 / 7.0));
+}
+
+TEST(ReplicaLoss, MatchesTheObjectModelOnAverage) {
+  // One crash among 8 servers at k = 2: the survivors miss about 2/8 of
+  // their replicas, which anti-entropy must re-create.
+  StagingSpace space(8, std::size_t{1} << 30, /*replication=*/2);
+  for (int i = 0; i < 512; ++i) {
+    space.put(0, Box::cube({(i % 8) * 16, (i / 8 % 8) * 16, (i / 64) * 16}, 8), 1, 4096);
+  }
+  space.fail_server(0, LossPolicy::Repair);
+  ASSERT_EQ(space.object_count(), 512u);  // k = 2 survives one crash
+  const double expected = static_cast<double>(replica_loss_bytes(512 * 4096, 8, 2, 0, 1));
+  EXPECT_NEAR(static_cast<double>(space.replica_deficit() * 4096), expected, 0.2 * expected);
+}
+
+TEST(ReplicaLoss, RejectsImpossibleCounts) {
+  EXPECT_THROW(replica_loss_bytes(4096, 8, 2, 2, 2), ContractError);  // nothing new died
+  EXPECT_THROW(replica_loss_bytes(4096, 8, 2, 0, 9), ContractError);
+  EXPECT_THROW(replica_loss_bytes(4096, 8, 9, 0, 1), ContractError);
 }
 
 // --- anti-entropy budget and read-repair -------------------------------------

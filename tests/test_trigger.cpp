@@ -215,7 +215,6 @@ WorkflowConfig workflow_config() {
   c.steps = 20;
   c.mode = Mode::Global;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.hints.factor_phases = {{0, {2, 4}}};
   c.monitor.sampling_period = 1;
   c.monitor.trigger.window = 4;

@@ -24,7 +24,6 @@ WorkflowConfig small_config(Mode mode) {
   c.geometry.max_levels = 3;
   c.geometry.tile_size = 8;
   c.geometry.max_box_size = 32;
-  c.geometry.nranks = 256;
   c.geometry.front_radius0 = 0.12;
   c.geometry.front_speed = 0.01;
   c.geometry.num_blobs = 2;

@@ -23,7 +23,6 @@ WorkflowConfig tiny_config(Mode mode) {
   c.steps = 10;
   c.mode = mode;
   c.geometry.base_domain = mesh::Box::domain({128, 64, 64});
-  c.geometry.nranks = 128;
   c.geometry.tile_size = 8;
   c.memory_model.ncomp = 1;
   return c;

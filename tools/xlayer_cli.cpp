@@ -4,7 +4,7 @@
 //
 //   xlayer_cli run <config-file> [--csv <out.csv>] [--events <out.csv>]
 //              [--faults <spec>] [--threads <N>] [--quiet]
-//   xlayer_cli print-config                 # dump the default keys
+//   xlayer_cli print-config                 # print a starting-point config
 //
 // Example config:
 //   machine = titan
@@ -62,8 +62,10 @@ int flag_int(const char* text, const char* flag, int min) {
   return value;
 }
 
-void print_default_config() {
-  std::cout << "# xlayer workflow configuration (defaults shown)\n"
+void print_starting_config() {
+  std::cout << "# xlayer workflow configuration: a Titan 2K-core starting point close\n"
+               "# to the Fig. 7 setup, not the parser defaults. A key left out takes\n"
+               "# its default; domain is required.\n"
                "machine = titan            # titan | intrepid | test\n"
                "mode = adaptive            # insitu | intransit | hybrid | adaptive | resource | global\n"
                "analysis = isosurface      # isosurface | statistics | subsetting\n"
@@ -210,7 +212,7 @@ int main(int argc, char** argv) {
   try {
     if (command == "run") return run(argc, argv);
     if (command == "print-config") {
-      print_default_config();
+      print_starting_config();
       return 0;
     }
   } catch (const std::exception& e) {
