@@ -5,7 +5,6 @@
 // entropy, the factor chosen, and the reconstruction quality.
 //
 //   ./amr_isosurface_demo [steps]     (default 8; writes isosurface.obj)
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
 #include "analysis/statistics.hpp"
+#include "common/contract.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "viz/amr_isosurface.hpp"
@@ -24,7 +24,13 @@ using namespace xl;
 
 int main(int argc, char** argv) {
   log::set_threshold(log::Level::Info);
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 8;
+  int steps = 8;
+  try {
+    if (argc > 1) steps = parse_number<int>(argv[1], "steps");
+  } catch (const ContractError& e) {
+    std::cerr << e.what() << "\nusage: amr_isosurface_demo [steps]\n";
+    return 2;
+  }
 
   // --- 1. Simulate: spherical blast, 2 AMR levels, gradient-tag regridding.
   amr::AmrConfig cfg;

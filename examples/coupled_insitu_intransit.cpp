@@ -17,7 +17,6 @@
 //
 //   ./coupled_insitu_intransit [steps]    (default 10)
 #include <chrono>
-#include <cstdlib>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -27,6 +26,7 @@
 #include "amr/polytropic_gas.hpp"
 #include "analysis/downsample.hpp"
 #include "analysis/statistics.hpp"
+#include "common/contract.hpp"
 #include "common/table.hpp"
 #include "runtime/adaptation_engine.hpp"
 #include "staging/service.hpp"
@@ -46,7 +46,13 @@ double seconds_since(Clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 10;
+  int steps = 10;
+  try {
+    if (argc > 1) steps = parse_number<int>(argv[1], "steps");
+  } catch (const ContractError& e) {
+    std::cerr << e.what() << "\nusage: coupled_insitu_intransit [steps]\n";
+    return 2;
+  }
 
   // --- Simulation (the coupled workflow's producer). -------------------------
   amr::AmrConfig cfg;

@@ -13,6 +13,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/contract.hpp"
 #include "common/table.hpp"
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
@@ -88,7 +89,12 @@ int main(int argc, char** argv) {
   WorkflowConfig config;
   if (experiment == "middleware" || experiment == "global") {
     if (argc < 4) return usage();
-    const int scale = std::atoi(argv[2]);
+    int scale = -1;
+    try {
+      scale = parse_number<int>(argv[2], "scale");
+    } catch (const ContractError& e) {
+      std::cerr << e.what() << "\n";
+    }
     if (scale < 0 || scale > 3) return usage();
     const std::string variant = argv[3];
     if (experiment == "middleware") {

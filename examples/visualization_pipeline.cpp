@@ -12,7 +12,6 @@
 // choose between.
 //
 //   ./visualization_pipeline [steps]    (default 10)
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -23,6 +22,7 @@
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
 #include "analysis/statistics.hpp"
+#include "common/contract.hpp"
 #include "common/table.hpp"
 #include "viz/marching_cubes.hpp"
 #include "viz/render.hpp"
@@ -30,7 +30,13 @@
 using namespace xl;
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 10;
+  int steps = 10;
+  try {
+    if (argc > 1) steps = parse_number<int>(argv[1], "steps");
+  } catch (const ContractError& e) {
+    std::cerr << e.what() << "\nusage: visualization_pipeline [steps]\n";
+    return 2;
+  }
 
   // --- Simulate and persist. --------------------------------------------------
   amr::AmrConfig cfg;

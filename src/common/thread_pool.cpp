@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 
 namespace xl {
@@ -22,8 +23,7 @@ std::size_t default_global_workers() {
   // documented XL_THREADS escape hatch for CI and the CLI (config keys win).
   const char* env = std::getenv("XL_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  const long n = std::strtol(env, nullptr, 10);
-  return n > 0 ? static_cast<std::size_t>(n) : 0;
+  return parse_number<std::size_t>(env, "XL_THREADS");
 }
 
 struct GlobalPool {

@@ -76,7 +76,8 @@ class ThreadPool {
   void wait();
 
   /// Process-wide default pool. Starts with XL_THREADS workers (0 — serial —
-  /// when unset), resizable via set_global_workers().
+  /// when unset), resizable via set_global_workers(). An XL_THREADS that is
+  /// not a whole non-negative integer throws xl::ContractError naming it.
   static ThreadPool& global();
 
   /// Resize the global pool. Must not be called while kernels are in flight

@@ -116,9 +116,11 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
     else if (key == "blob_radius") c.geometry.blob_radius = number<double>(value, key);
     else if (key == "seed")
       c.geometry.seed = number<std::uint64_t>(value, key);
-    else if (key == "active_cell_fraction")
+    else if (key == "active_cell_fraction") {
       c.active_cell_fraction = number<double>(value, key);
-    else if (key == "staging_usable_fraction")
+      XL_REQUIRE(c.active_cell_fraction >= 0.0 && c.active_cell_fraction <= 1.0,
+                 "config: active_cell_fraction must be in [0, 1], got " + value);
+    } else if (key == "staging_usable_fraction")
       c.staging_usable_fraction = number<double>(value, key);
     else if (key == "sim_euler_flops")
       c.costs.sim_euler_flops_per_cell = number<double>(value, key);
@@ -128,8 +130,11 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
       c.costs.mc_scan_flops_per_cell = number<double>(value, key);
     else if (key == "mc_active_flops")
       c.costs.mc_active_flops_per_cell = number<double>(value, key);
-    else if (key == "euler") c.euler = number<int>(value, key) != 0;
-    else if (key == "sampling_period") {
+    else if (key == "euler") {
+      const int euler = number<int>(value, key);
+      XL_REQUIRE(euler == 0 || euler == 1, "config: euler must be 0 or 1, got " + value);
+      c.euler = euler == 1;
+    } else if (key == "sampling_period") {
       c.monitor.sampling_period = number<int>(value, key);
       XL_REQUIRE(c.monitor.sampling_period >= 1,
                  "config: sampling_period must be >= 1, got " + value);

@@ -160,6 +160,26 @@ TEST(ConfigFile, NumbersMustBeTheWholeValueAndErrorsNameTheKey) {
   }
 }
 
+TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
+  // Whole numbers outside the key's range stop at parse time, naming the key,
+  // instead of running with a fraction above 1 or reading euler = 7 as true.
+  for (const std::string text : {"active_cell_fraction = 2", "active_cell_fraction = -0.5",
+                                 "euler = 7", "euler = -1"}) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ContractError& e) {
+      const std::string key = text.substr(0, text.find(' '));
+      EXPECT_NE(std::string(e.what()).find("config: " + key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse("active_cell_fraction = 0").active_cell_fraction, 0.0);
+  EXPECT_EQ(parse("active_cell_fraction = 1").active_cell_fraction, 1.0);
+  EXPECT_FALSE(parse("euler = 0").euler);
+  EXPECT_TRUE(parse("euler = 1").euler);
+}
+
 TEST(ConfigFile, SeedsTakeAnyUint64) {
   EXPECT_EQ(parse("seed = 99999999999").geometry.seed, 99999999999u);
   EXPECT_EQ(parse("trigger_seed = 18446744073709551615").monitor.trigger.seed,

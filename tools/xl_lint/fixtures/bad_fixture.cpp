@@ -1,11 +1,11 @@
-// Seeded-bad fixture: every rule fires at least once. Never compiled; the
-// xl_lint.bad_fixture_fails test (and the CI lint job) run the linter over it
-// and require a non-zero exit, proving the gate bites. The directory name
-// "fixtures" is excluded from normal tree walks.
+// Seeded-bad fixture: every rule marked below fires at least once. Never
+// compiled; the xl_lint.fixture.<rule>_fires tests run the linter over it and
+// require each rule id in the output, proving the gate bites. The directory
+// name "fixtures" is excluded from normal tree walks.
 //
 // This file intentionally lives at a path matching none of the per-directory
-// scopes except via the synthetic paths used in tests; the unordered-iter rule
-// is exercised from test_xl_lint.cpp instead.
+// scopes; the unordered-iter rule fires from src/runtime/bad_unordered.cpp,
+// row-loop from src/analysis/bad_row_loop.cpp.
 #include <chrono>
 #include <cstdlib>
 #include <random>

@@ -1,4 +1,4 @@
-// Seeded-bad fixture for the parallel-float-merge rule: a parallel_for body
+// Seeded-bad fixture for parallel-merge's float check: a parallel_for body
 // accumulating into a float declared outside the lambda, so the sum depends
 // on nondeterministic chunk interleaving.
 #include <cstddef>

@@ -1,5 +1,5 @@
-// Seeded-bad fixture for the unordered-escape rule: hash-ordered contents of
-// an unordered container escape the function unsorted.
+// Seeded-bad fixture for unordered-iter outside the timeline layers:
+// hash-ordered contents of an unordered container escape unsorted.
 #include <string>
 #include <unordered_map>
 #include <unordered_set>

@@ -5,149 +5,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <regex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "model.hpp"
 #include "report.hpp"
-#include "semantic.hpp"
+#include "rules.hpp"
 
 namespace xl::lint {
 
 namespace {
-
-// --- scrubbing ---------------------------------------------------------------
-
-// Blank out comments, string literals, char literals, and raw strings so the
-// rule patterns only ever see code. Newlines are preserved (line numbers stay
-// valid); every other scrubbed character becomes a space. With
-// `keep_comments`, comment text survives (string/char literals are still
-// blanked) -- that view is what suppression parsing reads, so an
-// `xl-lint: allow(...)` inside a string literal (e.g. a lint test snippet)
-// is not mistaken for a marker of the enclosing file.
-std::string scrub(const std::string& text, bool keep_comments = false) {
-  std::string out = text;
-  enum class State { Normal, LineComment, BlockComment, String, Char, RawString };
-  State state = State::Normal;
-  std::string raw_close;  // )delim" terminator of the active raw string.
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const char c = out[i];
-    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
-    switch (state) {
-      case State::Normal:
-        if (c == '/' && next == '/') {
-          state = State::LineComment;
-          if (!keep_comments) out[i] = ' ';
-        } else if (c == '/' && next == '*') {
-          state = State::BlockComment;
-          if (!keep_comments) out[i] = ' ';
-        } else if (c == 'R' && next == '"' &&
-                   (i == 0 || (!std::isalnum(static_cast<unsigned char>(out[i - 1])) &&
-                               out[i - 1] != '_'))) {
-          // R"delim( ... )delim"
-          std::size_t open = i + 2;
-          std::string delim;
-          while (open < out.size() && out[open] != '(') delim += out[open++];
-          raw_close = ")" + delim + "\"";
-          state = State::RawString;
-          for (std::size_t j = i; j <= open && j < out.size(); ++j) {
-            if (out[j] != '\n') out[j] = ' ';
-          }
-          i = open;
-        } else if (c == '"') {
-          state = State::String;
-          out[i] = ' ';
-        } else if (c == '\'') {
-          // Skip digit separators (1'000'000).
-          const bool separator =
-              i > 0 && std::isdigit(static_cast<unsigned char>(out[i - 1])) &&
-              std::isdigit(static_cast<unsigned char>(next));
-          if (!separator) state = State::Char;
-          out[i] = ' ';
-        }
-        break;
-      case State::LineComment:
-        if (c == '\n') {
-          state = State::Normal;
-        } else if (!keep_comments) {
-          out[i] = ' ';
-        }
-        break;
-      case State::BlockComment:
-        if (c == '*' && next == '/') {
-          if (!keep_comments) {
-            out[i] = ' ';
-            out[i + 1] = ' ';
-          }
-          ++i;
-          state = State::Normal;
-        } else if (c != '\n' && !keep_comments) {
-          out[i] = ' ';
-        }
-        break;
-      case State::String:
-        if (c == '\\') {
-          out[i] = ' ';
-          if (next != '\n' && next != '\0') {
-            out[i + 1] = ' ';
-            ++i;
-          }
-        } else if (c == '"') {
-          out[i] = ' ';
-          state = State::Normal;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::Char:
-        if (c == '\\') {
-          out[i] = ' ';
-          if (next != '\n' && next != '\0') {
-            out[i + 1] = ' ';
-            ++i;
-          }
-        } else if (c == '\'') {
-          out[i] = ' ';
-          state = State::Normal;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::RawString:
-        if (out.compare(i, raw_close.size(), raw_close) == 0) {
-          for (std::size_t j = 0; j < raw_close.size(); ++j) out[i + j] = ' ';
-          i += raw_close.size() - 1;
-          state = State::Normal;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::string::size_type start = 0;
-  while (start <= text.size()) {
-    const auto nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back(text.substr(start));
-      break;
-    }
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
-
-int line_of_offset(const std::string& text, std::size_t offset) {
-  return 1 + static_cast<int>(std::count(text.begin(), text.begin() +
-                                             static_cast<std::ptrdiff_t>(offset), '\n'));
-}
 
 // --- suppressions ------------------------------------------------------------
 
@@ -161,637 +29,153 @@ struct Marker {
   bool used = false;
 };
 
-struct Suppressions {
-  std::vector<Marker> markers;
-
-  /// Does any marker cover (rule, at_line)? Marks every covering marker used.
-  bool allows(const std::string& rule, int at_line) {
-    bool covered = false;
-    for (Marker& m : markers) {
-      if (m.rule != rule && m.rule != "all") continue;
-      // Suppressions guard exactly one code line: parse_suppressions resolves
-      // a comment-only marker to the code line below it, so no fuzzy reach.
-      if (m.file_wide || m.target_line == at_line) {
-        m.used = true;
-        covered = true;
-      }
-    }
-    return covered;
-  }
-};
-
-bool is_comment_only_line(const std::string& raw) {
-  const std::size_t first = raw.find_first_not_of(" \t");
-  return first != std::string::npos && raw.compare(first, 2, "//") == 0;
-}
-
-Suppressions parse_suppressions(const std::vector<std::string>& raw_lines) {
-  static const std::regex kAllow(
-      R"(xl-lint:\s*allow(-file)?\(\s*([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\s*\))");
-  Suppressions sup;
-  for (std::size_t i = 0; i < raw_lines.size(); ++i) {
-    std::smatch m;
-    std::string::const_iterator begin = raw_lines[i].begin();
-    while (std::regex_search(begin, raw_lines[i].cend(), m, kAllow)) {
-      const bool file_wide = m[1].matched;
-      // A suppression on a comment-only line guards the next code line, even
-      // when the explanatory comment wraps over several lines. A trailing
-      // suppression on a code line guards that line itself.
-      std::size_t target = i;
-      if (is_comment_only_line(raw_lines[i])) {
-        target = i + 1;
-        while (target < raw_lines.size() && is_comment_only_line(raw_lines[target])) {
-          ++target;
-        }
-      }
-      std::string ids = m[2].str();
-      std::string id;
-      std::istringstream is(ids);
-      while (std::getline(is, id, ',')) {
-        id.erase(std::remove_if(id.begin(), id.end(),
-                                [](unsigned char c) { return std::isspace(c); }),
-                 id.end());
-        if (id.empty()) continue;
-        Marker marker;
-        marker.marker_line = static_cast<int>(i) + 1;
-        marker.target_line = static_cast<int>(target) + 1;
-        marker.file_wide = file_wide;
-        marker.rule = id;
-        sup.markers.push_back(std::move(marker));
-      }
-      begin = m.suffix().first;
-    }
-  }
-  return sup;
-}
-
-// --- small helpers -----------------------------------------------------------
-
-bool path_ends_with(const std::string& path, const std::string& suffix) {
-  return path.size() >= suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool path_contains(const std::string& path, const std::string& piece) {
-  return path.find(piece) != std::string::npos;
-}
-
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-/// Find `needle` as a whole identifier (not a substring of a longer one).
-std::size_t find_ident(const std::string& text, const std::string& needle,
-                       std::size_t from) {
-  std::size_t pos = text.find(needle, from);
-  while (pos != std::string::npos) {
-    const bool left_ok = pos == 0 || !ident_char(text[pos - 1]);
-    const std::size_t end = pos + needle.size();
-    const bool right_ok = end >= text.size() || !ident_char(text[end]);
-    if (left_ok && right_ok) return pos;
-    pos = text.find(needle, pos + 1);
-  }
-  return std::string::npos;
-}
-
-/// Starting at the '(' (or '<') at `open`, return the offset one past the
-/// matching close, or npos when unbalanced.
-std::size_t match_pair(const std::string& text, std::size_t open, char oc, char cc) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == oc) ++depth;
-    if (text[i] == cc) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-std::size_t skip_spaces(const std::string& text, std::size_t i) {
-  while (i < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  return i;
-}
-
-// --- rules -------------------------------------------------------------------
-
-struct Ctx {
-  const std::string& path;
-  const std::string& scrubbed;                 // whole file, strings/comments blanked.
-  const std::vector<std::string>& lines;       // scrubbed, split.
-  std::vector<Finding>& findings;
-
-  void add(int line, const char* rule, std::string message) const {
-    findings.push_back(Finding{path, line, rule, std::move(message)});
-  }
-};
-
-// Rule: wallclock. Any wall-clock read makes a timeline depend on the host;
-// simulated time must come from the substrate clock.
-void rule_wallclock(const Ctx& ctx) {
-  if (path_ends_with(ctx.path, "common/rng.hpp")) return;
-  static const char* kSources[] = {
-      "std::chrono::system_clock", "std::chrono::steady_clock",
-      "std::chrono::high_resolution_clock", "gettimeofday", "clock_gettime",
+/// Parse ` allow(<id>, ...)` or ` allow-file(<id>, ...)` at text[i] (just
+/// past `xl-lint:`). Returns the index past the ')' and fills `ids`, or
+/// returns npos when the text is not a marker.
+std::size_t parse_allow(const std::string& text, std::size_t i, bool& file_wide,
+                        std::vector<std::string>& ids) {
+  const auto skip_blanks = [&](std::size_t k) {
+    while (k < text.size() && std::isspace(static_cast<unsigned char>(text[k]))) ++k;
+    return k;
   };
-  for (std::size_t i = 0; i < ctx.lines.size(); ++i) {
-    for (const char* source : kSources) {
-      if (ctx.lines[i].find(source) != std::string::npos) {
-        ctx.add(static_cast<int>(i) + 1, "wallclock",
-                std::string("wall-clock source '") + source +
-                    "' breaks the determinism contract; use the substrate clock, or "
-                    "suppress with a reason if this is measurement-only output");
-        break;
-      }
+  i = skip_blanks(i);
+  if (text.compare(i, 5, "allow") != 0) return std::string::npos;
+  i += 5;
+  file_wide = text.compare(i, 5, "-file") == 0;
+  if (file_wide) i += 5;
+  if (i >= text.size() || text[i] != '(') return std::string::npos;
+  for (;;) {
+    i = skip_blanks(i + 1);
+    const std::size_t begin = i;
+    while (i < text.size() && (std::islower(static_cast<unsigned char>(text[i])) ||
+                               std::isdigit(static_cast<unsigned char>(text[i])) ||
+                               text[i] == '-')) {
+      ++i;
     }
+    if (i == begin) return std::string::npos;
+    ids.push_back(text.substr(begin, i - begin));
+    i = skip_blanks(i);
+    if (i < text.size() && text[i] == ')') return i + 1;
+    if (i >= text.size() || text[i] != ',') return std::string::npos;
   }
 }
 
-// Rule: raw-random. All randomness must flow from a seeded xl::Rng.
-void rule_raw_random(const Ctx& ctx) {
-  if (path_ends_with(ctx.path, "common/rng.hpp")) return;
-  static const char* kSources[] = {
-      "std::random_device", "std::mt19937",        "std::default_random_engine",
-      "std::minstd_rand",   "drand48",             "lrand48",
-  };
-  static const std::regex kCRand(R"((^|[^\w:.>])s?rand\s*\()");
-  for (std::size_t i = 0; i < ctx.lines.size(); ++i) {
-    const std::string& line = ctx.lines[i];
-    bool hit = false;
-    for (const char* source : kSources) {
-      if (find_ident(line, source, 0) != std::string::npos) {
-        ctx.add(static_cast<int>(i) + 1, "raw-random",
-                std::string("nondeterministic randomness source '") + source +
-                    "'; derive a seeded xl::Rng (common/rng.hpp) via split() instead");
-        hit = true;
-        break;
+/// Every marker in the file's comments. A marker on a comment-only line
+/// guards the next code line, however many comment lines the explanation
+/// spans; a trailing marker guards its own line.
+std::vector<Marker> parse_markers(const FileModel& model) {
+  std::vector<Marker> out;
+  for (const Comment& c : model.comments) {
+    int target = c.line;
+    if (model.comment_only_lines.count(c.line)) {
+      do {
+        ++target;
+      } while (model.comment_only_lines.count(target));
+    }
+    std::size_t at = 0;
+    while ((at = c.text.find("xl-lint:", at)) != std::string::npos) {
+      at += 8;
+      bool file_wide = false;
+      std::vector<std::string> ids;
+      const std::size_t past = parse_allow(c.text, at, file_wide, ids);
+      if (past == std::string::npos) continue;
+      at = past;
+      for (std::string& id : ids) {
+        out.push_back(Marker{c.line, target, file_wide, std::move(id), false});
       }
     }
-    if (!hit && std::regex_search(line, kCRand)) {
-      ctx.add(static_cast<int>(i) + 1, "raw-random",
-              "C rand()/srand() is global, unseeded state; use a seeded xl::Rng "
-              "(common/rng.hpp)");
-    }
   }
+  return out;
 }
 
-// Rule: unordered-iter. In the layers whose accumulation order reaches the
-// timeline (runtime, cluster, workflow), iterating an unordered container is
-// an order-of-evaluation bug waiting for a rehash.
-void rule_unordered_iter(const Ctx& ctx) {
-  const bool scoped = path_contains(ctx.path, "src/runtime") ||
-                      path_contains(ctx.path, "src/cluster") ||
-                      path_contains(ctx.path, "src/workflow");
-  if (!scoped) return;
-
-  // Pass 1: names declared as unordered containers in this file.
-  std::set<std::string> names;
-  for (const std::string& line : ctx.lines) {
-    for (const char* kind : {"unordered_map", "unordered_set"}) {
-      std::size_t pos = find_ident(line, kind, 0);
-      while (pos != std::string::npos) {
-        const std::size_t open = line.find('<', pos);
-        if (open != std::string::npos) {
-          const std::size_t close = match_pair(line, open, '<', '>');
-          if (close != std::string::npos) {
-            std::size_t id = skip_spaces(line, close);
-            if (id < line.size() && (line[id] == '&' || line[id] == '*')) {
-              id = skip_spaces(line, id + 1);
-            }
-            std::string name;
-            while (id < line.size() && ident_char(line[id])) name += line[id++];
-            if (!name.empty()) names.insert(name);
-          }
-        }
-        pos = find_ident(line, kind, pos + 1);
-      }
+/// Does any marker cover (rule, line)? Marks every covering marker used.
+bool suppressed(std::vector<Marker>& markers, const Finding& f) {
+  bool covered = false;
+  for (Marker& m : markers) {
+    if (m.rule != f.rule && m.rule != "all") continue;
+    if (m.file_wide || m.target_line == f.line) {
+      m.used = true;
+      covered = true;
     }
   }
-  if (names.empty()) return;
-
-  // Pass 2: range-for or .begin() iteration over one of those names.
-  static const std::regex kRangeFor(R"(for\s*\([^;()]*:\s*([A-Za-z_]\w*)\s*\))");
-  static const std::regex kBegin(R"(([A-Za-z_]\w*)\s*\.\s*c?begin\s*\()");
-  for (std::size_t i = 0; i < ctx.lines.size(); ++i) {
-    for (const auto* re : {&kRangeFor, &kBegin}) {
-      std::smatch m;
-      std::string::const_iterator begin = ctx.lines[i].begin();
-      while (std::regex_search(begin, ctx.lines[i].cend(), m, *re)) {
-        if (names.count(m[1].str())) {
-          ctx.add(static_cast<int>(i) + 1, "unordered-iter",
-                  "iteration over unordered container '" + m[1].str() +
-                      "' is hash-order dependent; iterate sorted keys or use an "
-                      "ordered container on this path");
-        }
-        begin = m.suffix().first;
-      }
-    }
-  }
-}
-
-// Rule: float-cast. Raw static_cast from floating point to integer is UB on
-// NaN and out-of-range values (the Histogram bug class); conversions must go
-// through the guarded helpers in common/contract.hpp.
-void rule_float_cast(const Ctx& ctx) {
-  if (path_ends_with(ctx.path, "common/contract.hpp")) return;
-  static const std::regex kFloatish(
-      R"(double|float|[0-9]\.[0-9]|std::(floor|ceil|round|pow|sqrt|log|exp|lround))");
-  std::size_t pos = ctx.scrubbed.find("static_cast", 0);
-  while (pos != std::string::npos) {
-    const std::size_t open_angle = skip_spaces(ctx.scrubbed, pos + 11);
-    if (open_angle >= ctx.scrubbed.size() || ctx.scrubbed[open_angle] != '<') {
-      pos = ctx.scrubbed.find("static_cast", pos + 1);
-      continue;
-    }
-    const std::size_t close_angle = match_pair(ctx.scrubbed, open_angle, '<', '>');
-    if (close_angle == std::string::npos) break;
-    std::string type = ctx.scrubbed.substr(open_angle + 1, close_angle - open_angle - 2);
-    type.erase(std::remove_if(type.begin(), type.end(),
-                              [](unsigned char c) { return std::isspace(c); }),
-               type.end());
-    if (type.rfind("std::", 0) == 0) type = type.substr(5);
-    static const std::set<std::string> kIntegral = {
-        "int",      "long",     "longlong", "short",    "char",     "unsigned",
-        "unsignedint", "unsignedlong", "unsignedlonglong", "size_t", "ptrdiff_t",
-        "int8_t",   "int16_t",  "int32_t",  "int64_t",  "uint8_t",  "uint16_t",
-        "uint32_t", "uint64_t",
-    };
-    if (kIntegral.count(type)) {
-      const std::size_t open_paren = skip_spaces(ctx.scrubbed, close_angle);
-      if (open_paren < ctx.scrubbed.size() && ctx.scrubbed[open_paren] == '(') {
-        const std::size_t close_paren =
-            match_pair(ctx.scrubbed, open_paren, '(', ')');
-        if (close_paren != std::string::npos) {
-          const std::string expr =
-              ctx.scrubbed.substr(open_paren + 1, close_paren - open_paren - 2);
-          if (std::regex_search(expr, kFloatish)) {
-            ctx.add(line_of_offset(ctx.scrubbed, pos), "float-cast",
-                    "raw static_cast<" + type +
-                        "> from a floating-point expression; use xl::f2i/xl::f2s "
-                        "(common/contract.hpp) or clamp first and suppress");
-          }
-        }
-      }
-    }
-    pos = ctx.scrubbed.find("static_cast", close_angle);
-  }
-}
-
-// Rule: parallel-merge. A parallel_for body mutating a shared container is a
-// race and -- even with locking -- an ordering leak; per-chunk results must be
-// merged in chunk order (parallel_for_chunks).
-void rule_parallel_merge(const Ctx& ctx) {
-  static const std::regex kMutation(
-      R"(([A-Za-z_]\w*)\s*\.\s*(push_back|emplace_back|insert|emplace)\s*\()");
-  std::size_t pos = find_ident(ctx.scrubbed, "parallel_for", 0);
-  while (pos != std::string::npos) {
-    // Skip declarations/definitions ("void parallel_for(...)").
-    std::size_t before = pos;
-    while (before > 0 &&
-           std::isspace(static_cast<unsigned char>(ctx.scrubbed[before - 1]))) {
-      --before;
-    }
-    std::size_t word_start = before;
-    while (word_start > 0 && ident_char(ctx.scrubbed[word_start - 1])) --word_start;
-    const std::string prev = ctx.scrubbed.substr(word_start, before - word_start);
-    const std::size_t open = skip_spaces(ctx.scrubbed, pos + 12);
-    if (prev == "void" || open >= ctx.scrubbed.size() || ctx.scrubbed[open] != '(') {
-      pos = find_ident(ctx.scrubbed, "parallel_for", pos + 1);
-      continue;
-    }
-    const std::size_t close = match_pair(ctx.scrubbed, open, '(', ')');
-    if (close == std::string::npos) break;
-    const std::string body = ctx.scrubbed.substr(open + 1, close - open - 2);
-    std::smatch m;
-    std::string::const_iterator begin = body.begin();
-    while (std::regex_search(begin, body.cend(), m, kMutation)) {
-      const std::string name = m[1].str();
-      // A container declared inside the body is thread-local: fine.
-      const std::regex local_decl("(^|[^.\\w>])(auto|[A-Za-z_][\\w:]*(<[^<>;]*>)?)[ \t&]+" +
-                                  name + "\\s*[;={(]");
-      if (!std::regex_search(body, local_decl)) {
-        ctx.add(line_of_offset(ctx.scrubbed, pos), "parallel-merge",
-                "parallel_for body mutates shared container '" + name +
-                    "' (." + m[2].str() +
-                    "); merge per-chunk results in chunk order via "
-                    "parallel_for_chunks instead");
-      }
-      begin = m.suffix().first;
-    }
-    pos = find_ident(ctx.scrubbed, "parallel_for", close);
-  }
-}
-
-// Rule: missing-include. The curated symbol -> header pairs that have bitten
-// this repo before (the threading PR shipped a missing <limits> twice).
-void rule_missing_include(const Ctx& ctx, const std::string& raw_text) {
-  struct Pair {
-    const char* header;
-    const char* pattern;
-    const char* example;
-  };
-  static const Pair kPairs[] = {
-      {"limits", R"(std::numeric_limits)", "std::numeric_limits"},
-      {"cmath",
-       R"(std::(sqrt|pow|floor|ceil|isnan|isfinite|log2?|exp|lround|hypot|cbrt|sin|cos|fabs|atan2?)\s*\()",
-       "std::sqrt"},
-      {"cstdint", R"(std::u?int(8|16|32|64)_t)", "std::uint64_t"},
-      {"algorithm",
-       R"(std::(sort|stable_sort|min|max|clamp|transform|fill|copy|lower_bound|upper_bound|min_element|max_element|nth_element|all_of|any_of|none_of|find_if|remove_if|partial_sort|rotate|unique|reverse)\s*[(<])",
-       "std::sort"},
-      {"numeric", R"(std::(accumulate|iota|reduce|inner_product|partial_sum)\s*[(<])",
-       "std::accumulate"},
-      {"sstream", R"(std::[io]?stringstream)", "std::ostringstream"},
-  };
-  for (const Pair& pair : kPairs) {
-    const std::regex sym(pair.pattern);
-    std::smatch m;
-    if (!std::regex_search(ctx.scrubbed, m, sym)) continue;
-    const std::string include = std::string("#include <") + pair.header + ">";
-    if (raw_text.find(include) != std::string::npos) continue;
-    const auto offset = static_cast<std::size_t>(m.position(0));
-    ctx.add(line_of_offset(ctx.scrubbed, offset), "missing-include",
-            std::string("uses ") + m[0].str() + " but does not include <" +
-                pair.header + "> (transitive includes are not a contract)");
-  }
-}
-
-// Rule: banned-symbol. Environment and process escapes make behaviour depend
-// on the host; configuration must flow through the config file / CLI layer.
-void rule_banned_symbol(const Ctx& ctx) {
-  static const std::regex kGetenv(R"((^|[^\w:.>])(std::)?getenv\s*\()");
-  static const std::regex kSystem(R"((^|[^\w:.>])(std::)?system\s*\()");
-  static const char* kSleeps[] = {"sleep_for", "sleep_until", "usleep", "setenv"};
-  for (std::size_t i = 0; i < ctx.lines.size(); ++i) {
-    const std::string& line = ctx.lines[i];
-    if (std::regex_search(line, kGetenv)) {
-      ctx.add(static_cast<int>(i) + 1, "banned-symbol",
-              "getenv makes behaviour depend on the host environment; plumb the "
-              "value through the config/CLI layer (or suppress at the single "
-              "sanctioned read site)");
-    }
-    if (std::regex_search(line, kSystem)) {
-      ctx.add(static_cast<int>(i) + 1, "banned-symbol",
-              "system() shells out; spawn nothing from library code");
-    }
-    for (const char* sleep : kSleeps) {
-      if (find_ident(line, sleep, 0) != std::string::npos) {
-        ctx.add(static_cast<int>(i) + 1, "banned-symbol",
-                std::string("'") + sleep +
-                    "' introduces host-timing dependence; coordinate via "
-                    "condition variables or the substrate clock");
-        break;
-      }
-    }
-  }
-}
-
-// Rule: fab-by-value. Fab and StagedObject own whole-field payload buffers;
-// a pass-by-value parameter deep-copies megabytes per call. Payloads move
-// (Fab&&), borrow (const Fab&), or share (std::shared_ptr<const Fab>).
-void rule_fab_by_value(const Ctx& ctx) {
-  static const std::string kTypes[] = {"Fab", "StagedObject"};
-  for (const std::string& type : kTypes) {
-    std::size_t pos = find_ident(ctx.scrubbed, type, 0);
-    while (pos != std::string::npos) {
-      const std::size_t next_pos = pos + type.size();
-      // Parameter position: the token before the type (skipping a NS::
-      // qualifier) must be '(' or ','. This also skips statement declarations
-      // and template arguments.
-      std::size_t before = pos;
-      for (;;) {
-        while (before > 0 &&
-               std::isspace(static_cast<unsigned char>(ctx.scrubbed[before - 1]))) {
-          --before;
-        }
-        if (before >= 2 && ctx.scrubbed[before - 1] == ':' &&
-            ctx.scrubbed[before - 2] == ':') {
-          before -= 2;
-          while (before > 0 && ident_char(ctx.scrubbed[before - 1])) --before;
-          continue;
-        }
-        break;
-      }
-      const char opener = before > 0 ? ctx.scrubbed[before - 1] : '\0';
-      if (opener == '(' || opener == ',') {
-        // By-value shape: type, a parameter name, then ',' or ')'. References,
-        // pointers, and template uses (&, *, <, >) never match this.
-        std::size_t name = skip_spaces(ctx.scrubbed, next_pos);
-        if (name < ctx.scrubbed.size() && ident_char(ctx.scrubbed[name]) &&
-            !std::isdigit(static_cast<unsigned char>(ctx.scrubbed[name]))) {
-          std::size_t name_end = name;
-          while (name_end < ctx.scrubbed.size() && ident_char(ctx.scrubbed[name_end])) {
-            ++name_end;
-          }
-          const std::size_t delim = skip_spaces(ctx.scrubbed, name_end);
-          if (delim < ctx.scrubbed.size() &&
-              (ctx.scrubbed[delim] == ',' || ctx.scrubbed[delim] == ')')) {
-            ctx.add(line_of_offset(ctx.scrubbed, pos), "fab-by-value",
-                    "parameter '" + ctx.scrubbed.substr(name, name_end - name) +
-                        "' takes " + type +
-                        " by value, deep-copying the whole payload; pass const " +
-                        type + "&, " + type +
-                        "&&, or share via std::shared_ptr<const " + type + ">");
-          }
-        }
-      }
-      pos = find_ident(ctx.scrubbed, type, next_pos);
-    }
-  }
-}
-
-// Rule: row-loop. A BoxIterator loop whose body feeds the dereferenced
-// iterator straight into a Fab-style accessor (`fab(*it, c)`) re-derives and
-// bounds-checks the flat index for every cell; in the analysis/viz hot paths
-// that arithmetic dominates the loop. Hoist row pointers (Fab::row +
-// mesh::for_each_row) instead. Advisory: deliberately scalar loops bound by
-// the determinism contract carry an allow(row-loop) marker with the reason.
-void rule_row_loop(const Ctx& ctx) {
-  const bool scoped = path_contains(ctx.path, "src/analysis") ||
-                      path_contains(ctx.path, "src/viz");
-  if (!scoped) return;
-  std::size_t pos = find_ident(ctx.scrubbed, "BoxIterator", 0);
-  while (pos != std::string::npos) {
-    const std::size_t next_from = pos + 11;
-    // Only loop declarations: "for (BoxIterator it(...); ...)".
-    std::size_t before = pos;
-    while (before > 0 &&
-           std::isspace(static_cast<unsigned char>(ctx.scrubbed[before - 1]))) {
-      --before;
-    }
-    if (before == 0 || ctx.scrubbed[before - 1] != '(') {
-      pos = find_ident(ctx.scrubbed, "BoxIterator", next_from);
-      continue;
-    }
-    const std::size_t for_open = before - 1;
-    std::size_t name = skip_spaces(ctx.scrubbed, next_from);
-    std::size_t name_end = name;
-    while (name_end < ctx.scrubbed.size() && ident_char(ctx.scrubbed[name_end])) {
-      ++name_end;
-    }
-    if (name_end == name) {
-      pos = find_ident(ctx.scrubbed, "BoxIterator", next_from);
-      continue;
-    }
-    const std::string it_name = ctx.scrubbed.substr(name, name_end - name);
-    const std::size_t for_close = match_pair(ctx.scrubbed, for_open, '(', ')');
-    if (for_close == std::string::npos) break;
-    // Loop body: a braced block, or a single statement up to ';'.
-    std::size_t body_begin = skip_spaces(ctx.scrubbed, for_close);
-    std::size_t body_end;
-    if (body_begin < ctx.scrubbed.size() && ctx.scrubbed[body_begin] == '{') {
-      body_end = match_pair(ctx.scrubbed, body_begin, '{', '}');
-    } else {
-      body_end = ctx.scrubbed.find(';', body_begin);
-      if (body_end != std::string::npos) ++body_end;
-    }
-    if (body_end == std::string::npos) break;
-    const std::string body =
-        ctx.scrubbed.substr(body_begin, body_end - body_begin);
-    // Accessor shape: `name(*it` where `name` is NOT preceded by another
-    // identifier (that shape is a declaration like `Box cell(*it, *it)`).
-    const std::regex access("([A-Za-z_]\\w*)\\s*\\(\\s*\\*\\s*" + it_name +
-                            "\\b");
-    std::smatch m;
-    std::string::const_iterator begin = body.begin();
-    while (std::regex_search(begin, body.cend(), m, access)) {
-      const auto at =
-          body_begin + static_cast<std::size_t>(m.position(0)) +
-          static_cast<std::size_t>(begin - body.begin());
-      std::size_t decl_check = at;
-      while (decl_check > 0 && std::isspace(static_cast<unsigned char>(
-                                   ctx.scrubbed[decl_check - 1]))) {
-        --decl_check;
-      }
-      if (decl_check == 0 || !ident_char(ctx.scrubbed[decl_check - 1])) {
-        ctx.add(line_of_offset(ctx.scrubbed, at), "row-loop",
-                "per-cell accessor '" + m[1].str() + "(*" + it_name +
-                    ", ...)' in a BoxIterator loop re-derives the flat index "
-                    "every cell; hoist Fab::row pointers with "
-                    "mesh::for_each_row (or suppress with the reason the loop "
-                    "must stay scalar)");
-        break;  // one finding per loop is enough to point at the rewrite
-      }
-      begin = m.suffix().first;
-    }
-    pos = find_ident(ctx.scrubbed, "BoxIterator", body_end);
-  }
+  return covered;
 }
 
 }  // namespace
 
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
-      // Lexical layer.
       {"wallclock", "wall-clock/time sources outside the substrate clock"},
       {"raw-random", "unseeded or global randomness outside common/rng.hpp"},
       {"unordered-iter",
-       "iteration over unordered containers in src/runtime, src/cluster, src/workflow"},
+       "iteration over unordered containers: any in src/runtime, src/cluster, "
+       "src/workflow; results escaping unsorted elsewhere in src/ and tools/"},
       {"float-cast", "raw static_cast from floating point to integer without a guard"},
-      {"parallel-merge", "parallel_for body mutating a shared container"},
+      {"parallel-merge",
+       "parallel_for body mutating a shared container or accumulating into an "
+       "outer float"},
       {"missing-include", "use of a std symbol without its owning header"},
       {"banned-symbol", "environment/process escapes (getenv, system, sleeps)"},
       {"fab-by-value", "pass-by-value Fab/StagedObject parameters (payload deep-copy)"},
       {"row-loop",
        "per-cell fab(*it, c) accessors in analysis/viz hot loops (hoist Fab::row)"},
-      // Semantic layer (declaration/scope model + cross-TU symbol table).
-      {"unordered-escape",
-       "hash-order iteration results escaping unsorted (returns, sinks, float sums)"},
       {"unguarded-field",
        "mutex-owning class field lacking XL_GUARDED_BY or XL_UNGUARDED(reason)"},
       {"lock-order", "cycle in the cross-TU lock acquisition order graph"},
-      {"parallel-float-merge",
-       "float accumulation in a parallel_for body bypassing the ordered merge"},
-      {"scratch-escape",
-       "pooled Scratch/ArenaVec storage escaping its RAII scope"},
-      // Meta layer.
+      {"scratch-escape", "pooled Scratch/ArenaVec storage escaping its RAII scope"},
       {"stale-suppression", "an allow() marker that no longer suppresses anything"},
-      {"stale-baseline", "a baseline entry larger than the current tree needs"},
   };
   return kRules;
 }
 
-std::string scrub_source(const std::string& text) { return scrub(text); }
-
 std::vector<Finding> lint_texts(
     const std::vector<std::pair<std::string, std::string>>& sources) {
-  struct PerFile {
-    const std::string* path = nullptr;
-    std::string scrubbed;
-    std::vector<std::string> raw_lines;
-    std::vector<std::string> lines;
-    Suppressions sup;
-    std::vector<Finding> findings;  // pre-suppression.
-  };
-  std::vector<PerFile> files(sources.size());
   std::vector<FileModel> models;
   models.reserve(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    PerFile& pf = files[i];
-    pf.path = &sources[i].first;
-    pf.scrubbed = scrub(sources[i].second);
-    pf.raw_lines = split_lines(scrub(sources[i].second, /*keep_comments=*/true));
-    pf.lines = split_lines(pf.scrubbed);
-    pf.sup = parse_suppressions(pf.raw_lines);
-    models.push_back(build_file_model(sources[i].first, pf.scrubbed));
-  }
+  for (const auto& [path, text] : sources) models.push_back(build_file_model(path, text));
   const SymbolTable table = build_symbol_table(models);
 
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    PerFile& pf = files[i];
-    const Ctx ctx{*pf.path, pf.scrubbed, pf.lines, pf.findings};
-    rule_wallclock(ctx);
-    rule_raw_random(ctx);
-    rule_unordered_iter(ctx);
-    rule_float_cast(ctx);
-    rule_parallel_merge(ctx);
-    rule_missing_include(ctx, sources[i].second);
-    rule_banned_symbol(ctx);
-    rule_fab_by_value(ctx);
-    rule_row_loop(ctx);
-    run_file_semantic_rules(models[i], table, pf.findings);
-  }
-
+  std::vector<std::vector<Finding>> per_file(models.size());
+  for (std::size_t i = 0; i < models.size(); ++i) run_file_rules(models[i], per_file[i]);
   // Lock-order runs once over the whole table; its findings are attributed to
   // the file holding the representative acquisition so that file's
   // suppressions govern them.
   std::vector<Finding> global;
   run_lock_order_rule(models, table, global);
   for (Finding& f : global) {
-    for (PerFile& pf : files) {
-      if (*pf.path == f.file) {
-        pf.findings.push_back(std::move(f));
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      if (models[i].path == f.file) {
+        per_file[i].push_back(std::move(f));
         break;
       }
     }
   }
 
-  std::set<std::string> known_rules;
+  std::set<std::string> known_rules = {"all"};
   for (const RuleInfo& rule : rules()) known_rules.insert(rule.id);
 
   std::vector<Finding> out;
-  for (PerFile& pf : files) {
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    std::vector<Marker> markers = parse_markers(models[i]);
     std::vector<Finding> kept;
-    for (Finding& f : pf.findings) {
-      if (!pf.sup.allows(f.rule, f.line)) kept.push_back(std::move(f));
+    for (Finding& f : per_file[i]) {
+      if (!suppressed(markers, f)) kept.push_back(std::move(f));
     }
     // Stale / mistyped markers: an allow() that suppressed nothing is debt.
-    for (const Marker& m : pf.sup.markers) {
-      if (!known_rules.count(m.rule) && m.rule != "all") {
+    for (const Marker& m : markers) {
+      if (!known_rules.count(m.rule)) {
         kept.push_back(Finding{
-            *pf.path, m.marker_line, "stale-suppression",
+            models[i].path, m.marker_line, "stale-suppression",
             "suppression references unknown rule '" + m.rule +
                 "' (see --list-rules); fix the id or remove the marker"});
       } else if (!m.used) {
         kept.push_back(Finding{
-            *pf.path, m.marker_line, "stale-suppression",
+            models[i].path, m.marker_line, "stale-suppression",
             "suppression for rule '" + m.rule +
                 "' no longer matches any finding; remove the marker"});
       }
     }
-    std::sort(kept.begin(), kept.end(), [](const Finding& a, const Finding& b) {
+    std::stable_sort(kept.begin(), kept.end(), [](const Finding& a, const Finding& b) {
       return a.line != b.line ? a.line < b.line : a.rule < b.rule;
     });
     out.insert(out.end(), std::make_move_iterator(kept.begin()),
@@ -802,17 +186,6 @@ std::vector<Finding> lint_texts(
 
 std::vector<Finding> lint_text(const std::string& path, const std::string& text) {
   return lint_texts({{path, text}});
-}
-
-std::vector<Finding> lint_file(const std::string& disk_path,
-                               const std::string& display_path) {
-  std::ifstream in(disk_path, std::ios::binary);
-  if (!in) {
-    return {Finding{display_path, 0, "io", "cannot open file"}};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return lint_text(display_path, buffer.str());
 }
 
 std::vector<std::string> collect_sources(const std::string& root,
@@ -832,7 +205,9 @@ std::vector<std::string> collect_sources(const std::string& root,
       out.push_back(rel);
       continue;
     }
-    if (!fs::is_directory(base)) continue;
+    if (!fs::is_directory(base)) {
+      throw std::invalid_argument("no such file or directory: " + base.string());
+    }
     fs::recursive_directory_iterator it(base), end;
     while (it != end) {
       if (it->is_directory() && skipped_dir(it->path().filename().string())) {
@@ -850,24 +225,14 @@ std::vector<std::string> collect_sources(const std::string& root,
 
 int run_cli(int argc, const char* const* argv) {
   std::string root = ".";
+  std::string sarif_path;
   std::vector<std::string> paths;
-  std::string baseline_path, write_baseline_path, sarif_path;
-  bool quiet = false;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--json") {
-      json = true;
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      write_baseline_path = argv[++i];
     } else if (arg == "--list-rules") {
       for (const RuleInfo& rule : rules()) {
         std::cout << rule.id << "  " << rule.summary << "\n";
@@ -875,16 +240,14 @@ int run_cli(int argc, const char* const* argv) {
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::cout
-          << "usage: xl_lint [--root DIR] [--quiet] [--json] [--sarif FILE]\n"
-             "               [--baseline FILE] [--write-baseline FILE]\n"
-             "               [--list-rules] PATH...\n"
+          << "usage: xl_lint [--root DIR] [--sarif FILE] [--list-rules] PATH...\n"
              "Lints .cpp/.hpp/.h/.cc files under each PATH (relative to --root)\n"
-             "against the determinism-contract rules (lexical + semantic).\n"
-             "  --json            print findings as JSON instead of text\n"
-             "  --sarif FILE      additionally write a SARIF 2.1.0 report\n"
-             "  --baseline FILE   absorb grandfathered findings; new findings\n"
-             "                    and stale baseline entries still fail\n"
-             "  --write-baseline FILE  regenerate the baseline and exit 0\n"
+             "against the determinism-contract rules. The one way to accept a\n"
+             "finding is an inline `// xl-lint: allow(<rule>): <reason>` marker.\n"
+             "  --root DIR     resolve PATHs against DIR (default .)\n"
+             "  --sarif FILE   additionally write a SARIF 2.1.0 report\n"
+             "  --list-rules   print the rule ids and exit\n"
+             "  --help         print this help and exit\n"
              "Exit 0 = clean, 1 = findings, 2 = error.\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -898,19 +261,24 @@ int run_cli(int argc, const char* const* argv) {
     std::cerr << "xl_lint: no paths given (try --help)\n";
     return 2;
   }
-  const std::vector<std::string> files = collect_sources(root, paths);
+  std::vector<std::string> files;
+  try {
+    files = collect_sources(root, paths);
+  } catch (const std::exception& e) {
+    std::cerr << "xl_lint: " << e.what() << "\n";
+    return 2;
+  }
   if (files.empty()) {
     std::cerr << "xl_lint: no source files found under the given paths\n";
     return 2;
   }
 
-  // Read every file up front: the semantic rules want one symbol table
-  // spanning all translation units.
+  // Read every file up front: the rules want one symbol table spanning all
+  // translation units.
   std::vector<std::pair<std::string, std::string>> sources;
   std::vector<Finding> findings;
   for (const std::string& rel : files) {
-    const std::string disk = (std::filesystem::path(root) / rel).string();
-    std::ifstream in(disk, std::ios::binary);
+    std::ifstream in(std::filesystem::path(root) / rel, std::ios::binary);
     if (!in) {
       findings.push_back(Finding{rel, 0, "io", "cannot open file"});
       continue;
@@ -919,46 +287,9 @@ int run_cli(int argc, const char* const* argv) {
     buffer << in.rdbuf();
     sources.emplace_back(rel, buffer.str());
   }
-  {
-    std::vector<Finding> linted = lint_texts(sources);
-    findings.insert(findings.end(), std::make_move_iterator(linted.begin()),
-                    std::make_move_iterator(linted.end()));
-  }
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "xl_lint: cannot write baseline " << write_baseline_path << "\n";
-      return 2;
-    }
-    out << baseline_from_findings(findings);
-    if (!quiet) {
-      std::cerr << "xl_lint: wrote baseline for " << findings.size()
-                << " finding(s) to " << write_baseline_path << "\n";
-    }
-    return 0;
-  }
-
-  std::size_t baselined = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "xl_lint: cannot open baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::optional<Baseline> baseline = parse_baseline(buffer.str());
-    if (!baseline) {
-      std::cerr << "xl_lint: malformed baseline " << baseline_path << "\n";
-      return 2;
-    }
-    BaselineResult result = apply_baseline(findings, *baseline, baseline_path);
-    baselined = result.suppressed;
-    findings = std::move(result.kept);
-    findings.insert(findings.end(), std::make_move_iterator(result.stale.begin()),
-                    std::make_move_iterator(result.stale.end()));
-  }
+  std::vector<Finding> linted = lint_texts(sources);
+  findings.insert(findings.end(), std::make_move_iterator(linted.begin()),
+                  std::make_move_iterator(linted.end()));
 
   if (!sarif_path.empty()) {
     std::ofstream out(sarif_path, std::ios::binary);
@@ -969,25 +300,15 @@ int run_cli(int argc, const char* const* argv) {
     out << sarif_report(findings);
   }
 
-  if (json) {
-    std::cout << json_report(findings);
-  } else {
-    for (const Finding& f : findings) {
-      std::cout << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message
-                << "\n";
-    }
+  std::set<std::string> files_with_findings;
+  for (const Finding& f : findings) {
+    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message << "\n";
+    files_with_findings.insert(f.file);
   }
-  if (!quiet && !json) {
-    std::set<std::string> files_with_findings;
-    for (const Finding& f : findings) files_with_findings.insert(f.file);
-    std::cerr << "xl_lint: " << files.size() << " files, " << findings.size()
-              << " finding" << (findings.size() == 1 ? "" : "s");
-    if (!findings.empty()) {
-      std::cerr << " in " << files_with_findings.size() << " files";
-    }
-    if (baselined != 0) std::cerr << " (" << baselined << " baselined)";
-    std::cerr << "\n";
-  }
+  std::cerr << "xl_lint: " << files.size() << " files, " << findings.size()
+            << " finding" << (findings.size() == 1 ? "" : "s");
+  if (!findings.empty()) std::cerr << " in " << files_with_findings.size() << " files";
+  std::cerr << "\n";
   return findings.empty() ? 0 : 1;
 }
 

@@ -14,6 +14,135 @@ bool ident_start(char c) {
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
+bool blank(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
+/// `include <name>` (a directive's text after the '#') -> "name", else "".
+std::string angle_include(const std::string& directive) {
+  std::size_t i = directive.find_first_not_of(" \t");
+  if (i == std::string::npos || directive.compare(i, 7, "include") != 0) return "";
+  i = directive.find_first_not_of(" \t", i + 7);
+  if (i == std::string::npos || directive[i] != '<') return "";
+  const std::size_t close = directive.find('>', i);
+  return close == std::string::npos ? "" : directive.substr(i + 1, close - i - 1);
+}
+
+/// Split `s` into the model's code tokens, comments, comment-only lines and
+/// #include names. Comments, string/char literals and raw strings never
+/// become tokens; neither do preprocessor lines (and their `\` continuations).
+void lex(const std::string& s, FileModel& out) {
+  const std::size_t n = s.size();
+  int line = 1;
+  bool at_line_start = true;  // no code yet on this line (comments aside).
+  bool line_fresh = true;     // nothing but blanks yet on this line.
+  bool in_directive = false;
+  std::string directive;  // code text of the current preprocessor line.
+  const auto newline = [&] {
+    if (in_directive) {
+      const std::string header = angle_include(directive);
+      if (!header.empty()) out.includes.insert(header);
+      in_directive = false;
+      directive.clear();
+    }
+    ++line;
+    at_line_start = line_fresh = true;
+  };
+  std::size_t i = 0;
+  while (i < n) {
+    const char c = s[i];
+    const char next = i + 1 < n ? s[i + 1] : '\0';
+    if (c == '\n') {
+      newline();
+      ++i;
+    } else if (c == '\\' && next == '\n' && in_directive) {
+      ++line;
+      line_fresh = true;
+      i += 2;
+    } else if (blank(c)) {
+      if (in_directive) directive += c;
+      ++i;
+    } else if (c == '/' && next == '/') {
+      if (line_fresh) out.comment_only_lines.insert(line);
+      const std::size_t end = std::min(s.find('\n', i), n);
+      out.comments.push_back({line, s.substr(i + 2, end - i - 2)});
+      i = end;
+    } else if (c == '/' && next == '*') {
+      line_fresh = false;
+      std::string text;
+      for (i += 2; i < n && s.compare(i, 2, "*/") != 0; ++i) {
+        if (s[i] == '\n') {
+          out.comments.push_back({line, std::move(text)});
+          text.clear();
+          newline();
+          continue;
+        }
+        if (line_fresh && !blank(s[i])) {
+          if (s.compare(i, 2, "//") == 0) out.comment_only_lines.insert(line);
+          line_fresh = false;
+        }
+        text += s[i];
+      }
+      out.comments.push_back({line, std::move(text)});
+      i = std::min(i + 2, n);
+    } else if (c == '"' || c == '\'') {
+      for (++i; i < n && s[i] != c; ++i) {
+        if (s[i] == '\\' && i + 1 < n && s[i + 1] != '\n') ++i;
+        else if (s[i] == '\n') newline();
+      }
+      line_fresh = false;
+      i = std::min(i + 1, n);
+    } else if (c == '#' && at_line_start) {
+      line_fresh = at_line_start = false;
+      in_directive = true;
+      ++i;
+    } else if (in_directive) {
+      directive += c;
+      ++i;
+    } else {
+      line_fresh = at_line_start = false;
+      Token t;
+      t.line = line;
+      std::size_t j = i + 1;
+      if (ident_start(c)) {
+        t.kind = Token::Kind::Ident;
+        while (j < n && ident_char(s[j])) ++j;
+        t.text = s.substr(i, j - i);
+        if (j < n && s[j] == '"' &&
+            (t.text == "R" || t.text == "LR" || t.text == "uR" || t.text == "UR" ||
+             t.text == "u8R")) {
+          // Raw string R"delim( ... )delim": no token, just its lines.
+          const std::size_t open = std::min(s.find('(', j), n);
+          const std::string close = ")" + s.substr(j + 1, open - j - 1) + "\"";
+          const std::size_t end = std::min(s.find(close, open), n);
+          line += static_cast<int>(std::count(s.begin() + static_cast<std::ptrdiff_t>(j),
+                                              s.begin() + static_cast<std::ptrdiff_t>(end),
+                                              '\n'));
+          i = std::min(end + close.size(), n);
+          continue;
+        }
+      } else if (std::isdigit(static_cast<unsigned char>(c))) {
+        t.kind = Token::Kind::Number;
+        while (j < n && (ident_char(s[j]) || s[j] == '.' ||
+                         ((s[j] == '+' || s[j] == '-') &&
+                          (s[j - 1] == 'e' || s[j - 1] == 'E')) ||
+                         (s[j] == '\'' && j + 1 < n && ident_char(s[j + 1])))) {
+          ++j;
+        }
+        t.text = s.substr(i, j - i);
+      } else {
+        static const char* kTwo[] = {"::", "->", "+=", "-=", "*=", "/=", "==",
+                                     "!=", "&&", "||", "++", "--", "<<"};
+        t.text = std::string(1, c);
+        for (const char* p : kTwo) {
+          if (s.compare(i, 2, p) == 0) t.text = p;
+        }
+        j = i + t.text.size();
+      }
+      i = j;
+      out.tokens.push_back(std::move(t));
+    }
+  }
+  newline();  // closes a directive on the last line.
+}
 
 const std::set<std::string>& control_keywords() {
   static const std::set<std::string> kw = {
@@ -36,111 +165,6 @@ bool is_exempt_type_word(const std::string& w) {
          w == "condition_variable_any" || w == "thread" || w == "jthread";
 }
 
-}  // namespace
-
-std::vector<Token> tokenize(const std::string& s) {
-  std::vector<Token> out;
-  int line = 1;
-  std::size_t i = 0;
-  const std::size_t n = s.size();
-  bool at_line_start = true;  // only whitespace seen since the last newline.
-  while (i < n) {
-    const char c = s[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      at_line_start = true;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '#' && at_line_start) {
-      // Preprocessor directive: skip to end of line, honoring continuations.
-      while (i < n) {
-        if (s[i] == '\\' && i + 1 < n && s[i + 1] == '\n') {
-          ++line;
-          i += 2;
-          continue;
-        }
-        if (s[i] == '\n') break;
-        ++i;
-      }
-      continue;
-    }
-    at_line_start = false;
-    Token t;
-    t.offset = i;
-    t.line = line;
-    if (ident_start(c)) {
-      t.kind = Token::Kind::Ident;
-      while (i < n && ident_char(s[i])) t.text += s[i++];
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      t.kind = Token::Kind::Number;
-      while (i < n && (ident_char(s[i]) || s[i] == '.' ||
-                       ((s[i] == '+' || s[i] == '-') && i > 0 &&
-                        (s[i - 1] == 'e' || s[i - 1] == 'E')))) {
-        t.text += s[i++];
-      }
-    } else {
-      t.kind = Token::Kind::Punct;
-      // Multi-char puncts we care about. `<` `>` stay single so template
-      // argument lists can be matched by depth.
-      static const char* kTwo[] = {"::", "->", "+=", "-=", "*=", "/=",
-                                   "==", "!=", "&&", "||", "++", "--"};
-      t.text = std::string(1, c);
-      if (i + 1 < n) {
-        const std::string two = s.substr(i, 2);
-        for (const char* p : kTwo) {
-          if (two == p) {
-            t.text = two;
-            break;
-          }
-        }
-      }
-      i += t.text.size();
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-namespace {
-
-using Tokens = std::vector<Token>;
-
-/// Index one past the group closing `open` (tokens[open] is `(` `{` or `[`).
-/// Returns `end` when unbalanced.
-std::size_t match_group(const Tokens& t, std::size_t open, std::size_t end,
-                        const char* oc, const char* cc) {
-  int depth = 0;
-  for (std::size_t i = open; i < end; ++i) {
-    if (t[i].text == oc) ++depth;
-    else if (t[i].text == cc) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return end;
-}
-
-/// Match a template argument list starting at `open` (tokens[open] == "<").
-/// Bails out (returns open) when no balanced close is found before `end` --
-/// the `<` was a comparison, not an angle bracket.
-std::size_t try_match_angles(const Tokens& t, std::size_t open, std::size_t end) {
-  int depth = 0;
-  for (std::size_t i = open; i < end; ++i) {
-    const std::string& x = t[i].text;
-    if (x == "<") ++depth;
-    else if (x == ">") {
-      if (--depth == 0) return i + 1;
-    } else if (x == ";" || x == "{" || x == "}") {
-      return open;  // statement boundary: not a template list.
-    }
-  }
-  return open;
-}
-
 /// True for macro-style idents whose paren group should be skipped when
 /// classifying declarations (annotation macros, attribute macros).
 bool is_annotation_macro(const std::string& w) {
@@ -151,8 +175,6 @@ bool is_annotation_macro(const std::string& w) {
 
 struct ClassSpan {
   std::string name;
-  int line = 0;
-  std::size_t header_tok = 0;  // index of the class/struct keyword.
   std::size_t body_open = 0;   // index of '{'.
   std::size_t body_close = 0;  // index of '}'.
 };
@@ -170,7 +192,6 @@ std::vector<ClassSpan> find_class_spans(const Tokens& t) {
     // identifier before '{' / ':' / ';'.
     std::size_t j = i + 1;
     std::string name;
-    int line = t[i].line;
     bool ok = false;
     while (j < t.size()) {
       const Token& tok = t[j];
@@ -214,8 +235,6 @@ std::vector<ClassSpan> find_class_spans(const Tokens& t) {
     if (!ok) continue;
     ClassSpan span;
     span.name = name;
-    span.line = line;
-    span.header_tok = i;
     span.body_open = j;
     const std::size_t past = match_group(t, j, t.size(), "{", "}");
     if (past == t.size() && (past == 0 || t[past - 1].text != "}")) continue;
@@ -245,14 +264,12 @@ void classify_member_statement(const Tokens& t, std::size_t b, std::size_t e,
     const Token& tok = t[i];
     if (tok.kind == Token::Kind::Ident && is_annotation_macro(tok.text) &&
         i + 1 < e && t[i + 1].text == "(") {
-      const std::size_t past = match_group(t, i + 1, e, "(", ")");
       if (tok.text == "XL_GUARDED_BY" || tok.text == "XL_PT_GUARDED_BY") {
         m.is_guarded = true;
-        for (std::size_t k = i + 2; k + 1 < past; ++k) m.guard += t[k].text;
       } else if (tok.text == "XL_UNGUARDED") {
         m.is_marked_unguarded = true;
       }
-      i = past;
+      i = match_group(t, i + 1, e, "(", ")");
       continue;
     }
     if (tok.text == "<") {
@@ -364,19 +381,9 @@ void parse_members(const Tokens& t, const ClassSpan& span, ClassModel& cls) {
 
 // --- function body discovery -------------------------------------------------
 
-struct FunctionSpan {
-  std::string name;
-  std::string class_name;
-  int line = 0;
-  std::size_t body_open = 0;     // token index of '{'.
-  std::size_t body_close = 0;    // token index of '}'.
-  std::size_t params_open = 0;   // token index of the parameter-list '('.
-  std::size_t params_close = 0;  // token index of the parameter-list ')'.
-};
-
-std::vector<FunctionSpan> find_function_spans(const Tokens& t,
-                                              const std::vector<ClassSpan>& classes) {
-  std::vector<FunctionSpan> out;
+std::vector<FunctionModel> find_functions(const Tokens& t,
+                                          const std::vector<ClassSpan>& classes) {
+  std::vector<FunctionModel> out;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != Token::Kind::Ident) continue;
     if (control_keywords().count(t[i].text)) continue;
@@ -476,14 +483,12 @@ std::vector<FunctionSpan> find_function_spans(const Tokens& t,
     }
     if (!body || j >= t.size()) continue;
 
-    FunctionSpan fn;
+    FunctionModel fn;
     fn.name = t[i].text;
-    fn.line = t[i].line;
     fn.params_open = i + 1;
     fn.params_close = after_params - 1;
     fn.body_open = j;
-    const std::size_t past = match_group(t, j, t.size(), "{", "}");
-    fn.body_close = past - 1;
+    fn.body_close = match_group(t, j, t.size(), "{", "}") - 1;
     if (i >= 2 && t[i - 1].text == "::" && t[i - 2].kind == Token::Kind::Ident) {
       fn.class_name = t[i - 2].text;
     } else {
@@ -567,7 +572,6 @@ void scan_body(const Tokens& t, FunctionModel& fn) {
         Acquisition acq;
         acq.expr = expr;
         acq.line = tok.line;
-        acq.offset = tok.offset;
         acq.top_level = stack.empty();
         for (const Active& a : stack) acq.held.push_back(fn.acquisitions[a.acq_index].expr);
         fn.acquisitions.push_back(std::move(acq));
@@ -597,57 +601,70 @@ void scan_body(const Tokens& t, FunctionModel& fn) {
 
 }  // namespace
 
-const ClassModel* FileModel::enclosing_class(std::size_t offset) const {
+std::size_t match_group(const Tokens& t, std::size_t open, std::size_t end,
+                        const char* oc, const char* cc) {
+  int depth = 0;
+  for (std::size_t i = open; i < end; ++i) {
+    if (t[i].text == oc) ++depth;
+    else if (t[i].text == cc) {
+      if (--depth == 0) return i + 1;
+    }
+  }
+  return end;
+}
+
+std::size_t try_match_angles(const Tokens& t, std::size_t open, std::size_t end) {
+  int depth = 0;
+  for (std::size_t i = open; i < end; ++i) {
+    const std::string& x = t[i].text;
+    if (x == "<") ++depth;
+    else if (x == ">") {
+      if (--depth == 0) return i + 1;
+    } else if (x == ";" || x == "{" || x == "}") {
+      return open;  // statement boundary: not a template list.
+    }
+  }
+  return open;
+}
+
+const ClassModel* FileModel::enclosing_class(std::size_t tok) const {
   const ClassModel* best = nullptr;
   for (const ClassModel& c : classes) {
-    if (offset > c.body_begin && offset < c.body_end) {
-      if (!best || c.body_begin > best->body_begin) best = &c;
+    if (tok > c.body_open && tok < c.body_close) {
+      if (!best || c.body_open > best->body_open) best = &c;
     }
   }
   return best;
 }
 
-FileModel build_file_model(const std::string& path, const std::string& scrubbed) {
+const FunctionModel* FileModel::enclosing_function(std::size_t tok) const {
+  const FunctionModel* best = nullptr;
+  for (const FunctionModel& f : functions) {
+    if (tok > f.body_open && tok < f.body_close) {
+      if (!best || f.body_open > best->body_open) best = &f;
+    }
+  }
+  return best;
+}
+
+FileModel build_file_model(const std::string& path, const std::string& text) {
   FileModel model;
   model.path = path;
-  model.scrubbed = scrubbed;
-  model.tokens = tokenize(scrubbed);
+  lex(text, model);
   const Tokens& t = model.tokens;
 
   const std::vector<ClassSpan> spans = find_class_spans(t);
   for (const ClassSpan& span : spans) {
     ClassModel cls;
     cls.name = span.name;
-    cls.line = span.line;
-    cls.body_begin = t[span.body_open].offset + 1;
-    cls.body_end = t[span.body_close].offset;
+    cls.body_open = span.body_open;
+    cls.body_close = span.body_close;
     parse_members(t, span, cls);
     model.classes.push_back(std::move(cls));
   }
-  for (const FunctionSpan& span : find_function_spans(t, spans)) {
-    FunctionModel fn;
-    fn.name = span.name;
-    fn.class_name = span.class_name;
-    fn.line = span.line;
-    fn.body_open = span.body_open;
-    fn.body_close = span.body_close;
-    fn.params_open = span.params_open;
-    fn.params_close = span.params_close;
-    fn.body_begin = t[span.body_open].offset + 1;
-    fn.body_end = t[span.body_close].offset;
-    scan_body(t, fn);
-    model.functions.push_back(std::move(fn));
-  }
+  model.functions = find_functions(t, spans);
+  for (FunctionModel& fn : model.functions) scan_body(t, fn);
   return model;
-}
-
-const ClassModel* SymbolTable::find_class(const std::string& name) const {
-  const auto it = classes.find(name);
-  if (it == classes.end()) return nullptr;
-  for (const ClassModel* c : it->second) {
-    if (!c->members.empty()) return c;
-  }
-  return it->second.empty() ? nullptr : it->second.front();
 }
 
 const Member* SymbolTable::find_member(const std::string& cls,

@@ -1,10 +1,15 @@
-// Semantic model for xl_lint: a lightweight tokenizer and declaration/scope
-// parser over scrubbed C++ sources. It is not a compiler front end -- it
-// recovers exactly the structure the semantic rules need:
+// The xl_lint front end: one lexer and a lightweight declaration/scope parser
+// over C++ sources. It is not a compiler front end -- it recovers exactly the
+// structure the rules need:
 //
+//   - the code tokens, with comments, string/char literals (raw strings
+//     included) and preprocessor lines dropped;
+//   - the comment text, line by line, and which lines are comment-only (the
+//     `xl-lint:` suppression markers live there);
+//   - the headers named by `#include <...>`;
 //   - classes/structs with their data members, mutex members, and the
 //     XL_GUARDED_BY / XL_UNGUARDED annotations attached to each member;
-//   - function and method bodies (offset spans into the scrubbed text);
+//   - function and method bodies (token spans);
 //   - lock acquisitions inside each body (MutexLock / lock_guard /
 //     unique_lock / scoped_lock), with their nesting structure;
 //   - call sites made while holding a lock (for one level of cross-TU
@@ -17,6 +22,7 @@
 
 #include <cstddef>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,19 +32,37 @@ struct Token {
   enum class Kind { Ident, Number, Punct };
   Kind kind = Kind::Punct;
   std::string text;
-  std::size_t offset = 0;  ///< into the scrubbed text.
-  int line = 1;            ///< 1-based.
+  int line = 1;  ///< 1-based.
 };
 
-/// Tokenize scrubbed source. Preprocessor lines (and their backslash
-/// continuations) are skipped entirely; `<` and `>` are always single-char
-/// tokens so template argument lists can be depth-matched.
-std::vector<Token> tokenize(const std::string& scrubbed);
+/// `<` and `>` are always single-char tokens so template argument lists can
+/// be depth-matched; `<<` is one token.
+using Tokens = std::vector<Token>;
+
+/// Index one past the group closing t[open] (`oc` ... `cc`, nested by depth).
+/// Returns `end` when unbalanced.
+std::size_t match_group(const Tokens& t, std::size_t open, std::size_t end,
+                        const char* oc, const char* cc);
+
+/// Index one past the template argument list opening at t[open] == "<".
+/// Returns `open` when no balanced close comes before `end` or a statement
+/// boundary (`;` `{` `}`) -- the `<` was a comparison.
+std::size_t try_match_angles(const Tokens& t, std::size_t open, std::size_t end);
+
+inline bool tok_is(const Tokens& t, std::size_t i, const char* text) {
+  return i < t.size() && t[i].text == text;
+}
+
+/// The text of one comment on one physical line (a block comment spanning
+/// several lines yields one entry per line).
+struct Comment {
+  int line = 0;
+  std::string text;
+};
 
 struct Member {
   std::string name;
-  std::string type;   ///< declaration text before the name, macros stripped.
-  std::string guard;  ///< XL_GUARDED_BY argument ("" when absent).
+  std::string type;  ///< declaration text before the name, macros stripped.
   int line = 0;
   bool is_mutex = false;    ///< Mutex / std::mutex family.
   bool is_exempt = false;   ///< const/static/atomic/CondVar/thread/reference.
@@ -48,9 +72,8 @@ struct Member {
 
 struct ClassModel {
   std::string name;
-  int line = 0;
-  std::size_t body_begin = 0;  ///< offset just past the opening '{'.
-  std::size_t body_end = 0;    ///< offset of the closing '}'.
+  std::size_t body_open = 0;   ///< token index of the opening '{'.
+  std::size_t body_close = 0;  ///< token index of the closing '}'.
   std::vector<Member> members;
 
   bool has_mutex() const {
@@ -71,7 +94,6 @@ struct ClassModel {
 struct Acquisition {
   std::string expr;  ///< raw lock expression, whitespace stripped.
   int line = 0;
-  std::size_t offset = 0;
   bool top_level = false;  ///< acquired while holding no other lock.
   /// Raw exprs of locks already held at this acquisition (innermost last).
   std::vector<std::string> held;
@@ -88,9 +110,6 @@ struct CallSite {
 struct FunctionModel {
   std::string name;
   std::string class_name;  ///< qualifier or enclosing class ("" for free).
-  int line = 0;
-  std::size_t body_begin = 0;  ///< offset just past the opening '{'.
-  std::size_t body_end = 0;    ///< offset of the closing '}'.
   std::size_t body_open = 0;    ///< token index of the opening '{'.
   std::size_t body_close = 0;   ///< token index of the closing '}'.
   std::size_t params_open = 0;  ///< token index of the parameter-list '('.
@@ -101,13 +120,17 @@ struct FunctionModel {
 
 struct FileModel {
   std::string path;
-  std::string scrubbed;
-  std::vector<Token> tokens;
+  Tokens tokens;
+  std::vector<Comment> comments;
+  std::set<int> comment_only_lines;  ///< first non-blank characters are `//`.
+  std::set<std::string> includes;    ///< headers named by `#include <...>`.
   std::vector<ClassModel> classes;
   std::vector<FunctionModel> functions;
 
-  /// Innermost class whose body span contains `offset` (nullptr if none).
-  const ClassModel* enclosing_class(std::size_t offset) const;
+  /// Innermost class whose body contains token `tok` (nullptr if none).
+  const ClassModel* enclosing_class(std::size_t tok) const;
+  /// Innermost function whose body contains token `tok` (nullptr if none).
+  const FunctionModel* enclosing_function(std::size_t tok) const;
 };
 
 /// Cross-translation-unit view over every parsed file.
@@ -115,12 +138,10 @@ struct SymbolTable {
   std::map<std::string, std::vector<const ClassModel*>> classes;
   std::map<std::string, std::vector<const FunctionModel*>> functions;
 
-  /// First definition of `name` that has members (headers win over stubs).
-  const ClassModel* find_class(const std::string& name) const;
   const Member* find_member(const std::string& cls, const std::string& member) const;
 };
 
-FileModel build_file_model(const std::string& path, const std::string& scrubbed);
+FileModel build_file_model(const std::string& path, const std::string& text);
 SymbolTable build_symbol_table(const std::vector<FileModel>& models);
 
 }  // namespace xl::lint

@@ -1,7 +1,6 @@
 #include "report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <sstream>
 
@@ -32,101 +31,7 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// --- minimal JSON reader (objects, arrays, strings, integers) ---------------
-//
-// Just enough to round-trip the documents this tool writes; rejects anything
-// it does not understand rather than guessing.
-
-struct JsonReader {
-  const std::string& s;
-  std::size_t i = 0;
-  bool ok = true;
-
-  explicit JsonReader(const std::string& text) : s(text) {}
-
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-  std::string string() {
-    skip_ws();
-    std::string out;
-    if (i >= s.size() || s[i] != '"') {
-      ok = false;
-      return out;
-    }
-    ++i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) {
-        ++i;
-        switch (s[i]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          default: ok = false; return out;
-        }
-        ++i;
-      } else {
-        out += s[i++];
-      }
-    }
-    if (i >= s.size()) {
-      ok = false;
-      return out;
-    }
-    ++i;  // closing quote.
-    return out;
-  }
-  long integer() {
-    skip_ws();
-    bool neg = false;
-    if (i < s.size() && s[i] == '-') {
-      neg = true;
-      ++i;
-    }
-    if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
-      ok = false;
-      return 0;
-    }
-    long v = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      v = v * 10 + (s[i++] - '0');
-    }
-    return neg ? -v : v;
-  }
-};
-
 }  // namespace
-
-std::string json_report(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "{\n  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"file\": \"" << json_escape(f.file) << "\", \"line\": " << f.line
-        << ", \"rule\": \"" << json_escape(f.rule) << "\", \"message\": \""
-        << json_escape(f.message) << "\"}";
-  }
-  out << (findings.empty() ? "]" : "\n  ]") << ",\n  \"count\": "
-      << findings.size() << "\n}\n";
-  return out.str();
-}
 
 std::string sarif_report(const std::vector<Finding>& findings) {
   // Distinct rule ids, in first-seen order, for the driver's rules array.
@@ -158,117 +63,6 @@ std::string sarif_report(const std::vector<Finding>& findings) {
   }
   out << (findings.empty() ? "]" : "\n    ]") << "\n  }]\n}\n";
   return out.str();
-}
-
-std::optional<Baseline> parse_baseline(const std::string& json) {
-  JsonReader r(json);
-  Baseline baseline;
-  if (!r.consume('{')) return std::nullopt;
-  if (r.peek('}')) {
-    r.consume('}');
-    return baseline;  // empty document: an empty baseline.
-  }
-  for (;;) {
-    const std::string key = r.string();
-    if (!r.ok || !r.consume(':')) return std::nullopt;
-    if (key == "version") {
-      r.integer();
-      if (!r.ok) return std::nullopt;
-    } else if (key == "entries") {
-      if (!r.consume('[')) return std::nullopt;
-      if (!r.peek(']')) {
-        for (;;) {
-          if (!r.consume('{')) return std::nullopt;
-          std::string file, rule;
-          long count = -1;
-          for (;;) {
-            const std::string ekey = r.string();
-            if (!r.ok || !r.consume(':')) return std::nullopt;
-            if (ekey == "file") file = r.string();
-            else if (ekey == "rule") rule = r.string();
-            else if (ekey == "count") count = r.integer();
-            else return std::nullopt;
-            if (!r.ok) return std::nullopt;
-            if (r.peek(',')) {
-              r.consume(',');
-              continue;
-            }
-            break;
-          }
-          if (!r.consume('}')) return std::nullopt;
-          if (file.empty() || rule.empty() || count < 0) return std::nullopt;
-          baseline.entries[{file, rule}] = static_cast<int>(count);
-          if (r.peek(',')) {
-            r.consume(',');
-            continue;
-          }
-          break;
-        }
-      }
-      if (!r.consume(']')) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-    if (r.peek(',')) {
-      r.consume(',');
-      continue;
-    }
-    break;
-  }
-  if (!r.consume('}')) return std::nullopt;
-  return baseline;
-}
-
-std::string baseline_from_findings(const std::vector<Finding>& findings) {
-  std::map<std::pair<std::string, std::string>, int> groups;
-  for (const Finding& f : findings) ++groups[{f.file, f.rule}];
-  std::ostringstream out;
-  out << "{\n  \"version\": 1,\n  \"entries\": [";
-  std::size_t i = 0;
-  for (const auto& [key, count] : groups) {
-    out << (i++ == 0 ? "\n" : ",\n");
-    out << "    {\"file\": \"" << json_escape(key.first) << "\", \"rule\": \""
-        << json_escape(key.second) << "\", \"count\": " << count << "}";
-  }
-  out << (groups.empty() ? "]" : "\n  ]") << "\n}\n";
-  return out.str();
-}
-
-BaselineResult apply_baseline(const std::vector<Finding>& findings,
-                              const Baseline& baseline,
-                              const std::string& baseline_path) {
-  BaselineResult result;
-  std::map<std::pair<std::string, std::string>, int> current;
-  for (const Finding& f : findings) ++current[{f.file, f.rule}];
-
-  // A group with count <= budget is fully absorbed; a group over budget keeps
-  // ALL its findings -- partial absorption would hide which ones are new.
-  std::map<std::pair<std::string, std::string>, bool> absorbed;
-  for (const auto& [key, count] : current) {
-    const auto it = baseline.entries.find(key);
-    const int budget = it == baseline.entries.end() ? 0 : it->second;
-    absorbed[key] = count <= budget;
-  }
-  for (const Finding& f : findings) {
-    if (absorbed[{f.file, f.rule}]) {
-      ++result.suppressed;
-    } else {
-      result.kept.push_back(f);
-    }
-  }
-  for (const auto& [key, budget] : baseline.entries) {
-    const auto it = current.find(key);
-    const int now = it == current.end() ? 0 : it->second;
-    if (now < budget) {
-      result.stale.push_back(Finding{
-          baseline_path, 0, "stale-baseline",
-          "baseline entry {" + key.first + ", " + key.second + "} allows " +
-              std::to_string(budget) + " finding(s) but the tree has " +
-              std::to_string(now) +
-              "; regenerate with --write-baseline to retire the fixed debt"});
-    }
-  }
-  return result;
 }
 
 }  // namespace xl::lint

@@ -1,53 +1,15 @@
-// Machine-readable output and the reviewed-baseline mechanism for xl_lint.
-//
-// Baseline policy: the baseline file records, per (file, rule), how many
-// findings are grandfathered. A run with `--baseline FILE`:
-//   - drops findings up to the recorded count for their (file, rule) group;
-//   - keeps (fails on) every finding beyond the count -- the baseline can
-//     never grow silently;
-//   - emits a `stale-baseline` finding for entries whose count exceeds the
-//     current findings, so fixed debt is retired from the file promptly.
-// Only `--write-baseline FILE` regenerates the file; it is reviewed like any
-// other source change.
+// Machine-readable output for xl_lint: the SARIF report CI uploads for code
+// scanning.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lint.hpp"
 
 namespace xl::lint {
 
-/// Findings as a JSON array (stable field order, sorted input preserved).
-std::string json_report(const std::vector<Finding>& findings);
-
 /// Findings as a minimal SARIF 2.1.0 log (one run, one result per finding).
 std::string sarif_report(const std::vector<Finding>& findings);
-
-struct Baseline {
-  /// (file, rule) -> grandfathered finding count.
-  std::map<std::pair<std::string, std::string>, int> entries;
-};
-
-/// Parse a baseline JSON document. Returns nullopt on malformed input.
-std::optional<Baseline> parse_baseline(const std::string& json);
-
-/// Serialize findings into a baseline document (grouped + counted).
-std::string baseline_from_findings(const std::vector<Finding>& findings);
-
-struct BaselineResult {
-  std::vector<Finding> kept;   ///< findings not covered by the baseline.
-  std::vector<Finding> stale;  ///< `stale-baseline` findings for dead entries.
-  std::size_t suppressed = 0;  ///< findings absorbed by the baseline.
-};
-
-/// Apply `baseline` to `findings` (which must be the full run's output).
-/// `baseline_path` labels the stale-baseline findings.
-BaselineResult apply_baseline(const std::vector<Finding>& findings,
-                              const Baseline& baseline,
-                              const std::string& baseline_path);
 
 }  // namespace xl::lint
