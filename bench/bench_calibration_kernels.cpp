@@ -1,12 +1,14 @@
 // Calibration micro-benchmarks: measure the REAL kernels (unsplit Godunov
 // advance for both physics, marching cubes, downsampling, entropy, ghost
-// exchange) on this host and report ns/cell. These are the measurements
+// exchange) on this host and report M cells/s. These are the measurements
 // grounding the DES cost-model constants (cluster::KernelCosts): the
 // *ratios* between kernels — what the adaptation policies actually respond
 // to — carry over to the machine models.
-#include <benchmark/benchmark.h>
-
+// Each rate is the best of several samples that last at least
+// kMinSampleSeconds each (seconds_per_call): single-call samples read the
+// microsecond kernels low.
 #include <cmath>
+#include <functional>
 #include <iostream>
 #include <memory>
 
@@ -15,6 +17,7 @@
 #include "amr/polytropic_gas.hpp"
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
+#include "bench_util.hpp"
 #include "cluster/cost_model.hpp"
 #include "common/table.hpp"
 #include "viz/marching_cubes.hpp"
@@ -24,6 +27,9 @@ using namespace xl;
 namespace {
 
 constexpr int kN = 32;
+constexpr std::size_t kCells = std::size_t{kN} * kN * kN;
+constexpr double kMinSampleSeconds = 0.01;
+constexpr int kSamples = 5;
 
 template <typename Physics>
 amr::AmrSimulation& simulation() {
@@ -41,22 +47,6 @@ amr::AmrSimulation& simulation() {
   return sim;
 }
 
-void bench_euler_advance(benchmark::State& state) {
-  auto& sim = simulation<amr::PolytropicGas>();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.advance().dt);
-  }
-  state.SetItemsProcessed(state.iterations() * kN * kN * kN);
-}
-
-void bench_advection_advance(benchmark::State& state) {
-  auto& sim = simulation<amr::AdvectionDiffusion>();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.advance().dt);
-  }
-  state.SetItemsProcessed(state.iterations() * kN * kN * kN);
-}
-
 const mesh::Fab& sample_field() {
   static const mesh::Fab f = [] {
     mesh::Fab fab(mesh::Box::domain({kN, kN, kN}), 1);
@@ -71,49 +61,54 @@ const mesh::Fab& sample_field() {
   return f;
 }
 
-void bench_marching_cubes(benchmark::State& state) {
+/// Seconds per call of `kernel`: after one warm-up call, the call count per
+/// sample doubles until a sample lasts kMinSampleSeconds, and the best of
+/// kSamples such samples is divided by that count.
+double seconds_per_call(const std::function<void()>& kernel) {
+  kernel();
+  int calls = 1;
+  const auto sample = [&] {
+    for (int i = 0; i < calls; ++i) kernel();
+  };
+  while (bench::min_seconds(sample, 1) < kMinSampleSeconds) calls *= 2;
+  return bench::min_seconds(sample, kSamples) / calls;
+}
+
+void print_rates() {
   const mesh::Fab& f = sample_field();
-  const mesh::Box cells(f.box().lo(), f.box().hi() - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(viz::extract_isosurface(f, cells, 0.0).triangle_count());
-  }
-  state.SetItemsProcessed(state.iterations() * cells.num_cells());
-}
-
-void bench_downsample_stride(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::downsample(sample_field(), 2, analysis::DownsampleMethod::Stride).size());
-  }
-  state.SetItemsProcessed(state.iterations() * kN * kN * kN / 8);
-}
-
-void bench_downsample_average(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::downsample(sample_field(), 2, analysis::DownsampleMethod::Average).size());
-  }
-  state.SetItemsProcessed(state.iterations() * kN * kN * kN / 8);
-}
-
-void bench_entropy(benchmark::State& state) {
-  const mesh::Fab& f = sample_field();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::block_entropy(f, f.box()));
-  }
-  state.SetItemsProcessed(state.iterations() * kN * kN * kN);
-}
-
-void bench_ghost_exchange(benchmark::State& state) {
+  const mesh::Box mc_cells(f.box().lo(), f.box().hi() - 1);
   const mesh::Box domain = mesh::Box::domain({kN, kN, kN});
   const mesh::BoxLayout layout = mesh::balance(mesh::decompose(domain, kN / 2), 4);
-  mesh::LevelData data(layout, 5, 2);
+  mesh::LevelData ghosted(layout, 5, 2);
   const mesh::Copier copier(layout, 2, domain, true);
-  for (auto _ : state) {
-    data.exchange(copier);
-    benchmark::DoNotOptimize(data.bytes());
+
+  struct Kernel {
+    const char* name;
+    std::size_t cells;  ///< cells one call processes.
+    std::function<void()> run;
+  };
+  const Kernel kernels[] = {
+      {"Euler (PolytropicGas) advance", kCells,
+       [] { simulation<amr::PolytropicGas>().advance(); }},
+      {"Advection-Diffusion advance", kCells,
+       [] { simulation<amr::AdvectionDiffusion>().advance(); }},
+      {"marching cubes", static_cast<std::size_t>(mc_cells.num_cells()),
+       [&] { viz::extract_isosurface(f, mc_cells, 0.0); }},
+      {"downsample (stride, X=2)", kCells / 8,
+       [&] { analysis::downsample(f, 2, analysis::DownsampleMethod::Stride); }},
+      {"downsample (average, X=2)", kCells / 8,
+       [&] { analysis::downsample(f, 2, analysis::DownsampleMethod::Average); }},
+      {"entropy", kCells, [&] { analysis::block_entropy(f, f.box()); }},
+      {"ghost exchange (5 comp, 2 ghosts)", kCells, [&] { ghosted.exchange(copier); }},
+  };
+
+  std::cout << "\n=== Measured host rates of the real kernels (" << kN << "^3 cells) ===\n";
+  Table t({"kernel", "cells/call", "M cells/s"});
+  for (const Kernel& k : kernels) {
+    const double seconds = seconds_per_call(k.run);
+    t.row().cell(k.name).cell(k.cells).cell(static_cast<double>(k.cells) / seconds / 1e6, 1);
   }
-  state.SetItemsProcessed(state.iterations() * kN * kN * kN);
+  std::cout << t.to_string();
 }
 
 void print_summary() {
@@ -133,25 +128,16 @@ void print_summary() {
   t.row().cell("entropy").cell(costs.entropy_flops_per_cell, 0)
       .cell("per cell histogrammed");
   std::cout << t.to_string()
-            << "\nThe items_per_second counters above are the measured host rates for\n"
-               "the real kernels; EXPERIMENTS.md maps them to the per-experiment\n"
+            << "\nThe M cells/s column above is the measured host rate of each real\n"
+               "kernel; EXPERIMENTS.md maps the rates to the per-experiment\n"
                "constants (which fold in the effects a single-kernel microbenchmark\n"
                "cannot see: ghost exchange, subcycling, staging ingest).\n";
 }
 
 }  // namespace
 
-BENCHMARK(bench_euler_advance)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_advection_advance)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_marching_cubes)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_downsample_stride)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_downsample_average)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_entropy)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_ghost_exchange)->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_rates();
   print_summary();
   return 0;
 }

@@ -3,8 +3,6 @@
 // cores). The per-rank peaks come from the memory model applied to the real
 // per-step layouts (decompose + Berger-Rigoutsos + Morton balance), which is
 // where the paper's erratic, imbalanced profile originates.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -28,14 +26,6 @@ amr::SyntheticAmrEvolution& evolution() {
 std::vector<std::size_t> peaks_at(int step) {
   const amr::SyntheticStep geom = evolution().at(step);
   return amr::per_rank_peak_bytes(geom.levels, workflow::intrepid_memory_model());
-}
-
-void bench_memory_model(benchmark::State& state) {
-  const int step = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto peaks = peaks_at(step);
-    benchmark::DoNotOptimize(peaks.data());
-  }
 }
 
 void print_figure() {
@@ -73,11 +63,7 @@ void print_figure() {
 
 }  // namespace
 
-BENCHMARK(bench_memory_model)->Arg(0)->Arg(25)->Arg(49)->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
   print_figure();
   return 0;
 }

@@ -8,10 +8,8 @@
 // resolution) is selected; around step ~31 availability drops below the
 // high-resolution requirement and the factor climbs; by the final steps the
 // adaptive resolution reaches the minimum.
-#include <benchmark/benchmark.h>
-#include <cstdint>
-
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 
 #include "amr/memory_model.hpp"
@@ -87,13 +85,6 @@ StepPoint evaluate(int step) {
   return p;
 }
 
-void bench_policy(benchmark::State& state) {
-  for (auto _ : state) {
-    const StepPoint p = evaluate(static_cast<int>(state.range(0)));
-    benchmark::DoNotOptimize(p.factor);
-  }
-}
-
 void print_figure() {
   std::cout << "\n=== Figure 5: application-layer adaptation of spatial resolution ===\n";
   Table t({"step", "availability (MB)", "need @MIN X (MB)", "need @MAX X (MB)",
@@ -122,11 +113,7 @@ void print_figure() {
 
 }  // namespace
 
-BENCHMARK(bench_policy)->Arg(0)->Arg(20)->Arg(39)->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
   print_figure();
   return 0;
 }

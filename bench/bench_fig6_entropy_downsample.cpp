@@ -6,11 +6,9 @@
 // and the quantitative fidelity of the result (triangle counts + RMSE/PSNR
 // of the reconstruction vs. the full-resolution field).
 #include <algorithm>
-#include <benchmark/benchmark.h>
-#include <sstream>
-
 #include <iostream>
 #include <memory>
+#include <sstream>
 
 #include "amr/amr_simulation.hpp"
 #include "amr/polytropic_gas.hpp"
@@ -24,7 +22,7 @@ using namespace xl;
 
 namespace {
 
-/// One evolved density field (run once, reused by benchmarks and the table).
+/// One evolved density field (run once, reused across the table).
 const mesh::Fab& density_field() {
   static const mesh::Fab field = [] {
     amr::AmrConfig cfg;
@@ -52,35 +50,6 @@ analysis::EntropyConfig entropy_config() {
   cfg.range_lo = stats.min();
   cfg.range_hi = stats.max();
   return cfg;
-}
-
-void bench_block_entropy(benchmark::State& state) {
-  const mesh::Fab& f = density_field();
-  const analysis::EntropyConfig cfg = entropy_config();
-  for (auto _ : state) {
-    const double h = analysis::block_entropy(f, f.box(), cfg);
-    benchmark::DoNotOptimize(h);
-  }
-  state.SetItemsProcessed(state.iterations() * f.cells());
-}
-
-void bench_downsample(benchmark::State& state) {
-  const mesh::Fab& f = density_field();
-  for (auto _ : state) {
-    const mesh::Fab d = analysis::downsample(f, static_cast<int>(state.range(0)));
-    benchmark::DoNotOptimize(d.size());
-  }
-  state.SetItemsProcessed(state.iterations() * f.cells());
-}
-
-void bench_marching_cubes(benchmark::State& state) {
-  const mesh::Fab& f = density_field();
-  const mesh::Box cells(f.box().lo(), f.box().hi() - 1);
-  for (auto _ : state) {
-    const auto mesh = viz::extract_isosurface(f, cells, 0.5, 0);
-    benchmark::DoNotOptimize(mesh.triangle_count());
-  }
-  state.SetItemsProcessed(state.iterations() * cells.num_cells());
 }
 
 void print_figure() {
@@ -141,13 +110,7 @@ void print_figure() {
 
 }  // namespace
 
-BENCHMARK(bench_block_entropy)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_downsample)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_marching_cubes)->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
   print_figure();
   return 0;
 }

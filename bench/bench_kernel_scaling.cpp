@@ -19,7 +19,6 @@
 //   --json F  write the report as JSON to file F
 //   --check   exit non-zero unless the row-path speedup gates pass
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +34,7 @@
 #include "analysis/compress.hpp"
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
+#include "bench_util.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -73,18 +73,7 @@ mesh::Fab sample_field(int n) {
 }
 
 double min_seconds(const std::function<void()>& body) {
-  double best = 0.0;
-  for (int r = 0; r < g_repeats; ++r) {
-    // xl-lint: allow(wallclock): this bench MEASURES real kernel wall time; the
-    // readings are report-only output and never feed a simulated timeline.
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    // xl-lint: allow(wallclock): see above — measurement-only.
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (r == 0 || s < best) best = s;
-  }
-  return best;
+  return bench::min_seconds(body, g_repeats);
 }
 
 double checksum(std::span<const double> data) {

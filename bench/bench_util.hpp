@@ -1,13 +1,15 @@
-// Shared helpers for the figure/table bench binaries.
+// Shared helpers for the bench binaries.
 //
-// Each binary runs every configuration of its figure exactly once and prints
-// the reproduced series in the paper's layout. A workflow run is
-// deterministic, so one run IS the experiment: there is nothing to repeat or
-// time. Every run records the workflow's structured event stream alongside
+// Each figure/table binary runs every configuration of its figure exactly
+// once and prints the reproduced series in the paper's layout. A workflow run
+// is deterministic, so one run IS the experiment: there is nothing to repeat
+// or time. Every run records the workflow's structured event stream alongside
 // the result, so the printers can consume per-step series straight from the
-// observer events.
+// event log. Only the kernel benches time anything, through min_seconds.
 #pragma once
 
+#include <chrono>
+#include <functional>
 #include <vector>
 
 #include "common/table.hpp"
@@ -17,8 +19,7 @@
 
 namespace xl::bench {
 
-/// One workflow execution: the result plus the observer event stream the
-/// run emitted.
+/// One workflow execution: the result plus the event stream the run emitted.
 struct Run {
   workflow::WorkflowResult result;
   workflow::EventLog events;
@@ -41,6 +42,23 @@ inline std::vector<const workflow::WorkflowEvent*> events_of_kind(
     if (e.kind == kind) out.push_back(&e);
   }
   return out;
+}
+
+/// Best wall time of `repeats` runs of `body`, in seconds: the least-noise
+/// estimate of a real kernel's cost.
+inline double min_seconds(const std::function<void()>& body, int repeats) {
+  double best = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    // xl-lint: allow(wallclock): kernel benches MEASURE real wall time; the
+    // readings are report-only output and never feed a simulated timeline.
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    // xl-lint: allow(wallclock): see above — measurement-only.
+    const auto t1 = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    if (r == 0 || s < best) best = s;
+  }
+  return best;
 }
 
 }  // namespace xl::bench

@@ -37,7 +37,6 @@ EngineDecisions AdaptationEngine::adapt(const OperationalState& state) const {
     }
     out.executed.push_back(layer);
   }
-  if (hooks_.on_decisions) hooks_.on_decisions(state, out);
   return out;
 }
 

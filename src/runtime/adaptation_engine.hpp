@@ -18,8 +18,6 @@
 
 namespace xl::runtime {
 
-struct EngineDecisions;
-
 /// Estimator callbacks the engine needs; typically bound to the Monitor and
 /// the transport's transfer model.
 struct EngineHooks {
@@ -34,10 +32,6 @@ struct EngineHooks {
   std::function<double(std::size_t)> next_sim_seconds;
   /// Scratch memory an in-situ analysis of `bytes` of data needs.
   std::function<std::size_t(std::size_t)> insitu_analysis_mem;
-  /// Optional observer fired after every adapt() with the state it saw and
-  /// the decisions it produced — the engine's tap into the workflow's
-  /// structured event stream (unset hooks are simply skipped).
-  std::function<void(const OperationalState&, const EngineDecisions&)> on_decisions;
 };
 
 /// Which single-layer mechanisms are enabled. The §5.2.2 "local middleware

@@ -28,7 +28,7 @@
 namespace xl::staging {
 
 /// One completed service request, reported through ServiceConfig::observer —
-/// the live-service analogue of the workflow's WorkflowObserver stream.
+/// the live-service analogue of the workflow's EventLog stream.
 struct ServiceEvent {
   enum class Kind {
     Put,
@@ -79,11 +79,6 @@ class ServiceEventLog {
   std::size_t size() const {
     MutexLock lock(mutex_);
     return events_.size();
-  }
-
-  void clear() {
-    MutexLock lock(mutex_);
-    events_.clear();
   }
 
   /// Callback bound to this log, suitable for ServiceConfig::observer.

@@ -119,33 +119,12 @@ std::vector<int> StagingSpace::replica_targets(const Box& box,
   const int primary = target_server(box);
   if (primary < 0) return targets;
   targets.push_back(primary);
-  if (replication_ == 1) return targets;
-
-  const int hashed = server_for_box(box, num_servers());
-  auto holds = [&](int server) {
-    return std::find(targets.begin(), targets.end(), server) != targets.end();
-  };
-  auto in_used_domain = [&](int server) {
-    for (int t : targets) {
-      if (domain_of(t) == domain_of(server)) return true;
-    }
-    return false;
-  };
-  // Two probe passes from the hash: the first insists on untouched failure
-  // domains, the second fills the remainder from any distinct alive server
-  // with room. Probe order is identical every call — placement depends only
-  // on (box, liveness, ledgers), never on history.
-  for (const bool domain_strict : {true, false}) {
-    for (int i = 0; i < num_servers() &&
-                    targets.size() < static_cast<std::size_t>(replication_);
-         ++i) {
-      const int candidate = (hashed + i) % num_servers();
-      const auto c = static_cast<std::size_t>(candidate);
-      if (server_dead_[c] || holds(candidate)) continue;
-      if (server_used_[c] + bytes > memory_per_server_) continue;
-      if (domain_strict && in_used_domain(candidate)) continue;
-      targets.push_back(candidate);
-    }
+  // The ledgers stay fixed while targets are chosen and `targets` only grows,
+  // so untouched failure domains fill before any domain takes a second copy.
+  while (targets.size() < static_cast<std::size_t>(replication_)) {
+    const int next = probe(box, bytes, targets);
+    if (next < 0) break;
+    targets.push_back(next);
   }
   return targets;
 }
@@ -231,24 +210,28 @@ int StagingSpace::desired_replicas() const noexcept {
   return std::min(replication_, alive_servers());
 }
 
-int StagingSpace::probe_replica_dest(const StagedObject& obj) const {
-  const int hashed = server_for_box(obj.box, num_servers());
+int StagingSpace::probe(const Box& box, std::size_t bytes,
+                        const std::vector<int>& held) const {
+  const int hashed = server_for_box(box, num_servers());
   auto holds = [&](int server) {
-    return std::find(obj.replicas.begin(), obj.replicas.end(), server) !=
-           obj.replicas.end();
+    return std::find(held.begin(), held.end(), server) != held.end();
   };
   auto in_used_domain = [&](int server) {
-    for (int t : obj.replicas) {
+    for (int t : held) {
       if (domain_of(t) == domain_of(server)) return true;
     }
     return false;
   };
+  // Two probe passes from the hash: the first insists on untouched failure
+  // domains, the second takes any distinct alive server with room. Probe
+  // order is identical every call — placement depends only on (box,
+  // liveness, ledgers), never on history.
   for (const bool domain_strict : {true, false}) {
     for (int i = 0; i < num_servers(); ++i) {
       const int candidate = (hashed + i) % num_servers();
       const auto c = static_cast<std::size_t>(candidate);
       if (server_dead_[c] || holds(candidate)) continue;
-      if (server_used_[c] + obj.bytes > memory_per_server_) continue;
+      if (server_used_[c] + bytes > memory_per_server_) continue;
       if (domain_strict && in_used_domain(candidate)) continue;
       return candidate;
     }
@@ -280,7 +263,7 @@ ServerLossReport StagingSpace::fail_server(int server, LossPolicy policy) {
     if (survivors) obj.server = obj.replicas.front();
 
     int dest = -1;
-    if (policy == LossPolicy::Relocate) dest = probe_replica_dest(obj);
+    if (policy == LossPolicy::Relocate) dest = probe(obj.box, obj.bytes, obj.replicas);
     if (dest >= 0) {
       obj.replicas.push_back(dest);
       charge(dest, obj.bytes);
@@ -333,7 +316,7 @@ RepairReport StagingSpace::anti_entropy_repair(std::size_t max_bytes) {
         report.remaining_deficit += desired - obj.replicas.size();
         break;
       }
-      const int dest = probe_replica_dest(obj);
+      const int dest = probe(obj.box, obj.bytes, obj.replicas);
       if (dest < 0) {  // no survivor has room: deficit stays until one does.
         report.remaining_deficit += desired - obj.replicas.size();
         break;
@@ -358,7 +341,7 @@ ReadReport StagingSpace::read_repair(int version, const Box& region) {
     ++report.objects;
     if (obj.replicas.size() < std::min(need, desired)) ++report.below_quorum;
     while (obj.replicas.size() < desired) {
-      const int dest = probe_replica_dest(obj);
+      const int dest = probe(obj.box, obj.bytes, obj.replicas);
       if (dest < 0) break;
       obj.replicas.push_back(dest);
       charge(dest, obj.bytes);

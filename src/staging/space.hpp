@@ -218,10 +218,10 @@ class StagingSpace {
   std::size_t object_replicas(std::uint64_t id) const noexcept;
 
  private:
-  /// Probe for a server to host a NEW replica of `obj` (alive, has room, not
-  /// already holding one; first pass prefers failure domains the object does
-  /// not occupy yet). -1 when nothing fits.
-  int probe_replica_dest(const StagedObject& obj) const;
+  /// Probe from `box`'s hash for a server to host a NEW replica of `bytes`
+  /// (alive, has room, not in `held`; the first pass prefers failure domains
+  /// `held` does not occupy yet). -1 when nothing fits.
+  int probe(const Box& box, std::size_t bytes, const std::vector<int>& held) const;
   /// Replicas this object should hold given the current alive group.
   int desired_replicas() const noexcept;
   void charge(int server, std::size_t bytes);

@@ -1,9 +1,10 @@
 #include "workflow/config_file.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -28,12 +29,46 @@ T number(const std::string& value, const std::string& key) {
   return parse_number<T>(value, "config: '" + key + "'");
 }
 
-/// Whitespace-separated integers, each parsed whole; errors name the key.
-std::vector<int> numbers(const std::string& value, const std::string& key) {
+/// The interval a ranged key's value must lie in; an open end excludes its
+/// bound.
+struct Range {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+  std::string describe() const {
+    std::ostringstream os;
+    if (std::isinf(hi)) {
+      os << (lo_open ? "> " : ">= ") << lo;
+    } else {
+      os << "in " << (lo_open ? '(' : '[') << lo << ", " << hi << (hi_open ? ')' : ']');
+    }
+    return os.str();
+  }
+};
+
+/// `value` parsed whole as a T inside `range`: the one check every ranged
+/// key goes through. Errors name the key.
+template <typename T>
+T ranged(const std::string& value, const std::string& key, const Range& range) {
+  const T v = number<T>(value, key);
+  XL_REQUIRE(range.contains(static_cast<double>(v)),
+             "config: " + key + " must be " + range.describe() + ", got " + value);
+  return v;
+}
+
+/// Whitespace-separated integers, each parsed whole inside `range`; errors
+/// name the key.
+std::vector<int> numbers(const std::string& value, const std::string& key,
+                         const Range& range) {
   std::istringstream ss(value);
   std::vector<int> out;
   std::string field;
-  while (ss >> field) out.push_back(number<int>(field, key));
+  while (ss >> field) out.push_back(ranged<int>(field, key, range));
   return out;
 }
 
@@ -42,6 +77,7 @@ std::vector<int> numbers(const std::string& value, const std::string& key) {
 WorkflowConfig parse_workflow_config(std::istream& is) {
   WorkflowConfig c;
   c.machine = cluster::titan();
+  std::string analysis_ncomp;  // checked against ncomp once every line is read
   std::string line;
   int line_no = 0;
   while (std::getline(is, line)) {
@@ -82,99 +118,83 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
         c.objective = runtime::Objective::MaximizeResourceUtilization;
       else throw ContractError("config: unknown objective '" + value + "'");
     } else if (key == "domain") {
-      const std::vector<int> n = numbers(value, key);
-      XL_REQUIRE(n.size() == 3 && n[0] > 0 && n[1] > 0 && n[2] > 0,
-                 "config: domain needs NX NY NZ");
+      const std::vector<int> n = numbers(value, key, {.lo = 1});
+      XL_REQUIRE(n.size() == 3, "config: domain needs NX NY NZ");
       c.geometry.base_domain = mesh::Box::domain({n[0], n[1], n[2]});
     } else if (key == "factors") {
-      const std::vector<int> factors = numbers(value, key);
-      XL_REQUIRE(*std::min_element(factors.begin(), factors.end()) >= 1,
-                 "config: factors must be >= 1");
-      c.hints.factor_phases = {{0, factors}};
+      c.hints.factor_phases = {{0, numbers(value, key, {.lo = 1})}};
     } else if (key == "sim_cores") c.sim_cores = number<int>(value, key);
     else if (key == "staging_cores") c.staging_cores = number<int>(value, key);
-    else if (key == "threads") {
-      c.threads = number<int>(value, key);
-      XL_REQUIRE(c.threads >= 0, "config: threads must be >= 0");
-    } else if (key == "thread_efficiency")
-      c.costs.thread_efficiency = number<double>(value, key);
+    else if (key == "threads") c.threads = ranged<int>(value, key, {.lo = 0});
+    else if (key == "thread_efficiency")
+      c.costs.thread_efficiency = ranged<double>(value, key, {.lo = 0, .hi = 1});
     else if (key == "steps") c.steps = number<int>(value, key);
     else if (key == "ncomp") c.ncomp = number<int>(value, key);
-    else if (key == "analysis_ncomp") c.analysis_ncomp = number<int>(value, key);
-    else if (key == "analysis_interval") c.analysis_interval = number<int>(value, key);
+    else if (key == "analysis_ncomp") analysis_ncomp = value;
+    else if (key == "analysis_interval")
+      c.analysis_interval = ranged<int>(value, key, {.lo = 1});
     else if (key == "max_levels") c.geometry.max_levels = number<int>(value, key);
     else if (key == "ref_ratio") c.geometry.ref_ratio = number<int>(value, key);
     else if (key == "max_box_size") c.geometry.max_box_size = number<int>(value, key);
     else if (key == "tile_size") c.geometry.tile_size = number<int>(value, key);
-    else if (key == "front_radius0") c.geometry.front_radius0 = number<double>(value, key);
-    else if (key == "front_speed") c.geometry.front_speed = number<double>(value, key);
-    else if (key == "front_thickness") c.geometry.front_thickness = number<double>(value, key);
-    else if (key == "front_decay") c.geometry.front_decay = number<double>(value, key);
-    else if (key == "front_decay_onset") c.geometry.front_decay_onset = number<int>(value, key);
-    else if (key == "blob_onset_step") c.geometry.blob_onset_step = number<int>(value, key);
-    else if (key == "num_blobs") c.geometry.num_blobs = number<int>(value, key);
-    else if (key == "blob_radius") c.geometry.blob_radius = number<double>(value, key);
+    else if (key == "front_radius0")
+      c.geometry.front_radius0 = ranged<double>(value, key, {.lo = 0});
+    else if (key == "front_speed")
+      c.geometry.front_speed = ranged<double>(value, key, {.lo = 0});
+    else if (key == "front_thickness")
+      c.geometry.front_thickness = ranged<double>(value, key, {.lo = 0, .lo_open = true});
+    else if (key == "front_decay")
+      c.geometry.front_decay = ranged<double>(value, key, {.lo = 0, .hi = 1, .lo_open = true});
+    else if (key == "front_decay_onset")
+      c.geometry.front_decay_onset = ranged<int>(value, key, {.lo = 0});
+    else if (key == "blob_onset_step")
+      c.geometry.blob_onset_step = ranged<int>(value, key, {.lo = 0});
+    else if (key == "num_blobs") c.geometry.num_blobs = ranged<int>(value, key, {.lo = 0});
+    else if (key == "blob_radius")
+      c.geometry.blob_radius = ranged<double>(value, key, {.lo = 0});
     else if (key == "seed")
       c.geometry.seed = number<std::uint64_t>(value, key);
-    else if (key == "active_cell_fraction") {
-      c.active_cell_fraction = number<double>(value, key);
-      XL_REQUIRE(c.active_cell_fraction >= 0.0 && c.active_cell_fraction <= 1.0,
-                 "config: active_cell_fraction must be in [0, 1], got " + value);
-    } else if (key == "staging_usable_fraction")
+    else if (key == "active_cell_fraction")
+      c.active_cell_fraction = ranged<double>(value, key, {.lo = 0, .hi = 1});
+    else if (key == "staging_usable_fraction")
       c.staging_usable_fraction = number<double>(value, key);
     else if (key == "sim_euler_flops")
-      c.costs.sim_euler_flops_per_cell = number<double>(value, key);
+      c.costs.sim_euler_flops_per_cell = ranged<double>(value, key, {.lo = 0});
     else if (key == "sim_advect_flops")
-      c.costs.sim_advect_flops_per_cell = number<double>(value, key);
+      c.costs.sim_advect_flops_per_cell = ranged<double>(value, key, {.lo = 0});
     else if (key == "mc_scan_flops")
-      c.costs.mc_scan_flops_per_cell = number<double>(value, key);
+      c.costs.mc_scan_flops_per_cell = ranged<double>(value, key, {.lo = 0});
     else if (key == "mc_active_flops")
-      c.costs.mc_active_flops_per_cell = number<double>(value, key);
-    else if (key == "euler") {
-      const int euler = number<int>(value, key);
-      XL_REQUIRE(euler == 0 || euler == 1, "config: euler must be 0 or 1, got " + value);
-      c.euler = euler == 1;
-    } else if (key == "sampling_period") {
-      c.monitor.sampling_period = number<int>(value, key);
-      XL_REQUIRE(c.monitor.sampling_period >= 1,
-                 "config: sampling_period must be >= 1, got " + value);
-    } else if (key == "trigger") {
+      c.costs.mc_active_flops_per_cell = ranged<double>(value, key, {.lo = 0});
+    else if (key == "euler") c.euler = ranged<int>(value, key, {.lo = 0, .hi = 1}) == 1;
+    else if (key == "sampling_period")
+      c.monitor.sampling_period = ranged<int>(value, key, {.lo = 1});
+    else if (key == "trigger")
       c.monitor.trigger.policy = runtime::parse_trigger_policy(value, "config: 'trigger'");
-    } else if (key == "trigger_quantile") {
-      c.monitor.trigger.quantile = number<double>(value, key);
-      XL_REQUIRE(c.monitor.trigger.quantile > 0.0 && c.monitor.trigger.quantile < 1.0,
-                 "config: trigger_quantile must be in (0, 1), got " + value);
-    } else if (key == "trigger_window") {
-      c.monitor.trigger.window = number<int>(value, key);
-      XL_REQUIRE(c.monitor.trigger.window >= 2,
-                 "config: trigger_window must be >= 2, got " + value);
-    } else if (key == "trigger_sample_rate") {
-      c.monitor.trigger.sample_rate = number<double>(value, key);
-      XL_REQUIRE(c.monitor.trigger.sample_rate > 0.0 &&
-                     c.monitor.trigger.sample_rate <= 1.0,
-                 "config: trigger_sample_rate must be in (0, 1], got " + value);
-    } else if (key == "trigger_max_interval") {
-      c.monitor.trigger.max_interval = number<int>(value, key);
-      XL_REQUIRE(c.monitor.trigger.max_interval >= 1,
-                 "config: trigger_max_interval must be >= 1, got " + value);
-    } else if (key == "trigger_seed")
+    else if (key == "trigger_quantile")
+      c.monitor.trigger.quantile =
+          ranged<double>(value, key, {.lo = 0, .hi = 1, .lo_open = true, .hi_open = true});
+    else if (key == "trigger_window")
+      c.monitor.trigger.window = ranged<int>(value, key, {.lo = 2});
+    else if (key == "trigger_sample_rate")
+      c.monitor.trigger.sample_rate =
+          ranged<double>(value, key, {.lo = 0, .hi = 1, .lo_open = true});
+    else if (key == "trigger_max_interval")
+      c.monitor.trigger.max_interval = ranged<int>(value, key, {.lo = 1});
+    else if (key == "trigger_seed")
       c.monitor.trigger.seed = number<std::uint64_t>(value, key);
     else if (key == "faults")
       c.faults = runtime::parse_fault_spec(value);
-    else if (key == "replication") {
-      c.replication = number<int>(value, key);
-      XL_REQUIRE(c.replication >= 1, "config: replication must be >= 1");
-    } else if (key == "lease_steps") {
-      // Heartbeat lease window in steps; also settable inside the faults
-      // spec as `lease=N`. Keep this key after `faults` in config files —
-      // parsing a faults spec resets the whole FaultConfig.
-      c.faults.lease_steps = number<int>(value, key);
-      XL_REQUIRE(c.faults.lease_steps >= 0, "config: lease_steps must be >= 0");
-    } else
+    else if (key == "replication") c.replication = ranged<int>(value, key, {.lo = 1});
+    else
       throw ContractError("config: unknown key '" + key + "'");
   }
   XL_REQUIRE(!c.geometry.base_domain.empty(),
              "config: missing required key 'domain' (NX NY NZ)");
+  if (!analysis_ncomp.empty()) {
+    c.analysis_ncomp = ranged<int>(analysis_ncomp, "analysis_ncomp",
+                                   {.lo = 0, .hi = static_cast<double>(c.ncomp)});
+  }
   c.memory_model.ncomp = c.ncomp;
   return c;
 }

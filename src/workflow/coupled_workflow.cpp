@@ -42,7 +42,7 @@ WorkflowResult CoupledWorkflow::run() {
 }
 
 WorkflowResult CoupledWorkflow::run_on(ExecutionSubstrate& substrate) {
-  StepPipeline pipeline(config_, substrate, observer_);
+  StepPipeline pipeline(config_, substrate, log_);
   for (int step = 0; step < config_.steps; ++step) pipeline.run_step(step);
   return pipeline.finish();
 }

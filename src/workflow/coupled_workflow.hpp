@@ -189,7 +189,7 @@ struct WorkflowResult {
 };
 
 class ExecutionSubstrate;
-class WorkflowObserver;
+class EventLog;
 
 class CoupledWorkflow {
  public:
@@ -203,16 +203,16 @@ class CoupledWorkflow {
   /// uses). Both substrates produce identical timelines.
   WorkflowResult run_on(ExecutionSubstrate& substrate);
 
-  /// Attach an observer receiving the structured event stream of subsequent
-  /// runs (step-begin / decision / transfer / analysis / step-end). The
-  /// observer must outlive the run; nullptr detaches.
-  void set_observer(WorkflowObserver* observer) noexcept { observer_ = observer; }
+  /// Attach the log that records the structured event stream of subsequent
+  /// runs (step-begin / decision / transfer / analysis / step-end). The log
+  /// must outlive the run; nullptr detaches.
+  void set_observer(EventLog* log) noexcept { log_ = log; }
 
   const WorkflowConfig& config() const noexcept { return config_; }
 
  private:
   WorkflowConfig config_;
-  WorkflowObserver* observer_ = nullptr;
+  EventLog* log_ = nullptr;
 };
 
 }  // namespace xl::workflow

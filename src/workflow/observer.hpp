@@ -1,13 +1,12 @@
 // The workflow's structured event stream (paper Fig. 2's "Monitor" feed,
-// turned outward): every phase of the step pipeline, the AdaptationEngine,
-// and the staging path emit flat WorkflowEvent records through a
-// WorkflowObserver. trace_io, xlayer_cli, and the figure benches all consume
-// this one stream instead of each re-deriving per-step diagnostics.
+// turned outward): every phase of the step pipeline, the AdaptationEngine's
+// decisions and the staging path are recorded as flat WorkflowEvent records
+// appended to one EventLog. trace_io, xlayer_cli, and the figure benches all
+// consume this one stream instead of each re-deriving per-step diagnostics.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "runtime/fault.hpp"
@@ -85,29 +84,11 @@ struct WorkflowEvent {
   std::uint64_t pool_copied_bytes = 0;  ///< payload bytes deep-copied.
 };
 
-class WorkflowObserver {
+/// The stream recorded in memory, in emission order: the one sink the step
+/// pipeline appends to, read back by the CLI, the benches, and the tests.
+class EventLog {
  public:
-  virtual ~WorkflowObserver() = default;
-  virtual void on_event(const WorkflowEvent& event) = 0;
-
-  /// Batched delivery: `events` arrive in exact emission order (the pipeline
-  /// flushes once per step instead of calling out per event). The default
-  /// forwards each event to on_event, so observers that never override this
-  /// see the identical per-event sequence they always did.
-  virtual void on_events(std::span<const WorkflowEvent> events) {
-    for (const WorkflowEvent& e : events) on_event(e);
-  }
-};
-
-/// Observer that records the stream in memory — the default consumer used by
-/// the CLI, the benches, and the tests.
-class EventLog final : public WorkflowObserver {
- public:
-  void on_event(const WorkflowEvent& event) override { events_.push_back(event); }
-
-  void on_events(std::span<const WorkflowEvent> events) override {
-    events_.insert(events_.end(), events.begin(), events.end());
-  }
+  void append(const WorkflowEvent& event) { events_.push_back(event); }
 
   const std::vector<WorkflowEvent>& events() const noexcept { return events_; }
 
@@ -116,8 +97,6 @@ class EventLog final : public WorkflowObserver {
     for (const WorkflowEvent& e : events_) n += e.kind == kind;
     return n;
   }
-
-  void clear() noexcept { events_.clear(); }
 
  private:
   std::vector<WorkflowEvent> events_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 
 #include "amr/memory_model.hpp"
 #include "analysis/entropy.hpp"
@@ -75,13 +74,13 @@ amr::SyntheticAmrConfig rank_geometry(const WorkflowConfig& config) {
 // --- StepPipeline ------------------------------------------------------------
 
 StepPipeline::StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& substrate,
-                           WorkflowObserver* observer)
+                           EventLog* log)
     : config_(config),
       substrate_(substrate),
       evolution_(rank_geometry(config)),
       cost_(config.machine, config.costs, config.threads),
       monitor_(config.monitor),
-      observer_(observer) {
+      log_(log) {
   const int cores_per_node = config_.machine.cores_per_node;
   sim_nodes_ = std::max(1, config_.sim_cores / cores_per_node);
   usable_per_core_ =
@@ -124,24 +123,6 @@ StepPipeline::StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& sub
     return f2s(2.0 * static_cast<double>(bytes) * current_imbalance_ /
                static_cast<double>(config_.sim_cores));
   };
-  hooks.on_decisions = [this](const runtime::OperationalState& state,
-                              const runtime::EngineDecisions& dec) {
-    WorkflowEvent ev;
-    ev.kind = EventKind::Decision;
-    ev.step = state.step;
-    ev.app_adapted = dec.app.has_value();
-    ev.resource_adapted = dec.resource.has_value();
-    ev.middleware_adapted = dec.middleware.has_value();
-    if (dec.app) ev.factor = dec.app->factor;
-    ev.intransit_cores = dec.intransit_cores;
-    if (dec.middleware) {
-      ev.placement = dec.middleware->placement;
-      ev.reason = dec.middleware->reason;
-    }
-    ev.bytes = dec.effective_bytes;
-    ev.cells = dec.effective_cells;
-    emit(ev);
-  };
 
   runtime::EngineConfig engine_config;
   engine_config.preferences.objective = config_.objective;
@@ -167,7 +148,6 @@ StepPipeline::StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& sub
   ev.kind = EventKind::RunBegin;
   ev.intransit_cores = cur_cores_;
   emit(ev);
-  flush_events();
 }
 
 int StepPipeline::staging_nodes(int cores) const noexcept {
@@ -195,7 +175,7 @@ double StepPipeline::analysis_seconds(std::size_t cells, std::size_t active_cell
 }
 
 void StepPipeline::emit(WorkflowEvent event) {
-  if (observer_ == nullptr) return;
+  if (log_ == nullptr) return;
   event.sim_clock = substrate_.sim_now();
   event.staging_clock = substrate_.staging_free_at();
   if (event.kind == EventKind::StepEnd || event.kind == EventKind::RunEnd) {
@@ -209,13 +189,7 @@ void StepPipeline::emit(WorkflowEvent event) {
     event.triggers_fired = result_.triggers_fired;
     event.steps_suppressed = result_.steps_suppressed;
   }
-  batch_.push_back(event);
-}
-
-void StepPipeline::flush_events() {
-  if (observer_ == nullptr || batch_.empty()) return;
-  observer_->on_events(std::span<const WorkflowEvent>(batch_.data(), batch_.size()));
-  batch_.clear();
+  log_->append(event);
 }
 
 void StepPipeline::run_step(int step) {
@@ -229,7 +203,6 @@ void StepPipeline::run_step(int step) {
   transfer(ctx);
   analyze(ctx);
   drain(ctx);
-  flush_events();
 }
 
 WorkflowResult StepPipeline::finish() {
@@ -263,7 +236,6 @@ WorkflowResult StepPipeline::finish() {
   ev.seconds = result_.end_to_end_seconds;
   ev.bytes = result_.bytes_moved;
   emit(ev);
-  flush_events();
 
   XL_LOG_INFO(mode_name(config_.mode)
               << " [" << substrate_.name() << "]: E2E "
@@ -484,6 +456,22 @@ void StepPipeline::adapt(StepContext& ctx) {
           analysis_seconds(ctx.analyzed_cells, active, std::max(1, effective_cores())));
     }
     const runtime::EngineDecisions dec = engine_->adapt(ctx.state);
+    // Recorded before the adaptation overhead below moves the clock.
+    WorkflowEvent ev;
+    ev.kind = EventKind::Decision;
+    ev.step = ctx.step;
+    ev.app_adapted = dec.app.has_value();
+    ev.resource_adapted = dec.resource.has_value();
+    ev.middleware_adapted = dec.middleware.has_value();
+    if (dec.app) ev.factor = dec.app->factor;
+    ev.intransit_cores = dec.intransit_cores;
+    if (dec.middleware) {
+      ev.placement = dec.middleware->placement;
+      ev.reason = dec.middleware->reason;
+    }
+    ev.bytes = dec.effective_bytes;
+    ev.cells = dec.effective_cells;
+    emit(ev);
     // The oracle estimates were computed from THIS step's geometry; drop them
     // so a later sampling step can never consume stale per-step truth.
     monitor_.clear_oracle();

@@ -25,7 +25,7 @@
 // The pipeline only orchestrates: the clocks and the staged-buffer FIFO live
 // in the ExecutionSubstrate, the retry ladder in transport/retry_ladder, the
 // crash-loss closed form in staging::crash_loss_fraction. Every phase reports
-// into the WorkflowObserver event stream.
+// into the run's EventLog.
 #pragma once
 
 #include <algorithm>
@@ -80,7 +80,7 @@ struct StepContext {
 class StepPipeline {
  public:
   StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& substrate,
-               WorkflowObserver* observer);
+               EventLog* log);
 
   StepPipeline(const StepPipeline&) = delete;
   StepPipeline& operator=(const StepPipeline&) = delete;
@@ -117,21 +117,15 @@ class StepPipeline {
   int effective_cores() const noexcept {
     return std::max(0, cur_cores_ - health_.servers_down);
   }
-  /// Stamp the partition clocks onto `event` and append it to the step batch.
-  /// Clocks are read at emission time (not flush time), so batching changes
-  /// only delivery granularity, never a recorded value.
+  /// Stamp the partition clocks onto `event` and append it to the log.
   void emit(WorkflowEvent event);
-  /// Hand the accumulated batch to the observer in exact emission order.
-  /// Called at construction (RunBegin), after each step, and at finish().
-  void flush_events();
 
   const WorkflowConfig& config_;
   ExecutionSubstrate& substrate_;
   amr::SyntheticAmrEvolution evolution_;
   cluster::CostModel cost_;
   runtime::Monitor monitor_;
-  WorkflowObserver* observer_;
-  std::vector<WorkflowEvent> batch_;  ///< stamped events awaiting delivery.
+  EventLog* log_;
   std::unique_ptr<runtime::AdaptationEngine> engine_;
   WorkflowResult result_;
 

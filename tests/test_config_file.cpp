@@ -163,8 +163,13 @@ TEST(ConfigFile, NumbersMustBeTheWholeValueAndErrorsNameTheKey) {
 TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
   // Whole numbers outside the key's range stop at parse time, naming the key,
   // instead of running with a fraction above 1 or reading euler = 7 as true.
-  for (const std::string text : {"active_cell_fraction = 2", "active_cell_fraction = -0.5",
-                                 "euler = 7", "euler = -1"}) {
+  for (const std::string text :
+       {"active_cell_fraction = 2", "active_cell_fraction = -0.5", "euler = 7", "euler = -1",
+        "analysis_interval = 0", "analysis_interval = -3", "front_speed = -1",
+        "front_thickness = 0", "front_radius0 = -0.5", "front_decay = 7",
+        "front_decay_onset = -1", "num_blobs = -2", "blob_radius = -1",
+        "blob_onset_step = -5", "thread_efficiency = -5", "analysis_ncomp = 3\nncomp = 1",
+        "sim_euler_flops = -1"}) {
     try {
       parse(text);
       ADD_FAILURE() << "accepted: " << text;
@@ -178,6 +183,20 @@ TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
   EXPECT_EQ(parse("active_cell_fraction = 1").active_cell_fraction, 1.0);
   EXPECT_FALSE(parse("euler = 0").euler);
   EXPECT_TRUE(parse("euler = 1").euler);
+  // analysis_ncomp is checked once every line is read, so key order cannot matter.
+  EXPECT_EQ(parse("analysis_ncomp = 3\nncomp = 5").analysis_ncomp, 3);
+}
+
+TEST(ConfigFile, LeaseIsSetOnlyByTheFaultsSpec) {
+  // A separate lease key was silently reset by a later `faults` line or by
+  // `xlayer_cli --faults`; the spec's `lease=N` clause is the one way in.
+  try {
+    parse("lease_steps = 2");
+    ADD_FAILURE() << "lease_steps accepted";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("lease_steps"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(parse("faults = crash=5:2:6;drop=0.05;lease=2").faults.lease_steps, 2);
 }
 
 TEST(ConfigFile, SeedsTakeAnyUint64) {

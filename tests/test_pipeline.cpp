@@ -1,16 +1,20 @@
 // Regression tests for the step-pipeline refactor: (a) golden end-to-end
 // values captured from the pre-refactor monolithic CoupledWorkflow::run()
 // must stay byte-identical for every Mode; (b) the analytic and
-// discrete-event execution substrates must agree exactly; (c) the observer
-// event stream must be consistent with the returned WorkflowResult.
+// discrete-event execution substrates must agree exactly; (c) the event
+// stream must be consistent with the returned WorkflowResult; (d) the events
+// and steps CSV bytes are pinned by digest.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <span>
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "runtime/fault.hpp"
+#include "runtime/trigger.hpp"
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
 #include "workflow/observer.hpp"
@@ -267,94 +271,79 @@ TEST(SubstrateContract, ShedBuffersReleaseHeadOfLineOnBothSubstrates) {
   both("finish", [](ExecutionSubstrate& s) { return s.finish(); });
 }
 
-// --- observer batching -------------------------------------------------------
+// --- pinned event bytes ------------------------------------------------------
 
-namespace batching {
-
-/// Sees only the per-event callback (never overrides on_events): the default
-/// unbatching must hand it the classic one-at-a-time sequence.
-struct PerEventLog final : WorkflowObserver {
-  std::vector<WorkflowEvent> events;
-  void on_event(const WorkflowEvent& e) override { events.push_back(e); }
-};
-
-/// Consumes whole batches and records their boundaries.
-struct BatchLog final : WorkflowObserver {
-  std::vector<WorkflowEvent> events;
-  std::vector<std::size_t> batch_sizes;
-  void on_event(const WorkflowEvent& e) override { events.push_back(e); }
-  void on_events(std::span<const WorkflowEvent> es) override {
-    batch_sizes.push_back(es.size());
-    events.insert(events.end(), es.begin(), es.end());
+/// FNV-1a 64 of `bytes`.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
   }
-};
-
-void expect_same_events(const std::vector<WorkflowEvent>& a,
-                        const std::vector<WorkflowEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
-    EXPECT_EQ(a[i].step, b[i].step) << "event " << i;
-    EXPECT_EQ(a[i].sim_clock, b[i].sim_clock) << "event " << i;
-    EXPECT_EQ(a[i].staging_clock, b[i].staging_clock) << "event " << i;
-    EXPECT_EQ(a[i].bytes, b[i].bytes) << "event " << i;
-    EXPECT_EQ(a[i].seconds, b[i].seconds) << "event " << i;
-    EXPECT_EQ(a[i].pool_hits, b[i].pool_hits) << "event " << i;
-    EXPECT_EQ(a[i].pool_misses, b[i].pool_misses) << "event " << i;
-  }
+  return h;
 }
 
-}  // namespace batching
-
-TEST(ObserverBatching, BatchedAndPerEventDeliveryCarryIdenticalSequences) {
-  // Batch delivery is a granularity change, never a content or order change:
-  // an observer that only implements on_event sees the same records, in the
-  // same order, with the same clock stamps as a batch consumer.
-  const WorkflowConfig config = golden_config(Mode::Global);
-  batching::PerEventLog per_event;
-  {
-    CoupledWorkflow wf(config);
-    wf.set_observer(&per_event);
-    (void)wf.run();
-  }
-  batching::BatchLog batched;
-  {
-    CoupledWorkflow wf(config);
-    wf.set_observer(&batched);
-    (void)wf.run();
-  }
-  batching::expect_same_events(per_event.events, batched.events);
-  // The pipeline flushes once per step (plus the run-begin and run-end
-  // flushes), not once per event: batches genuinely batch.
-  EXPECT_GE(batched.batch_sizes.size(), 2u);
-  std::size_t total = 0;
-  bool any_multi = false;
-  for (std::size_t n : batched.batch_sizes) {
-    total += n;
-    any_multi = any_multi || n > 1;
-  }
-  EXPECT_EQ(total, batched.events.size());
-  EXPECT_TRUE(any_multi) << "every batch was a single event - batching is off";
-  EXPECT_LT(batched.batch_sizes.size(), batched.events.size());
+/// An adaptive run that reaches every event kind: k = 2 replicas under a
+/// lease-detected crash plus transfer drops, sampled by the Hybrid trigger.
+/// The costly triangulation keeps bytes staged when the crash is declared,
+/// so the lost replicas need repair.
+WorkflowConfig every_kind_config() {
+  WorkflowConfig c = golden_config(Mode::AdaptiveMiddleware);
+  c.costs.mc_active_flops_per_cell = 5000;
+  c.replication = 2;
+  c.faults = runtime::parse_fault_spec("crash=5:2:6;drop=0.05;lease=2");
+  c.monitor.trigger.policy = runtime::TriggerPolicy::Hybrid;
+  return c;
 }
 
-TEST(ObserverBatching, EventLogMatchesPerEventObserver) {
-  // EventLog consumes batches wholesale; its contents must equal the
-  // per-event view and serialize to the identical CSV.
-  const WorkflowConfig config = golden_config(Mode::AdaptiveMiddleware);
-  batching::PerEventLog per_event;
-  {
-    CoupledWorkflow wf(config);
-    wf.set_observer(&per_event);
-    (void)wf.run();
-  }
-  EventLog log;
-  {
-    CoupledWorkflow wf(config);
+struct PinnedRun {
+  const char* name;
+  WorkflowConfig config;
+  std::uint64_t events_csv;  ///< FNV-1a 64 of write_events_csv.
+  std::uint64_t steps_csv;   ///< FNV-1a 64 of write_steps_csv.
+};
+
+// FNV-1a 64 digests recorded from the batched-observer pipeline that the
+// direct EventLog append replaced. The events CSV is the stream every tool
+// reads, so a drift in its bytes fails here, not only in perfbench.
+std::vector<PinnedRun> pinned_runs() {
+  return {
+      {"static-insitu", golden_config(Mode::StaticInSitu), 0xdcb46b682a219efbull,
+       0xe3f54964a4db8a8dull},
+      {"static-intransit", golden_config(Mode::StaticInTransit), 0xb92826f07f94e1caull,
+       0x20b09a4ee5590991ull},
+      {"static-hybrid", golden_config(Mode::StaticHybrid), 0xb92826f07f94e1caull,
+       0x20b09a4ee5590991ull},
+      {"adaptive-middleware", golden_config(Mode::AdaptiveMiddleware), 0x9989f0c30b1c8674ull,
+       0xd78f288f258bab68ull},
+      {"adaptive-resource", golden_config(Mode::AdaptiveResource), 0xb5ae906ab5fb5394ull,
+       0x64732aa8bfc886c7ull},
+      {"global-crosslayer", golden_config(Mode::Global), 0x832e74bdce1b9861ull,
+       0x64ad324732de62d6ull},
+      {"every-kind", every_kind_config(), 0x66539b2720d5aeb1ull, 0x82143b2b5bc087b4ull},
+  };
+}
+
+TEST(EventBytes, CsvDigestsMatchTheRecordedRunsWhichEmitEveryKind) {
+  std::set<EventKind> seen;
+  for (const PinnedRun& pin : pinned_runs()) {
+    CoupledWorkflow wf(pin.config);
+    EventLog log;
     wf.set_observer(&log);
-    (void)wf.run();
+    const WorkflowResult r = wf.run();
+    std::ostringstream events, steps;
+    write_events_csv(events, log);
+    write_steps_csv(steps, r);
+    EXPECT_EQ(fnv1a(events.str()), pin.events_csv)
+        << pin.name << " events csv: 0x" << std::hex << fnv1a(events.str());
+    EXPECT_EQ(fnv1a(steps.str()), pin.steps_csv)
+        << pin.name << " steps csv: 0x" << std::hex << fnv1a(steps.str());
+    for (const WorkflowEvent& e : log.events()) seen.insert(e.kind);
   }
-  batching::expect_same_events(per_event.events, log.events());
+  for (int k = 0; k <= static_cast<int>(EventKind::TriggerSuppressed); ++k) {
+    EXPECT_EQ(seen.count(static_cast<EventKind>(k)), 1u)
+        << event_kind_name(static_cast<EventKind>(k)) << " never emitted";
+  }
 }
 
 // --- substrate agreement at scale -------------------------------------------

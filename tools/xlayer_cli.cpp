@@ -95,7 +95,7 @@ void print_starting_config() {
                "trigger_seed = 1914161381  # seed of the percentile-sampling draws\n"
                "replication = 1            # staged-object copies (k-way durability)\n"
                "# faults = drop=0.05;retries=3;crash=10:64:5;lease=2   # fault injection (off by default)\n"
-               "# lease_steps = 2          # heartbeat lease window (0 = oracle-instant detection)\n";
+               "#   lease=N: heartbeat lease window in steps (0 = oracle-instant detection)\n";
 }
 
 int run(int argc, char** argv) {
