@@ -64,7 +64,7 @@ StepPoint evaluate(int step) {
   // The worst rank's share of the refined (analyzed) data.
   std::int64_t refined = 0;
   for (std::size_t l = 1; l < geom.levels.size(); ++l) {
-    const auto cells = geom.levels[l].cells_per_rank();
+    const auto& cells = geom.levels[l].cells_per_rank();
     refined += *std::max_element(cells.begin(), cells.end());
   }
   const auto cells = static_cast<std::size_t>(refined);

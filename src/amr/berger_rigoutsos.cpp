@@ -1,7 +1,9 @@
 #include "amr/berger_rigoutsos.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <span>
 
 #include "common/error.hpp"
 #include "mesh/layout.hpp"
@@ -14,25 +16,8 @@ using mesh::kDim;
 
 namespace {
 
-/// Minimal box containing all tags.
-Box bounding_box(const std::vector<IntVect>& tags) {
-  XL_CHECK(!tags.empty(), "bounding box of no tags");
-  IntVect lo = tags[0], hi = tags[0];
-  for (const IntVect& t : tags) {
-    lo = lo.min(t);
-    hi = hi.max(t);
-  }
-  return Box(lo, hi);
-}
-
-/// Signature: tag count per plane along dimension `dim` of `box`.
-std::vector<int> signature(const std::vector<IntVect>& tags, const Box& box, int dim) {
-  std::vector<int> sig(static_cast<std::size_t>(box.size()[dim]), 0);
-  for (const IntVect& t : tags) {
-    ++sig[static_cast<std::size_t>(t[dim] - box.lo()[dim])];
-  }
-  return sig;
-}
+/// Tag count per plane of one node's bounding box, one span per dimension.
+using Signatures = std::array<std::span<const int>, kDim>;
 
 struct Cut {
   int dim = -1;
@@ -41,7 +26,7 @@ struct Cut {
 };
 
 /// Look for a zero plane (hole) in any signature — the best possible cut.
-Cut find_hole(const std::vector<std::vector<int>>& sigs, const Box& box, int min_size) {
+Cut find_hole(const Signatures& sigs, const Box& box, int min_size) {
   Cut best;
   for (int d = 0; d < kDim; ++d) {
     const auto& sig = sigs[static_cast<std::size_t>(d)];
@@ -60,8 +45,7 @@ Cut find_hole(const std::vector<std::vector<int>>& sigs, const Box& box, int min
 }
 
 /// Otherwise cut at the strongest inflection of the signature Laplacian.
-Cut find_inflection(const std::vector<std::vector<int>>& sigs, const Box& box,
-                    int min_size) {
+Cut find_inflection(const Signatures& sigs, const Box& box, int min_size) {
   Cut best;
   for (int d = 0; d < kDim; ++d) {
     const auto& sig = sigs[static_cast<std::size_t>(d)];
@@ -98,10 +82,40 @@ Cut find_bisection(const Box& box, int min_size) {
   return best;
 }
 
-void cluster(std::vector<IntVect> tags, const Box& domain, const BrConfig& config,
-             std::vector<Box>& out) {
-  if (tags.empty()) return;
-  const Box bb = bounding_box(tags) & domain;
+/// Clusters the non-empty `tags`, all inside `region`, appending boxes to
+/// `out` in recursion order. `scratch` holds at least the sum of `region`'s
+/// edge lengths; each node overwrites it before recursing, so one buffer
+/// serves the whole recursion. `tags` is reordered in place.
+void cluster(std::span<IntVect> tags, const Box& region, const BrConfig& config,
+             std::vector<int>& scratch, std::vector<Box>& out) {
+  // One pass over the tags: signatures of the whole region, from which the
+  // tight bounding box is each signature's first and last non-zero plane.
+  std::array<std::span<int>, kDim> planes;
+  std::size_t offset = 0;
+  for (int d = 0; d < kDim; ++d) {
+    const auto len = static_cast<std::size_t>(region.size()[d]);
+    planes[static_cast<std::size_t>(d)] = std::span<int>(scratch).subspan(offset, len);
+    offset += len;
+  }
+  std::fill_n(scratch.begin(), offset, 0);
+  for (const IntVect& t : tags) {
+    for (int d = 0; d < kDim; ++d) {
+      ++planes[static_cast<std::size_t>(d)][static_cast<std::size_t>(t[d] - region.lo()[d])];
+    }
+  }
+  IntVect lo, hi;
+  Signatures sigs;
+  for (int d = 0; d < kDim; ++d) {
+    const std::span<int> plane = planes[static_cast<std::size_t>(d)];
+    std::size_t first = 0, last = plane.size() - 1;
+    while (plane[first] == 0) ++first;
+    while (plane[last] == 0) --last;
+    lo[d] = region.lo()[d] + static_cast<int>(first);
+    hi[d] = region.lo()[d] + static_cast<int>(last);
+    sigs[static_cast<std::size_t>(d)] = plane.subspan(first, last - first + 1);
+  }
+  const Box bb(lo, hi);
+
   const double fill = static_cast<double>(tags.size()) /
                       static_cast<double>(bb.num_cells());
   const bool small_enough = bb.size()[bb.longest_dim()] <= config.max_box_size;
@@ -116,10 +130,6 @@ void cluster(std::vector<IntVect> tags, const Box& domain, const BrConfig& confi
     return;
   }
 
-  std::vector<std::vector<int>> sigs;
-  sigs.reserve(kDim);
-  for (int d = 0; d < kDim; ++d) sigs.push_back(signature(tags, bb, d));
-
   Cut cut = find_hole(sigs, bb, config.min_box_size);
   if (cut.dim < 0) cut = find_inflection(sigs, bb, config.min_box_size);
   if (cut.dim < 0) cut = find_bisection(bb, config.min_box_size);
@@ -128,15 +138,17 @@ void cluster(std::vector<IntVect> tags, const Box& domain, const BrConfig& confi
     return;
   }
 
-  std::vector<IntVect> left, right;
-  left.reserve(tags.size());
-  right.reserve(tags.size());
-  for (const IntVect& t : tags) {
-    (t[cut.dim] < cut.at ? left : right).push_back(t);
-  }
-  XL_CHECK(!left.empty() || !right.empty(), "cut lost all tags");
-  cluster(std::move(left), domain, config, out);
-  cluster(std::move(right), domain, config, out);
+  // Every cut lies strictly inside the tight bounding box, whose first and
+  // last planes hold tags, so both sides keep at least one tag and the
+  // recursion shrinks.
+  const auto mid = std::partition(tags.begin(), tags.end(),
+                                  [&](const IntVect& t) { return t[cut.dim] < cut.at; });
+  const auto nleft = static_cast<std::size_t>(mid - tags.begin());
+  XL_CHECK(nleft > 0 && nleft < tags.size(), "cut left one side without tags");
+  Box upper = bb;
+  const Box lower = upper.chop(cut.dim, cut.at);
+  cluster(tags.first(nleft), lower, config, scratch, out);
+  cluster(tags.subspan(nleft), upper, config, scratch, out);
 }
 
 }  // namespace
@@ -146,18 +158,39 @@ std::vector<Box> berger_rigoutsos(const std::vector<IntVect>& tags, const Box& d
   XL_REQUIRE(config.fill_ratio > 0.0 && config.fill_ratio <= 1.0,
              "fill ratio must be in (0,1]");
   XL_REQUIRE(config.min_box_size >= 1, "min box size must be positive");
-  std::vector<Box> out;
   std::vector<IntVect> inside;
   inside.reserve(tags.size());
   for (const IntVect& t : tags) {
     if (domain.contains(t)) inside.push_back(t);
   }
-  cluster(std::move(inside), domain, config, out);
+  if (inside.empty()) return {};
+  if (config.max_box_size == 1 && config.min_box_size == 1) {
+    // Every leaf of the recursion is then one tagged cell, so the result is
+    // the distinct tags as unit boxes (in another order than the recursion
+    // would emit them).
+    std::sort(inside.begin(), inside.end(),
+              [](const IntVect& a, const IntVect& b) { return a.v < b.v; });
+    inside.erase(std::unique(inside.begin(), inside.end()), inside.end());
+    std::vector<Box> unit;
+    unit.reserve(inside.size());
+    for (const IntVect& t : inside) unit.emplace_back(t, t);
+    return unit;
+  }
+  std::vector<Box> out;
+  const IntVect dsize = domain.size();
+  std::vector<int> scratch(static_cast<std::size_t>(dsize[0]) + static_cast<std::size_t>(dsize[1]) +
+                           static_cast<std::size_t>(dsize[2]));
+  cluster(inside, domain, config, scratch, out);
   // Guarantee max_box_size: the fill-ratio early-accept can return oversized
   // boxes only when they were unsplittable, but decompose() enforces the cap.
   std::vector<Box> sized;
+  sized.reserve(out.size());
   for (const Box& b : out) {
-    auto pieces = mesh::decompose(b, config.max_box_size);
+    if (b.size()[b.longest_dim()] <= config.max_box_size) {
+      sized.push_back(b);
+      continue;
+    }
+    const std::vector<Box> pieces = mesh::decompose(b, config.max_box_size);
     sized.insert(sized.end(), pieces.begin(), pieces.end());
   }
   return sized;

@@ -18,7 +18,8 @@ struct BrConfig {
 
 /// Cluster `tags` (cells in the index space of the level being refined) into
 /// boxes. Returned boxes are disjoint, cover every tag, lie within `domain`,
-/// and are aligned to min_box_size where possible.
+/// and are aligned to min_box_size where possible. The result does not depend
+/// on the order of `tags`.
 std::vector<mesh::Box> berger_rigoutsos(const std::vector<mesh::IntVect>& tags,
                                         const mesh::Box& domain, const BrConfig& config);
 

@@ -1,11 +1,12 @@
 #include "amr/plotfile.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
+#include <string>
 
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
@@ -148,12 +149,22 @@ AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& 
   AmrHierarchy hierarchy(config, data.ncomp);
 
   // Rebuild the fine layouts with the recorded rank assignment, then copy
-  // payloads level by level.
+  // payloads level by level. A recorded rank must be one of the config's:
+  // the layout sizes its per-rank totals by the rank count.
   std::vector<mesh::BoxLayout> fine_layouts;
   for (std::size_t l = 1; l < data.levels.size(); ++l) {
-    int nranks = config.nranks;
-    for (int r : data.levels[l].ranks) nranks = std::max(nranks, r + 1);
-    fine_layouts.emplace_back(data.levels[l].boxes, data.levels[l].ranks, nranks);
+    const PlotLevel& level = data.levels[l];
+    XL_REQUIRE(level.ranks.size() == level.boxes.size(),
+               "plotfile level " + std::to_string(l) + " needs one rank per box");
+    for (std::size_t i = 0; i < level.ranks.size(); ++i) {
+      const int rank = level.ranks[i];
+      if (rank >= 0 && rank < config.nranks) continue;
+      std::ostringstream os;
+      os << "plotfile level " << l << " box " << i << " " << level.boxes[i] << " has rank "
+         << rank << ", outside [0, " << config.nranks << ")";
+      throw ContractError(os.str());
+    }
+    fine_layouts.emplace_back(level.boxes, level.ranks, config.nranks);
   }
   hierarchy.regrid(fine_layouts);
 

@@ -79,7 +79,7 @@ class SyntheticAmrEvolution {
 
   SyntheticAmrConfig config_;
   double shortest_edge_;
-  BoxLayout base_layout_;  ///< level 0 is static; built once.
+  BoxLayout base_layout_;  ///< level 0 is static: built once, shared by every step.
   std::vector<std::array<double, 3>> blob_centers_;   ///< fractions of domain.
   std::vector<std::array<double, 3>> blob_velocity_;  ///< fractions per step.
 };

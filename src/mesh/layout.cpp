@@ -9,62 +9,62 @@
 
 namespace xl::mesh {
 
-BoxLayout::BoxLayout(std::vector<Box> boxes, std::vector<int> ranks, int nranks)
-    : boxes_(std::move(boxes)), ranks_(std::move(ranks)), nranks_(nranks) {
-  XL_REQUIRE(boxes_.size() == ranks_.size(), "one rank per box");
-  XL_REQUIRE(nranks_ > 0, "layout needs at least one rank");
-  for (std::size_t i = 0; i < boxes_.size(); ++i) {
-    XL_REQUIRE(!boxes_[i].empty(), "layout contains an empty box");
-    XL_REQUIRE(ranks_[i] >= 0 && ranks_[i] < nranks_, "rank out of range");
+BoxLayout::BoxLayout() {
+  static const std::shared_ptr<const Data> empty = std::make_shared<const Data>();
+  data_ = empty;
+}
+
+BoxLayout::BoxLayout(std::vector<Box> boxes, std::vector<int> ranks, int nranks) {
+  XL_REQUIRE(boxes.size() == ranks.size(), "one rank per box");
+  XL_REQUIRE(nranks > 0, "layout needs at least one rank");
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    XL_REQUIRE(!boxes[i].empty(), "layout contains an empty box");
+    XL_REQUIRE(ranks[i] >= 0 && ranks[i] < nranks, "rank out of range");
   }
   // Disjointness is verified pairwise for small layouts (the ones tests and
   // in-process runs build by hand). Large layouts — the machine-scale
   // synthetic runs with 10^4..10^5 boxes — come from decompose() and
   // berger_rigoutsos(), which produce disjoint boxes by construction, and an
   // O(n^2) check would dominate the experiment wall time.
-  if (boxes_.size() <= kVerifyDisjointLimit) {
-    for (std::size_t i = 0; i < boxes_.size(); ++i) {
-      for (std::size_t j = i + 1; j < boxes_.size(); ++j) {
-        XL_REQUIRE(!boxes_[i].intersects(boxes_[j]), "layout boxes overlap");
+  if (boxes.size() <= kVerifyDisjointLimit) {
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      for (std::size_t j = i + 1; j < boxes.size(); ++j) {
+        XL_REQUIRE(!boxes[i].intersects(boxes[j]), "layout boxes overlap");
       }
     }
   }
-}
-
-std::int64_t BoxLayout::total_cells() const noexcept {
-  std::int64_t total = 0;
-  for (const Box& b : boxes_) total += b.num_cells();
-  return total;
-}
-
-std::vector<std::int64_t> BoxLayout::cells_per_rank() const {
-  std::vector<std::int64_t> cells(static_cast<std::size_t>(nranks_), 0);
-  for (std::size_t i = 0; i < boxes_.size(); ++i) {
-    cells[static_cast<std::size_t>(ranks_[i])] += boxes_[i].num_cells();
+  auto data = std::make_shared<Data>();
+  data->cells_per_rank.assign(static_cast<std::size_t>(nranks), 0);
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    data->total_cells += boxes[i].num_cells();
+    data->cells_per_rank[static_cast<std::size_t>(ranks[i])] += boxes[i].num_cells();
   }
-  return cells;
+  data->boxes = std::move(boxes);
+  data->ranks = std::move(ranks);
+  data->nranks = nranks;
+  data_ = std::move(data);
 }
 
 double BoxLayout::imbalance() const {
-  const auto cells = cells_per_rank();
+  const std::vector<std::int64_t>& cells = cells_per_rank();
   const std::int64_t total = std::accumulate(cells.begin(), cells.end(), std::int64_t{0});
   if (total == 0) return 1.0;
   const std::int64_t peak = *std::max_element(cells.begin(), cells.end());
-  const double mean = static_cast<double>(total) / static_cast<double>(nranks_);
+  const double mean = static_cast<double>(total) / static_cast<double>(num_ranks());
   return static_cast<double>(peak) / mean;
 }
 
 std::vector<std::size_t> BoxLayout::boxes_of_rank(int rank) const {
   std::vector<std::size_t> mine;
-  for (std::size_t i = 0; i < boxes_.size(); ++i) {
-    if (ranks_[i] == rank) mine.push_back(i);
+  for (std::size_t i = 0; i < num_boxes(); ++i) {
+    if (data_->ranks[i] == rank) mine.push_back(i);
   }
   return mine;
 }
 
 Box BoxLayout::bounding_box() const noexcept {
   Box hull;
-  for (const Box& b : boxes_) hull = hull.hull(b);
+  for (const Box& b : data_->boxes) hull = hull.hull(b);
   return hull;
 }
 
@@ -112,12 +112,20 @@ std::uint64_t morton_key(const IntVect& p) {
 
 namespace {
 
-BoxLayout balance_morton(std::vector<Box> boxes, int nranks) {
-  std::vector<std::size_t> order(boxes.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return morton_key(boxes[a].lo()) < morton_key(boxes[b].lo());
-  });
+/// Indices of `boxes` in the Morton order of their low corners, each key
+/// computed once. Disjoint boxes have distinct low corners, hence distinct
+/// keys, so the order does not depend on the order of `boxes`.
+std::vector<std::size_t> morton_order(const std::vector<Box>& boxes) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) keyed[i] = {morton_key(boxes[i].lo()), i};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::size_t> order(keyed.size());
+  for (std::size_t k = 0; k < keyed.size(); ++k) order[k] = keyed[k].second;
+  return order;
+}
+
+BoxLayout balance_morton(const std::vector<Box>& boxes, int nranks) {
+  const std::vector<std::size_t> order = morton_order(boxes);
   // Walk the Morton order accumulating cells; advance to the next rank once
   // the running share exceeds the ideal per-rank share.
   std::int64_t total = 0;
@@ -140,10 +148,10 @@ BoxLayout balance_morton(std::vector<Box> boxes, int nranks) {
 }
 
 BoxLayout balance_knapsack(std::vector<Box> boxes, int nranks) {
-  // Longest-processing-time: heaviest box goes to the lightest rank.
-  std::vector<std::size_t> order(boxes.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  // Longest-processing-time: heaviest box goes to the lightest rank. Boxes
+  // of equal weight go in Morton order, so ties do not follow input order.
+  std::vector<std::size_t> order = morton_order(boxes);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return boxes[a].num_cells() > boxes[b].num_cells();
   });
   using Load = std::pair<std::int64_t, int>;  // (cells, rank)
@@ -165,7 +173,7 @@ BoxLayout balance(std::vector<Box> boxes, int nranks, BalanceMethod method) {
   XL_REQUIRE(nranks > 0, "need at least one rank");
   switch (method) {
     case BalanceMethod::MortonRoundRobin:
-      return balance_morton(std::move(boxes), nranks);
+      return balance_morton(boxes, nranks);
     case BalanceMethod::KnapsackLpt:
       return balance_knapsack(std::move(boxes), nranks);
   }

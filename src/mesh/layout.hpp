@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/lookup.hpp"
@@ -25,23 +26,32 @@ class BoxLayout {
   /// berger_rigoutsos(), disjoint by construction).
   static constexpr std::size_t kVerifyDisjointLimit = 512;
 
-  BoxLayout() = default;
+  /// No boxes and no ranks.
+  BoxLayout();
 
   /// Boxes must be pairwise disjoint (checked up to kVerifyDisjointLimit) and
   /// each is assigned a rank in [0, nranks).
   BoxLayout(std::vector<Box> boxes, std::vector<int> ranks, int nranks);
 
-  std::size_t num_boxes() const noexcept { return boxes_.size(); }
-  int num_ranks() const noexcept { return nranks_; }
-  const Box& box(std::size_t i) const { return at_index(boxes_, i, "BoxLayout::box"); }
-  int rank_of(std::size_t i) const { return at_index(ranks_, i, "BoxLayout::rank_of"); }
-  const std::vector<Box>& boxes() const noexcept { return boxes_; }
+  /// A layout is immutable, so copies share one allocation. There are no move
+  /// operations: a moved-from layout would hold no data, and every accessor
+  /// relies on the handle never being null.
+  BoxLayout(const BoxLayout&) = default;
+  BoxLayout& operator=(const BoxLayout&) = default;
+
+  std::size_t num_boxes() const noexcept { return data_->boxes.size(); }
+  int num_ranks() const noexcept { return data_->nranks; }
+  const Box& box(std::size_t i) const { return at_index(data_->boxes, i, "BoxLayout::box"); }
+  int rank_of(std::size_t i) const { return at_index(data_->ranks, i, "BoxLayout::rank_of"); }
+  const std::vector<Box>& boxes() const noexcept { return data_->boxes; }
 
   /// Total cells across all boxes.
-  std::int64_t total_cells() const noexcept;
+  std::int64_t total_cells() const noexcept { return data_->total_cells; }
 
   /// Cells assigned to each rank (size nranks). Ranks with no boxes get 0.
-  std::vector<std::int64_t> cells_per_rank() const;
+  const std::vector<std::int64_t>& cells_per_rank() const noexcept {
+    return data_->cells_per_rank;
+  }
 
   /// Max-over-mean cell imbalance; 1.0 is perfect.
   double imbalance() const;
@@ -53,15 +63,24 @@ class BoxLayout {
   Box bounding_box() const noexcept;
 
  private:
-  std::vector<Box> boxes_;
-  std::vector<int> ranks_;
-  int nranks_ = 0;
+  /// Everything a layout holds, totals included, fixed at construction.
+  struct Data {
+    std::vector<Box> boxes;
+    std::vector<int> ranks;
+    int nranks = 0;
+    std::int64_t total_cells = 0;
+    std::vector<std::int64_t> cells_per_rank;
+  };
+  std::shared_ptr<const Data> data_;
 };
 
 /// Chop `domain` into boxes no larger than `max_box_size` cells per side.
 std::vector<Box> decompose(const Box& domain, int max_box_size);
 
-/// Assign `boxes` to `nranks` ranks.
+/// Assign `boxes` to `nranks` ranks. Each box gets the same rank whatever the
+/// order of `boxes`, provided their low corners are distinct (true of
+/// disjoint boxes): Morton orders by the key of each low corner, and knapsack
+/// breaks cell-count ties by that key.
 BoxLayout balance(std::vector<Box> boxes, int nranks,
                   BalanceMethod method = BalanceMethod::MortonRoundRobin);
 

@@ -21,7 +21,7 @@ namespace {
 double step_imbalance(const amr::SyntheticStep& geom, int nranks) {
   std::vector<std::int64_t> per_rank(static_cast<std::size_t>(nranks), 0);
   for (const auto& layout : geom.levels) {
-    const auto cells = layout.cells_per_rank();
+    const auto& cells = layout.cells_per_rank();
     for (std::size_t r = 0; r < cells.size(); ++r) per_rank[r] += cells[r];
   }
   std::int64_t total = 0, peak = 0;

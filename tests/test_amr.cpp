@@ -1,10 +1,12 @@
 // Tests for the AMR machinery: tagging, Berger-Rigoutsos clustering,
 // inter-level interpolation, hierarchy regridding, the memory model and the
 // synthetic geometry evolution.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <unordered_set>
 
 #include "amr/berger_rigoutsos.hpp"
@@ -14,6 +16,9 @@
 #include "amr/synthetic.hpp"
 #include "amr/tagging.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "digest.hpp"
+#include "workflow/experiment.hpp"
 
 namespace xl::amr {
 namespace {
@@ -96,6 +101,45 @@ TEST(BergerRigoutsos, IgnoresTagsOutsideDomain) {
   const Box domain = Box::domain({8, 8, 8});
   const auto boxes = berger_rigoutsos({{100, 100, 100}}, domain, {});
   EXPECT_TRUE(boxes.empty());
+}
+
+/// Boxes in lexicographic order of their corners, for comparing box sets.
+std::vector<Box> sorted_boxes(std::vector<Box> boxes) {
+  std::sort(boxes.begin(), boxes.end(), [](const Box& a, const Box& b) {
+    return std::pair(a.lo().v, a.hi().v) < std::pair(b.lo().v, b.hi().v);
+  });
+  return boxes;
+}
+
+TEST(BergerRigoutsos, BoxSetIndependentOfTagOrder) {
+  const Box domain = Box::domain({32, 32, 32});
+  const auto tags = sphere_shell_tags(domain, 8.0, 11.0);
+  std::vector<IntVect> shuffled = tags;
+  Rng rng(19);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  ASSERT_NE(shuffled, tags);
+  for (const auto& [cap, min_size] : {std::pair(8, 2), std::pair(1, 1)}) {
+    BrConfig cfg;
+    cfg.max_box_size = cap;
+    cfg.min_box_size = min_size;
+    const auto boxes = berger_rigoutsos(tags, domain, cfg);
+    ASSERT_FALSE(boxes.empty());
+    EXPECT_EQ(sorted_boxes(berger_rigoutsos(shuffled, domain, cfg)), sorted_boxes(boxes))
+        << "cap " << cap << ", min " << min_size;
+  }
+}
+
+TEST(BergerRigoutsos, UnitCapReturnsTheDistinctInDomainTags) {
+  const Box domain = Box::domain({8, 8, 8});
+  const std::vector<IntVect> tags{{1, 2, 3}, {7, 7, 7}, {1, 2, 3}, {0, 0, 0}, {8, 0, 0},
+                                  {4, 2, 3}, {-1, 5, 5}, {7, 7, 7}, {2, 2, 3}, {5, 5, 99}};
+  BrConfig cfg;
+  cfg.max_box_size = 1;
+  cfg.min_box_size = 1;
+  const std::vector<Box> expected{Box({0, 0, 0}, {0, 0, 0}), Box({1, 2, 3}, {1, 2, 3}),
+                                  Box({2, 2, 3}, {2, 2, 3}), Box({4, 2, 3}, {4, 2, 3}),
+                                  Box({7, 7, 7}, {7, 7, 7})};
+  EXPECT_EQ(sorted_boxes(berger_rigoutsos(tags, domain, cfg)), expected);
 }
 
 // --- Tagging ---------------------------------------------------------------
@@ -337,6 +381,36 @@ TEST(Synthetic, RefinedBoxesInsideRefinedDomain) {
       EXPECT_TRUE(domain.contains(b)) << "level " << lev << " box " << b;
     }
   }
+}
+
+TEST(Synthetic, GeometryDigestMatchesTheRecordedRun) {
+  // The 2K-core Titan figure geometry, balanced over one rank per simulation
+  // core, at steps before and after blob onset (10) and band decay (35). The
+  // digest covers every box, its rank, the cells per level and the eqs. 1-3
+  // per-rank peak bytes. It was recorded with per-node tag vectors in
+  // Berger-Rigoutsos and Morton keys recomputed inside the sort comparator.
+  const workflow::WorkflowConfig config =
+      workflow::titan_middleware_experiment(0, workflow::Mode::StaticInSitu);
+  SyntheticAmrConfig geometry = config.geometry;
+  geometry.nranks = config.sim_cores;
+  const SyntheticAmrEvolution evolution(geometry);
+  std::ostringstream bytes;
+  for (const int step : {0, 10, 20, 35, 49}) {
+    const SyntheticStep s = evolution.at(step);
+    bytes << "step " << step << '\n';
+    for (const BoxLayout& layout : s.levels) {
+      bytes << "level " << layout.num_boxes() << '\n';
+      for (std::size_t i = 0; i < layout.num_boxes(); ++i) {
+        bytes << layout.box(i) << ' ' << layout.rank_of(i) << '\n';
+      }
+    }
+    for (const std::int64_t cells : s.cells_per_level) bytes << cells << '\n';
+    for (const std::size_t peak : per_rank_peak_bytes(s.levels, config.memory_model)) {
+      bytes << peak << '\n';
+    }
+  }
+  const std::uint64_t digest = test::fnv1a(bytes.str());
+  EXPECT_EQ(digest, 0x0a645b649cda2304ull) << "geometry digest: 0x" << std::hex << digest;
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Tests for domain decomposition, load balancing and layout accounting.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "mesh/layout.hpp"
 
 namespace xl::mesh {
@@ -91,6 +95,27 @@ TEST_P(BalanceTest, MoreRanksThanBoxes) {
   int nonzero = 0;
   for (auto c : cells) nonzero += c > 0;
   EXPECT_EQ(nonzero, 1);
+}
+
+TEST_P(BalanceTest, AssignmentIndependentOfInputOrder) {
+  // 512 equal boxes over 7 ranks: every cell count ties, so only an explicit
+  // tie-break keeps knapsack's mapping from following the input order.
+  const auto boxes = decompose(Box::domain({64, 64, 64}), 8);
+  std::vector<Box> shuffled = boxes;
+  Rng rng(19);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  ASSERT_NE(shuffled, boxes);
+  using Corners = std::pair<std::array<int, kDim>, std::array<int, kDim>>;
+  auto assignment = [](const BoxLayout& layout) {
+    std::map<Corners, int> rank_of_box;
+    for (std::size_t i = 0; i < layout.num_boxes(); ++i) {
+      rank_of_box[{layout.box(i).lo().v, layout.box(i).hi().v}] = layout.rank_of(i);
+    }
+    return rank_of_box;
+  };
+  const auto expected = assignment(balance(boxes, 7, GetParam()));
+  EXPECT_EQ(expected.size(), boxes.size());
+  EXPECT_EQ(assignment(balance(shuffled, 7, GetParam())), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, BalanceTest,

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "digest.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/coupled_workflow.hpp"
@@ -22,6 +23,7 @@
 
 using namespace xl;
 using namespace xl::workflow;
+using xl::test::fnv1a;
 
 namespace {
 
@@ -272,16 +274,6 @@ TEST(SubstrateContract, ShedBuffersReleaseHeadOfLineOnBothSubstrates) {
 }
 
 // --- pinned event bytes ------------------------------------------------------
-
-/// FNV-1a 64 of `bytes`.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// An adaptive run that reaches every event kind: k = 2 replicas under a
 /// lease-detected crash plus transfer drops, sampled by the Hybrid trigger.

@@ -2,8 +2,11 @@
 // hierarchy restoration, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "amr/plotfile.hpp"
 
@@ -109,6 +112,26 @@ TEST(Plotfile, RestorationRejectsMismatchedDomain) {
   AmrConfig wrong = h.config();
   wrong.base_domain = Box::domain({32, 32, 32});
   EXPECT_THROW(hierarchy_from_plotfile(data, wrong), ContractError);
+}
+
+TEST(Plotfile, RestorationRejectsRanksOutsideTheConfig) {
+  const AmrHierarchy h = sample_hierarchy();
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_plotfile(buffer, h, 0, 0.0);
+  const PlotFileData data = read_plotfile(buffer);
+  const int nranks = h.config().nranks;
+  for (const int rank : {1 << 30, std::numeric_limits<std::int32_t>::max(), -1, nranks}) {
+    PlotFileData bad = data;
+    bad.levels[1].ranks[0] = rank;
+    try {
+      (void)hierarchy_from_plotfile(bad, h.config());
+      ADD_FAILURE() << "rank " << rank << " accepted";
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("level 1 box 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank " + std::to_string(rank)), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Plotfile, MissingFileThrows) {
