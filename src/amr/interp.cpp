@@ -4,7 +4,6 @@
 
 namespace xl::amr {
 
-using mesh::BoxIterator;
 using mesh::Fab;
 
 namespace {
@@ -12,35 +11,36 @@ namespace {
 /// Floor division matching IntVect::coarsen on negative coordinates.
 int floor_div(int a, int b) { return (a >= 0) ? a / b : -((-a + b - 1) / b); }
 
+/// Copy each cell of `ftarget` in `ffab` from its coarse parent in `cfab`.
+/// Each fine row reads one coarse row (the one at j/ratio, k/ratio); only the
+/// x gather index changes per cell.
+void gather_parents(const Fab& cfab, Fab& ffab, const Box& ftarget, int ratio) {
+  const int fx0 = ftarget.lo()[0];
+  const int cx0 = cfab.box().lo()[0];
+  const auto nx = static_cast<std::size_t>(ftarget.size()[0]);
+  const auto fxoff = static_cast<std::size_t>(fx0 - ffab.box().lo()[0]);
+  for (int c = 0; c < ffab.ncomp(); ++c) {
+    mesh::for_each_row(ftarget, [&](int j, int k) {
+      double* fr = ffab.row(c, j, k) + fxoff;
+      const double* cr = cfab.row(c, floor_div(j, ratio), floor_div(k, ratio));
+      for (std::size_t i = 0; i < nx; ++i) {
+        fr[i] = cr[floor_div(fx0 + static_cast<int>(i), ratio) - cx0];
+      }
+    });
+  }
+}
+
 }  // namespace
 
 void prolong_constant(const AmrLevel& coarse, AmrLevel& fine, int ratio) {
   const IntVect rvec = IntVect::uniform(ratio);
   for (std::size_t fi = 0; fi < fine.layout.num_boxes(); ++fi) {
-    Fab& ffab = fine.data[fi];
     const Box fvalid = fine.layout.box(fi);
     const Box cneeded = fvalid.coarsen(rvec);
     for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
       const Box coverlap = cneeded & coarse.layout.box(ci);
       if (coverlap.empty()) continue;
-      const Fab& cfab = coarse.data[ci];
-      const Box ftarget = coverlap.refine(rvec) & fvalid;
-      // Each fine row reads one coarse row (the one at j/ratio, k/ratio);
-      // only the x gather index changes per cell.
-      const int fx0 = ftarget.lo()[0];
-      const int cx0 = cfab.box().lo()[0];
-      const auto nx = static_cast<std::size_t>(ftarget.size()[0]);
-      const auto fxoff = static_cast<std::size_t>(fx0 - ffab.box().lo()[0]);
-      for (int c = 0; c < ffab.ncomp(); ++c) {
-        mesh::for_each_row(ftarget, [&](int j, int k) {
-          double* fr = ffab.row(c, j, k) + fxoff;
-          const double* cr =
-              cfab.row(c, floor_div(j, ratio), floor_div(k, ratio));
-          for (std::size_t i = 0; i < nx; ++i) {
-            fr[i] = cr[floor_div(fx0 + static_cast<int>(i), ratio) - cx0];
-          }
-        });
-      }
+      gather_parents(coarse.data[ci], fine.data[fi], coverlap.refine(rvec) & fvalid, ratio);
     }
   }
 }
@@ -95,16 +95,16 @@ void restrict_average(const AmrLevel& fine, AmrLevel& coarse, int ratio) {
 void fill_cf_ghosts(const AmrLevel& coarse, AmrLevel& fine, int ratio, int nghost) {
   const IntVect rvec = IntVect::uniform(ratio);
   for (std::size_t fi = 0; fi < fine.layout.num_boxes(); ++fi) {
-    Fab& ffab = fine.data[fi];
     const Box ghosted = fine.layout.box(fi).grow(nghost);
     // Cells of the ghost halo not covered by any fine valid box.
     std::vector<Box> halo;
     ghosted.subtract(fine.layout.box(fi), halo);
     for (const Box& piece : halo) {
-      // Remove parts covered by other fine boxes (exchange handles those).
+      // Remove parts covered by other fine boxes (exchange handles those). A
+      // box that misses the ghosted box would leave every piece as it is.
       std::vector<Box> uncovered{piece};
       for (std::size_t fj = 0; fj < fine.layout.num_boxes(); ++fj) {
-        if (fj == fi) continue;
+        if (fj == fi || !ghosted.intersects(fine.layout.box(fj))) continue;
         std::vector<Box> next;
         for (const Box& u : uncovered) u.subtract(fine.layout.box(fj), next);
         uncovered = std::move(next);
@@ -112,19 +112,13 @@ void fill_cf_ghosts(const AmrLevel& coarse, AmrLevel& fine, int ratio, int nghos
       }
       for (const Box& u : uncovered) {
         const Box cneeded = u.coarsen(rvec);
+        // Read through the coarse fabs' own ghosts so domain-boundary fine
+        // ghosts get filled too (coarse ghosts were filled by exchange).
+        // Ghosted coarse fabs overlap; the later box's value wins.
         for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
-          // Read through the coarse fab's own ghosts so domain-boundary fine
-          // ghosts get filled too (coarse ghosts were filled by exchange).
-          const Box creadable = coarse.data[ci].box();
-          const Box coverlap = cneeded & creadable;
+          const Box coverlap = cneeded & coarse.data[ci].box();
           if (coverlap.empty()) continue;
-          const Fab& cfab = coarse.data[ci];
-          const Box ftarget = coverlap.refine(rvec) & u;
-          for (int c = 0; c < ffab.ncomp(); ++c) {
-            for (BoxIterator it(ftarget); it.ok(); ++it) {
-              ffab(*it, c) = cfab((*it).coarsen(rvec), c);
-            }
-          }
+          gather_parents(coarse.data[ci], fine.data[fi], coverlap.refine(rvec) & u, ratio);
         }
       }
     }

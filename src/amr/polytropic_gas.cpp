@@ -9,11 +9,27 @@ namespace xl::amr {
 
 namespace {
 
-/// Minmod slope limiter.
-double minmod(double a, double b) {
-  if (a * b <= 0.0) return 0.0;
-  return std::fabs(a) < std::fabs(b) ? a : b;
+/// Floor of both the density and the pressure.
+constexpr double kFloor = 1e-12;
+
+/// Density and pressure of one conserved state.
+struct Eos {
+  double rho;
+  double p;
+};
+
+/// The equation of state: density floored at kFloor, pressure
+/// (gamma - 1)(E - |m|^2 / 2 rho) floored at kFloor. pressure(), sound_speed(),
+/// max_wave_speed() and the flux kernel all go through here, so the floors and
+/// the formula exist once.
+inline Eos eos(double gamma, double rho, double mx, double my, double mz, double e) {
+  const double r = std::max(rho, kFloor);
+  const double ke = 0.5 * (mx * mx + my * my + mz * mz) / r;
+  return {r, std::max((gamma - 1.0) * (e - ke), kFloor)};
 }
+
+/// Faces per chunk of a flux row; the kernel's scratch is sized by it.
+constexpr std::size_t kChunk = 64;
 
 }  // namespace
 
@@ -44,45 +60,30 @@ void PolytropicGas::initial_value(const IntVect& p, double dx, double* out) cons
 }
 
 double PolytropicGas::pressure(const double* cons) const {
-  const double rho = std::max(cons[kRho], 1e-12);
-  const double ke = 0.5 *
-                    (cons[kMomX] * cons[kMomX] + cons[kMomY] * cons[kMomY] +
-                     cons[kMomZ] * cons[kMomZ]) /
-                    rho;
-  return std::max((config_.gamma - 1.0) * (cons[kEnergy] - ke), 1e-12);
+  const Eos s =
+      eos(config_.gamma, cons[kRho], cons[kMomX], cons[kMomY], cons[kMomZ], cons[kEnergy]);
+  return s.p;
 }
 
 double PolytropicGas::sound_speed(const double* cons) const {
-  const double rho = std::max(cons[kRho], 1e-12);
-  return std::sqrt(config_.gamma * pressure(cons) / rho);
-}
-
-void PolytropicGas::physical_flux(const double* cons, int dim, double* out) const {
-  const double rho = std::max(cons[kRho], 1e-12);
-  const double vel = cons[kMomX + dim] / rho;
-  const double p = pressure(cons);
-  out[kRho] = cons[kRho] * vel;
-  out[kMomX] = cons[kMomX] * vel;
-  out[kMomY] = cons[kMomY] * vel;
-  out[kMomZ] = cons[kMomZ] * vel;
-  out[kMomX + dim] += p;
-  out[kEnergy] = (cons[kEnergy] + p) * vel;
+  const Eos s =
+      eos(config_.gamma, cons[kRho], cons[kMomX], cons[kMomY], cons[kMomZ], cons[kEnergy]);
+  return std::sqrt(config_.gamma * s.p / s.rho);
 }
 
 double PolytropicGas::max_wave_speed(const Fab& u, const Box& valid, double /*dx*/) const {
   double speed = 0.0;
-  double cons[kNcomp];
   const auto nx = static_cast<std::size_t>(valid.size()[0]);
   const auto xoff = static_cast<std::size_t>(valid.lo()[0] - u.box().lo()[0]);
   mesh::for_each_row(valid, [&](int j, int k) {
     const double* rows[kNcomp];
     for (int c = 0; c < kNcomp; ++c) rows[c] = u.row(c, j, k) + xoff;
     for (std::size_t i = 0; i < nx; ++i) {
-      for (int c = 0; c < kNcomp; ++c) cons[c] = rows[c][i];
-      const double rho = std::max(cons[kRho], 1e-12);
-      const double cs = sound_speed(cons);
+      const Eos s = eos(config_.gamma, rows[kRho][i], rows[kMomX][i], rows[kMomY][i],
+                        rows[kMomZ][i], rows[kEnergy][i]);
+      const double cs = std::sqrt(config_.gamma * s.p / s.rho);
       for (int d = 0; d < mesh::kDim; ++d) {
-        speed = std::max(speed, std::fabs(cons[kMomX + d] / rho) + cs);
+        speed = std::max(speed, std::fabs(rows[kMomX + d][i] / s.rho) + cs);
       }
     }
   });
@@ -92,12 +93,13 @@ double PolytropicGas::max_wave_speed(const Fab& u, const Box& valid, double /*dx
 void PolytropicGas::face_flux(const Fab& u, const Box& faces, int dim, double /*dx*/,
                               Fab& flux) const {
   XL_REQUIRE(flux.box().contains(faces), "flux fab does not cover faces");
-  double left[kNcomp], right[kNcomp], fl[kNcomp], fr[kNcomp];
+  const double gamma = config_.gamma;
   // The four-point stencil along `dim` is four flat rows per component: for
-  // dim 0 they are the same row shifted, otherwise rows at j/k offsets. The
-  // per-face Rusanov math itself stays scalar — it is branchy (minmod,
-  // clamps) and feeds golden byte-compared output; the win here is replacing
-  // twenty bounds-checked Fab index computations per face with row cursors.
+  // dim 0 they are the same row shifted, otherwise rows at j/k offsets. A row
+  // runs in chunks of at most kChunk faces, one pass per stage over stack
+  // scratch, so every stage but the square root is a branch-free loop the
+  // compiler vectorizes. Each face still takes the same IEEE operations on
+  // the same operands in the same order as a per-face loop (DESIGN.md §3.12).
   const auto nx = static_cast<std::size_t>(faces.size()[0]);
   const auto uxoff = static_cast<std::size_t>(faces.lo()[0] - u.box().lo()[0]);
   const auto fxoff = static_cast<std::size_t>(faces.lo()[0] - flux.box().lo()[0]);
@@ -124,29 +126,81 @@ void PolytropicGas::face_flux(const Fab& u, const Box& faces, int dim, double /*
       }
       rf[c] = flux.row(c, j, k) + fxoff;
     }
-    for (std::size_t i = 0; i < nx; ++i) {
+    for (std::size_t i0 = 0; i0 < nx; i0 += kChunk) {
+      const std::size_t n = std::min(kChunk, nx - i0);
       // Limited linear reconstruction of the conserved state on both sides.
+      // The minmod slopes go to scratch first: a select feeding arithmetic
+      // in the same loop is not if-converted under -ftrapping-math.
+      double left[kNcomp][kChunk], right[kNcomp][kChunk];
+      double slope_l[kChunk], slope_r[kChunk];
       for (int c = 0; c < kNcomp; ++c) {
-        const double ull = rll[c][i];
-        const double ul = rl[c][i];
-        const double ur = rr[c][i];
-        const double urr = rrr[c][i];
-        const double slope_l = minmod(ul - ull, ur - ul);
-        const double slope_r = minmod(ur - ul, urr - ur);
-        left[c] = ul + 0.5 * slope_l;
-        right[c] = ur - 0.5 * slope_r;
+        const double* ull = rll[c] + i0;
+        const double* ul = rl[c] + i0;
+        const double* ur = rr[c] + i0;
+        const double* urr = rrr[c] + i0;
+        for (std::size_t i = 0; i < n; ++i) {
+          // minmod(a, b): 0 unless a and b share a sign, else the smaller.
+          const double dl = ul[i] - ull[i];
+          const double dc = ur[i] - ul[i];
+          const double dr = urr[i] - ur[i];
+          const double min_l = std::fabs(dl) < std::fabs(dc) ? dl : dc;
+          const double min_r = std::fabs(dc) < std::fabs(dr) ? dc : dr;
+          slope_l[i] = dl * dc <= 0.0 ? 0.0 : min_l;
+          slope_r[i] = dc * dr <= 0.0 ? 0.0 : min_r;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          left[c][i] = ul[i] + 0.5 * slope_l[i];
+          right[c][i] = ur[i] - 0.5 * slope_r[i];
+        }
       }
 
-      // Rusanov flux: 0.5 (F(L)+F(R)) - 0.5 smax (R - L).
-      physical_flux(left, dim, fl);
-      physical_flux(right, dim, fr);
-      const double rho_l = std::max(left[kRho], 1e-12);
-      const double rho_r = std::max(right[kRho], 1e-12);
-      const double smax =
-          std::max(std::fabs(left[kMomX + dim] / rho_l) + sound_speed(left),
-                   std::fabs(right[kMomX + dim] / rho_r) + sound_speed(right));
+      // Once per side: the normal velocity, the pressure and c^2.
+      double un_l[kChunk], un_r[kChunk], p_l[kChunk], p_r[kChunk], c2_l[kChunk], c2_r[kChunk];
+      const auto primitives = [&](const double (&s)[kNcomp][kChunk], double* un, double* p,
+                                  double* c2) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const Eos e =
+              eos(gamma, s[kRho][i], s[kMomX][i], s[kMomY][i], s[kMomZ][i], s[kEnergy][i]);
+          un[i] = s[kMomX + dim][i] / e.rho;
+          p[i] = e.p;
+          c2[i] = gamma * e.p / e.rho;
+        }
+      };
+      primitives(left, un_l, p_l, c2_l);
+      primitives(right, un_r, p_r, c2_r);
+
+      // Half the larger signal speed. std::sqrt keeps this loop scalar
+      // (-fmath-errno), so it does nothing else.
+      double half_smax[kChunk];
+      for (std::size_t i = 0; i < n; ++i) {
+        half_smax[i] = 0.5 * std::max(std::fabs(un_l[i]) + std::sqrt(c2_l[i]),
+                                      std::fabs(un_r[i]) + std::sqrt(c2_r[i]));
+      }
+
+      // Rusanov flux: 0.5 (F(L) + F(R)) - 0.5 smax (R - L), with
+      // F = (rho u_n, m u_n + p e_n, (E + p) u_n).
+      const auto rusanov = [](double fl, double fr, double hs, double l, double r) {
+        return 0.5 * (fl + fr) - hs * (r - l);
+      };
       for (int c = 0; c < kNcomp; ++c) {
-        rf[c][i] = 0.5 * (fl[c] + fr[c]) - 0.5 * smax * (right[c] - left[c]);
+        const double* l = left[c];
+        const double* r = right[c];
+        double* out = rf[c] + i0;
+        if (c == kEnergy) {
+          for (std::size_t i = 0; i < n; ++i) {
+            out[i] = rusanov((l[i] + p_l[i]) * un_l[i], (r[i] + p_r[i]) * un_r[i],
+                             half_smax[i], l[i], r[i]);
+          }
+        } else if (c == kMomX + dim) {
+          for (std::size_t i = 0; i < n; ++i) {
+            out[i] = rusanov(l[i] * un_l[i] + p_l[i], r[i] * un_r[i] + p_r[i], half_smax[i],
+                             l[i], r[i]);
+          }
+        } else {
+          for (std::size_t i = 0; i < n; ++i) {
+            out[i] = rusanov(l[i] * un_l[i], r[i] * un_r[i], half_smax[i], l[i], r[i]);
+          }
+        }
       }
     }
   });

@@ -54,9 +54,6 @@ class PolytropicGas final : public Physics {
   double sound_speed(const double* cons) const;
 
  private:
-  /// Analytic flux F_dim(cons) into `out`.
-  void physical_flux(const double* cons, int dim, double* out) const;
-
   PolytropicGasConfig config_;
 };
 

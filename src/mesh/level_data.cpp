@@ -9,12 +9,18 @@ Copier::Copier(const BoxLayout& layout, int nghost, const Box& domain, bool peri
   XL_REQUIRE(nghost >= 0, "ghost width must be non-negative");
   if (nghost == 0) return;
   const IntVect dsize = domain.size();
-  // Candidate shifts: identity plus, when periodic, the 26 wrap images.
+  // Candidate shifts: identity plus, when periodic, the wrap images. A ghost
+  // layer reaches nghost cells past the domain, which is ceil(nghost / extent)
+  // images away; on every domain at least as wide as the ghost layer that is
+  // the 26 nearest images.
   std::vector<IntVect> shifts{IntVect::zero()};
   if (periodic) {
-    for (int sx = -1; sx <= 1; ++sx) {
-      for (int sy = -1; sy <= 1; ++sy) {
-        for (int sz = -1; sz <= 1; ++sz) {
+    XL_REQUIRE(!domain.empty(), "periodic exchange needs a non-empty domain");
+    IntVect reach;
+    for (int d = 0; d < kDim; ++d) reach[d] = (nghost + dsize[d] - 1) / dsize[d];
+    for (int sx = -reach[0]; sx <= reach[0]; ++sx) {
+      for (int sy = -reach[1]; sy <= reach[1]; ++sy) {
+        for (int sz = -reach[2]; sz <= reach[2]; ++sz) {
           if (sx == 0 && sy == 0 && sz == 0) continue;
           shifts.push_back({sx * dsize[0], sy * dsize[1], sz * dsize[2]});
         }
@@ -76,8 +82,12 @@ void LevelData::exchange(const Copier& copier) {
 }
 
 void LevelData::exchange(const Box& domain, bool periodic) {
-  Copier copier(layout_, nghost_, domain, periodic);
-  exchange(copier);
+  if (!plan_ || plan_domain_ != domain || plan_periodic_ != periodic) {
+    plan_ = std::make_shared<const Copier>(layout_, nghost_, domain, periodic);
+    plan_domain_ = domain;
+    plan_periodic_ = periodic;
+  }
+  exchange(*plan_);
 }
 
 std::size_t LevelData::bytes() const noexcept {

@@ -3,6 +3,7 @@
 // LevelData<FArrayBox> + Copier).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/lookup.hpp"
@@ -21,7 +22,10 @@ struct CopyOp {
   IntVect shift;
 };
 
-/// Precomputed ghost-exchange plan for a (layout, ghost, periodic) triple.
+/// Precomputed ghost-exchange plan for a (layout, ghost, domain, periodic)
+/// tuple. A periodic plan images every source box by each domain shift
+/// s * extent with |s| <= ceil(nghost / extent) per dimension, so a domain
+/// thinner than the ghost width still fills every ghost layer.
 class Copier {
  public:
   Copier() = default;
@@ -59,7 +63,10 @@ class LevelData {
   /// prebuilt plan.
   void exchange(const Copier& copier);
 
-  /// Convenience: build the plan and exchange (non-periodic).
+  /// Exchange through this level's own plan for (domain, periodic). The plan
+  /// is built on first use and kept while both match: the layout never
+  /// changes (regrid builds a new LevelData), so they are its whole key.
+  /// Copies share the plan.
   void exchange(const Box& domain, bool periodic = false);
 
   /// Total payload bytes across all fabs (ghosts included).
@@ -78,6 +85,9 @@ class LevelData {
   int ncomp_ = 0;
   int nghost_ = 0;
   std::vector<Fab> fabs_;
+  std::shared_ptr<const Copier> plan_;
+  Box plan_domain_;
+  bool plan_periodic_ = false;
 };
 
 }  // namespace xl::mesh

@@ -1,5 +1,9 @@
 #include "viz/amr_isosurface.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "common/thread_pool.hpp"
 
 namespace xl::viz {
@@ -8,6 +12,30 @@ using amr::AmrHierarchy;
 using mesh::Box;
 using mesh::BoxIterator;
 using mesh::IntVect;
+
+namespace {
+
+/// One flag per cell of `valid`, in BoxIterator order: set where the cell lies
+/// in one of `covering`. With the finer level's boxes coarsened to this level,
+/// the unset cells are exactly those where AmrHierarchy::is_finest_at holds.
+std::vector<std::uint8_t> coverage_mask(const Box& valid, const std::vector<Box>& covering) {
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(valid.num_cells()), 0);
+  const IntVect n = valid.size();
+  for (const Box& cover : covering) {
+    const Box hit = cover & valid;
+    if (hit.empty()) continue;
+    const auto nx = static_cast<std::size_t>(hit.size()[0]);
+    mesh::for_each_row(hit, [&](int j, int k) {
+      const auto start = static_cast<std::size_t>(
+          (hit.lo()[0] - valid.lo()[0]) +
+          n[0] * ((j - valid.lo()[1]) + n[1] * (k - valid.lo()[2])));
+      std::fill_n(mask.begin() + static_cast<std::ptrdiff_t>(start), nx, std::uint8_t{1});
+    });
+  }
+  return mask;
+}
+
+}  // namespace
 
 TriangleMesh extract_amr_isosurface(const AmrHierarchy& hierarchy, double isovalue,
                                     int comp, double dx0, IsosurfaceStats* stats) {
@@ -18,6 +46,13 @@ TriangleMesh extract_amr_isosurface(const AmrHierarchy& hierarchy, double isoval
     const amr::AmrLevel& level = hierarchy.level(lev);
     const std::size_t nboxes = level.layout.num_boxes();
     const bool finest = lev + 1 == hierarchy.num_levels();
+    // The next level's boxes coarsened to this one cover the cells it refines.
+    std::vector<Box> covered_by_finer;
+    if (!finest) {
+      for (const Box& b : hierarchy.level(lev + 1).layout.boxes()) {
+        covered_by_finer.push_back(b.coarsen(hierarchy.config().ref_ratio));
+      }
+    }
     // Boxes are independent: extract each into its own part mesh, then append
     // in box order — identical to the serial traversal for any thread count.
     // With few boxes the box loop runs on the caller and the per-box
@@ -37,8 +72,10 @@ TriangleMesh extract_amr_isosurface(const AmrHierarchy& hierarchy, double isoval
           }
         } else {
           // Masked extraction: walk cells, skip those covered by finer data.
+          const std::vector<std::uint8_t> covered = coverage_mask(valid, covered_by_finer);
+          std::size_t cell_index = 0;
           for (BoxIterator it(valid); it.ok(); ++it) {
-            if (!hierarchy.is_finest_at(lev, *it)) continue;
+            if (covered[cell_index++] != 0) continue;
             const Box cell(*it, *it);
             TriangleMesh part =
                 extract_isosurface(level.data[i], cell, isovalue, comp, dx);

@@ -18,12 +18,15 @@
 
 #include "amr/advection_diffusion.hpp"
 #include "amr/hierarchy.hpp"
+#include "amr/polytropic_gas.hpp"
 #include "amr/tagging.hpp"
 #include "analysis/compress.hpp"
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
 #include "mesh/box.hpp"
 #include "mesh/fab.hpp"
+#include "viz/amr_isosurface.hpp"
+#include "viz/marching_cubes.hpp"
 
 namespace xl::seed {
 
@@ -200,6 +203,167 @@ inline mesh::Fab godunov(const amr::AdvectionDiffusion& model, const mesh::Fab& 
     }
   }
   return u_new;
+}
+
+inline double polytropic_minmod(double a, double b) {
+  if (a * b <= 0.0) return 0.0;
+  return std::fabs(a) < std::fabs(b) ? a : b;
+}
+
+inline double polytropic_pressure(double gamma, const double* cons) {
+  using G = amr::PolytropicGas;
+  const double rho = std::max(cons[G::kRho], 1e-12);
+  const double ke = 0.5 *
+                    (cons[G::kMomX] * cons[G::kMomX] + cons[G::kMomY] * cons[G::kMomY] +
+                     cons[G::kMomZ] * cons[G::kMomZ]) /
+                    rho;
+  return std::max((gamma - 1.0) * (cons[G::kEnergy] - ke), 1e-12);
+}
+
+inline double polytropic_sound_speed(double gamma, const double* cons) {
+  const double rho = std::max(cons[amr::PolytropicGas::kRho], 1e-12);
+  return std::sqrt(gamma * polytropic_pressure(gamma, cons) / rho);
+}
+
+inline void polytropic_physical_flux(double gamma, const double* cons, int dim,
+                                     double* out) {
+  using G = amr::PolytropicGas;
+  const double rho = std::max(cons[G::kRho], 1e-12);
+  const double vel = cons[G::kMomX + dim] / rho;
+  const double p = polytropic_pressure(gamma, cons);
+  out[G::kRho] = cons[G::kRho] * vel;
+  out[G::kMomX] = cons[G::kMomX] * vel;
+  out[G::kMomY] = cons[G::kMomY] * vel;
+  out[G::kMomZ] = cons[G::kMomZ] * vel;
+  out[G::kMomX + dim] += p;
+  out[G::kEnergy] = (cons[G::kEnergy] + p) * vel;
+}
+
+/// Seed PolytropicGas::face_flux: per face, minmod-limited states on both
+/// sides, two physical fluxes and two sound speeds, then the Rusanov flux.
+inline void polytropic_face_flux(double gamma, const mesh::Fab& u, const mesh::Box& faces,
+                                 int dim, mesh::Fab& flux) {
+  constexpr int nc = amr::PolytropicGas::kNcomp;
+  constexpr int mom = amr::PolytropicGas::kMomX;
+  double left[nc], right[nc], fl[nc], fr[nc];
+  for (mesh::BoxIterator it(faces); it.ok(); ++it) {
+    mesh::IntVect pll = *it, pl = *it, prr = *it;
+    pll[dim] -= 2;
+    pl[dim] -= 1;
+    prr[dim] += 1;
+    for (int c = 0; c < nc; ++c) {
+      const double ull = u(pll, c);
+      const double ul = u(pl, c);
+      const double ur = u(*it, c);
+      const double urr = u(prr, c);
+      const double slope_l = polytropic_minmod(ul - ull, ur - ul);
+      const double slope_r = polytropic_minmod(ur - ul, urr - ur);
+      left[c] = ul + 0.5 * slope_l;
+      right[c] = ur - 0.5 * slope_r;
+    }
+    polytropic_physical_flux(gamma, left, dim, fl);
+    polytropic_physical_flux(gamma, right, dim, fr);
+    const double rho_l = std::max(left[amr::PolytropicGas::kRho], 1e-12);
+    const double rho_r = std::max(right[amr::PolytropicGas::kRho], 1e-12);
+    const double smax =
+        std::max(std::fabs(left[mom + dim] / rho_l) + polytropic_sound_speed(gamma, left),
+                 std::fabs(right[mom + dim] / rho_r) + polytropic_sound_speed(gamma, right));
+    for (int c = 0; c < nc; ++c) {
+      flux(*it, c) = 0.5 * (fl[c] + fr[c]) - 0.5 * smax * (right[c] - left[c]);
+    }
+  }
+}
+
+/// Seed conservative update of the polytropic gas: seed fluxes plus the
+/// per-cell difference loop.
+inline mesh::Fab polytropic_godunov(double gamma, const mesh::Fab& u, const mesh::Box& valid,
+                                    double dx, double dt) {
+  mesh::Fab u_new(u.box(), u.ncomp());
+  u_new.copy_from(u, valid);
+  const double lambda = dt / dx;
+  for (int d = 0; d < mesh::kDim; ++d) {
+    mesh::IntVect fhi = valid.hi();
+    fhi[d] += 1;
+    const mesh::Box faces(valid.lo(), fhi);
+    mesh::Fab flux(faces, u.ncomp());
+    polytropic_face_flux(gamma, u, faces, d, flux);
+    for (int c = 0; c < u.ncomp(); ++c) {
+      for (mesh::BoxIterator it(valid); it.ok(); ++it) {
+        mesh::IntVect hi = *it;
+        hi[d] += 1;
+        u_new(*it, c) -= lambda * (flux(hi, c) - flux(*it, c));
+      }
+    }
+  }
+  return u_new;
+}
+
+/// Seed coarse-fine ghost fill: each fine ghost cell outside the fine level's
+/// valid union copies its coarse parent, one cell at a time.
+inline void fill_cf_ghosts(const amr::AmrLevel& coarse, amr::AmrLevel& fine, int ratio,
+                           int nghost) {
+  const mesh::IntVect rvec = mesh::IntVect::uniform(ratio);
+  for (std::size_t fi = 0; fi < fine.layout.num_boxes(); ++fi) {
+    mesh::Fab& ffab = fine.data[fi];
+    const mesh::Box ghosted = fine.layout.box(fi).grow(nghost);
+    std::vector<mesh::Box> halo;
+    ghosted.subtract(fine.layout.box(fi), halo);
+    for (const mesh::Box& piece : halo) {
+      std::vector<mesh::Box> uncovered{piece};
+      for (std::size_t fj = 0; fj < fine.layout.num_boxes(); ++fj) {
+        if (fj == fi) continue;
+        std::vector<mesh::Box> next;
+        for (const mesh::Box& u : uncovered) u.subtract(fine.layout.box(fj), next);
+        uncovered = std::move(next);
+        if (uncovered.empty()) break;
+      }
+      for (const mesh::Box& u : uncovered) {
+        const mesh::Box cneeded = u.coarsen(rvec);
+        for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
+          const mesh::Box coverlap = cneeded & coarse.data[ci].box();
+          if (coverlap.empty()) continue;
+          const mesh::Fab& cfab = coarse.data[ci];
+          const mesh::Box ftarget = coverlap.refine(rvec) & u;
+          for (int c = 0; c < ffab.ncomp(); ++c) {
+            for (mesh::BoxIterator it(ftarget); it.ok(); ++it) {
+              ffab(*it, c) = cfab((*it).coarsen(rvec), c);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Seed AMR isosurface: every cell of a covered level asks is_finest_at.
+inline viz::TriangleMesh amr_isosurface(const amr::AmrHierarchy& hierarchy,
+                                        double isovalue, int comp, double dx0,
+                                        viz::IsosurfaceStats& stats) {
+  viz::TriangleMesh mesh;
+  double dx = dx0;
+  for (std::size_t lev = 0; lev < hierarchy.num_levels(); ++lev) {
+    const amr::AmrLevel& level = hierarchy.level(lev);
+    const bool finest = lev + 1 == hierarchy.num_levels();
+    for (std::size_t i = 0; i < level.layout.num_boxes(); ++i) {
+      const mesh::Box valid = level.layout.box(i);
+      if (finest) {
+        mesh.append(viz::extract_isosurface(level.data[i], valid, isovalue, comp, dx));
+        stats.cells_scanned += static_cast<std::size_t>(valid.num_cells());
+        stats.active_cells += viz::count_active_cells(level.data[i], valid, isovalue, comp);
+        continue;
+      }
+      for (mesh::BoxIterator it(valid); it.ok(); ++it) {
+        if (!hierarchy.is_finest_at(lev, *it)) continue;
+        const mesh::Box cell(*it, *it);
+        mesh.append(viz::extract_isosurface(level.data[i], cell, isovalue, comp, dx));
+        ++stats.cells_scanned;
+        stats.active_cells += viz::count_active_cells(level.data[i], cell, isovalue, comp);
+      }
+    }
+    dx /= static_cast<double>(hierarchy.config().ref_ratio);
+  }
+  stats.triangles = mesh.triangle_count();
+  return mesh;
 }
 
 inline std::vector<mesh::IntVect> tag_cells(const amr::AmrLevel& level,

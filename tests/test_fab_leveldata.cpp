@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -144,11 +146,26 @@ TEST(Box, ForEachRowVisitsRowsInBoxIteratorOrder) {
   EXPECT_EQ(got.size(), static_cast<std::size_t>(b.size()[1] * b.size()[2]));
 }
 
-class ExchangeTest : public ::testing::TestWithParam<int> {};
+/// One exchange configuration: a ghost width and the domain the layout tiles.
+struct ExchangeCase {
+  int nghost;
+  IntVect domain;
+};
+
+/// Prints the ghost width alone on the 8^3 domain, so those cases keep the
+/// names they had when the width was the whole parameter.
+void PrintTo(const ExchangeCase& c, std::ostream* os) {
+  *os << c.nghost;
+  if (c.domain != IntVect{8, 8, 8}) {
+    *os << "_on_" << c.domain[0] << "x" << c.domain[1] << "x" << c.domain[2];
+  }
+}
+
+class ExchangeTest : public ::testing::TestWithParam<ExchangeCase> {};
 
 TEST_P(ExchangeTest, InteriorGhostsFilledFromNeighbours) {
-  const int nghost = GetParam();
-  const Box domain = Box::domain({8, 8, 8});
+  const int nghost = GetParam().nghost;
+  const Box domain = Box::domain(GetParam().domain);
   const BoxLayout layout = balance(decompose(domain, 4), 2);
   LevelData data(layout, 1, nghost);
   // Valid cells get their analytic value; ghosts start poisoned.
@@ -173,8 +190,8 @@ TEST_P(ExchangeTest, InteriorGhostsFilledFromNeighbours) {
 }
 
 TEST_P(ExchangeTest, PeriodicGhostsWrapAround) {
-  const int nghost = GetParam();
-  const Box domain = Box::domain({8, 8, 8});
+  const int nghost = GetParam().nghost;
+  const Box domain = Box::domain(GetParam().domain);
   const BoxLayout layout = balance(decompose(domain, 4), 2);
   LevelData data(layout, 1, nghost);
   data.set_all(-999.0);
@@ -198,7 +215,61 @@ TEST_P(ExchangeTest, PeriodicGhostsWrapAround) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(GhostWidths, ExchangeTest, ::testing::Values(1, 2));
+// The 4x4x1 domain is thinner than the ghost width: its z = +-2 ghost layers
+// wrap from two domain images away.
+INSTANTIATE_TEST_SUITE_P(GhostWidths, ExchangeTest,
+                         ::testing::Values(ExchangeCase{1, {8, 8, 8}}, ExchangeCase{2, {8, 8, 8}},
+                                           ExchangeCase{2, {4, 4, 1}}));
+
+/// Valid cells at their analytic value, every ghost poisoned.
+void fill_valid(LevelData& data) {
+  data.set_all(-999.0);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    for (BoxIterator it(data.valid_box(i)); it.ok(); ++it) data[i](*it) = cell_value(*it, 0);
+  }
+}
+
+std::vector<std::uint8_t> level_bytes(const LevelData& data) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const auto flat = data[i].flat();
+    const auto* p = reinterpret_cast<const std::uint8_t*>(flat.data());
+    bytes.insert(bytes.end(), p, p + flat.size_bytes());
+  }
+  return bytes;
+}
+
+// exchange(domain, periodic) keeps its plan between calls; switching the
+// periodicity or the domain, or exchanging a copy, must give what a freshly
+// built Copier gives on fresh data.
+TEST(LevelData, KeptExchangePlanMatchesAFreshCopier) {
+  const Box domain = Box::domain({8, 8, 8});
+  const BoxLayout layout = balance(decompose(domain, 4), 2);
+  const auto fresh = [&](const Box& dom, bool periodic) {
+    LevelData ref(layout, 1, 2);
+    fill_valid(ref);
+    ref.exchange(Copier(layout, 2, dom, periodic));
+    return level_bytes(ref);
+  };
+  LevelData data(layout, 1, 2);
+  for (const bool periodic : {false, true, false}) {
+    fill_valid(data);
+    data.exchange(domain, periodic);
+    EXPECT_EQ(level_bytes(data), fresh(domain, periodic)) << "periodic " << periodic;
+  }
+  LevelData copy = data;
+  for (const bool periodic : {false, true}) {
+    fill_valid(copy);
+    copy.exchange(domain, periodic);
+    EXPECT_EQ(level_bytes(copy), fresh(domain, periodic)) << "copy, periodic " << periodic;
+  }
+  // A wider periodic domain images the boxes 16 cells apart in x.
+  const Box wider = Box::domain({16, 8, 8});
+  fill_valid(copy);
+  copy.exchange(wider, true);
+  EXPECT_EQ(level_bytes(copy), fresh(wider, true));
+  EXPECT_NE(level_bytes(copy), fresh(domain, true));
+}
 
 TEST(Copier, OffRankBytesCountsOnlyCrossRankOps) {
   const Box domain = Box::domain({8, 4, 4});

@@ -12,10 +12,12 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "amr/advection_diffusion.hpp"
 #include "amr/amr_simulation.hpp"
+#include "amr/interp.hpp"
 #include "amr/polytropic_gas.hpp"
 #include "amr/tagging.hpp"
 #include "analysis/compress.hpp"
@@ -359,6 +361,196 @@ TEST(SeedIdentity, TagCellsMatchSeedPerCellPath) {
         std::memcpy(bytes.data(), tags.data(), bytes.size());
         return bytes;
       });
+}
+
+/// A PolytropicGas state over `box`: the Sedov initial condition (a 100x
+/// pressure jump smoothed over one cell: the shock) plus a velocity field, so
+/// every flux component is non-trivial.
+Fab sedov_with_flow(const amr::PolytropicGas& gas, const Box& box, double dx) {
+  using G = amr::PolytropicGas;
+  Fab u(box, G::kNcomp);
+  double cons[G::kNcomp];
+  for (BoxIterator it(box); it.ok(); ++it) {
+    const auto& p = *it;
+    gas.initial_value(p, dx, cons);
+    const double rho = cons[G::kRho];
+    const double v[3] = {0.4 * std::sin(0.7 * p[1]), -0.3 * std::cos(0.5 * p[2]),
+                         0.2 * std::sin(0.3 * p[0] + 1.0)};
+    u(p, G::kRho) = rho;
+    for (int d = 0; d < mesh::kDim; ++d) u(p, G::kMomX + d) = rho * v[d];
+    u(p, G::kEnergy) =
+        cons[G::kEnergy] + 0.5 * rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+  }
+  return u;
+}
+
+/// Sends reconstructed states through both floors of the equation of state:
+/// a vacuum cell (rho = 0 <= 1e-12) and a block whose energy is a tenth of its
+/// kinetic energy (p < 0 before the floor).
+void add_floored_cells(Fab& u, const Box& block, const mesh::IntVect& vacuum) {
+  using G = amr::PolytropicGas;
+  u(vacuum, G::kRho) = 0.0;
+  u(vacuum, G::kMomX) = 0.05;
+  for (BoxIterator it(block); it.ok(); ++it) {
+    const auto& p = *it;
+    const double m2 = u(p, G::kMomX) * u(p, G::kMomX) + u(p, G::kMomY) * u(p, G::kMomY) +
+                      u(p, G::kMomZ) * u(p, G::kMomZ);
+    u(p, G::kEnergy) = 0.1 * 0.5 * m2 / u(p, G::kRho);
+  }
+}
+
+TEST(SeedIdentity, PolytropicFluxAndGodunovMatchSeedPerFacePath) {
+  const amr::PolytropicGas gas;
+  const int ng = gas.nghost();
+  struct Case {
+    Box valid;
+    Box faces_within;  ///< faces = this box extended by one face along dim.
+    Box flux_box;      ///< the flux fab (larger than the faces: offset rows).
+  };
+  // A cube holding the shock; 70-wide rows, which span two 64-face chunks; an
+  // offset sub-box written into a larger flux fab.
+  const Box cube = Box::domain({12, 12, 12});
+  const Box wide({0, 0, 0}, {69, 2, 2});
+  const std::vector<Case> cases = {
+      {cube, cube, cube.grow(1)},
+      {wide, wide, wide.grow(1)},
+      {cube, Box({3, 2, 1}, {9, 8, 7}), cube.grow(1)},
+  };
+  for (const Case& tc : cases) {
+    const double dx = 1.0 / static_cast<double>(tc.valid.size()[0]);
+    Fab u = sedov_with_flow(gas, tc.valid.grow(ng), dx);
+    add_floored_cells(u, Box({2, 1, 0}, {4, 2, 2}), {6, 1, 1});
+    for (int d = 0; d < mesh::kDim; ++d) {
+      mesh::IntVect fhi = tc.faces_within.hi();
+      fhi[d] += 1;
+      const Box faces(tc.faces_within.lo(), fhi);
+      Fab want(tc.flux_box, amr::PolytropicGas::kNcomp);
+      seed::polytropic_face_flux(gas.gamma(), u, faces, d, want);
+      expect_matches_seed<Fab>(
+          fab_bytes(want),
+          [&] {
+            Fab flux(tc.flux_box, amr::PolytropicGas::kNcomp);
+            gas.face_flux(u, faces, d, dx, flux);
+            return flux;
+          },
+          fab_bytes);
+    }
+    const double dt = 1e-3 * dx;
+    expect_matches_seed<Fab>(
+        fab_bytes(seed::polytropic_godunov(gas.gamma(), u, tc.valid, dx, dt)),
+        [&] {
+          Fab u_new(u.box(), amr::PolytropicGas::kNcomp);
+          amr::godunov_update(gas, u, tc.valid, dx, dt, u_new);
+          return u_new;
+        },
+        fab_bytes);
+  }
+}
+
+TEST(SeedIdentity, FillCfGhostsMatchesSeedPerCellPath) {
+  constexpr int kRatio = 2;
+  constexpr int kGhost = 2;
+  // Eight 4^3 coarse boxes: their ghosted fabs overlap, and each holds its own
+  // value in the overlap, so which box writes last shows in the bytes.
+  amr::AmrLevel coarse;
+  coarse.domain = Box::domain({8, 8, 8});
+  coarse.layout = mesh::balance(mesh::decompose(coarse.domain, 4), 2);
+  coarse.data = mesh::LevelData(coarse.layout, 2, kGhost);
+  for (std::size_t i = 0; i < coarse.data.size(); ++i) {
+    for (int c = 0; c < 2; ++c) {
+      for (BoxIterator it(coarse.data[i].box()); it.ok(); ++it) {
+        const auto& p = *it;
+        coarse.data[i](p, c) = 1000.0 * static_cast<double>(i) + 100.0 * c + p[0] +
+                               10.0 * p[1] + 0.01 * p[2];
+      }
+    }
+  }
+  // Fine boxes on the low and high domain edges, two of them touching, one
+  // with a low corner that is not a multiple of the ratio.
+  amr::AmrLevel fine;
+  fine.domain = coarse.domain.refine(kRatio);
+  fine.layout = mesh::BoxLayout({Box({0, 0, 0}, {7, 7, 7}), Box({8, 0, 0}, {11, 5, 7}),
+                                 Box({9, 9, 9}, {15, 15, 15})},
+                                {0, 1, 0}, 2);
+  fine.data = mesh::LevelData(fine.layout, 2, kGhost);
+  fine.data.set_all(-7.0);
+  for (std::size_t i = 0; i < fine.data.size(); ++i) {
+    for (int c = 0; c < 2; ++c) {
+      for (BoxIterator it(fine.layout.box(i)); it.ok(); ++it) {
+        fine.data[i](*it, c) = -1.0 - 0.5 * c - 0.001 * (*it)[0];
+      }
+    }
+  }
+  const auto level_bytes = [](const amr::AmrLevel& level) {
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i < level.data.size(); ++i) {
+      const std::vector<std::uint8_t> fb = fab_bytes(level.data[i]);
+      bytes.insert(bytes.end(), fb.begin(), fb.end());
+    }
+    return bytes;
+  };
+  amr::AmrLevel want = fine;
+  seed::fill_cf_ghosts(coarse, want, kRatio, kGhost);
+  expect_matches_seed<std::vector<std::uint8_t>>(
+      level_bytes(want),
+      [&] {
+        amr::AmrLevel got = fine;
+        amr::fill_cf_ghosts(coarse, got, kRatio, kGhost);
+        return level_bytes(got);
+      },
+      [](const std::vector<std::uint8_t>& b) { return b; });
+}
+
+TEST(SeedIdentity, AmrIsosurfaceMatchesSeedPerCellPath) {
+  amr::AmrConfig cfg;
+  cfg.base_domain = Box::domain({16, 16, 16});
+  cfg.max_levels = 3;
+  cfg.ref_ratio = 2;
+  cfg.nghost = 2;
+  amr::AmrHierarchy h(cfg, 1);
+  // Fine boxes whose low corners are not multiples of the ratio.
+  h.regrid({mesh::BoxLayout({Box({5, 3, 7}, {20, 14, 18}), Box({22, 20, 2}, {29, 27, 9})},
+                            {0, 1}, 2),
+            mesh::BoxLayout({Box({13, 9, 17}, {24, 20, 30})}, {0}, 2)});
+  ASSERT_EQ(h.num_levels(), 3u);
+  // Distance from the domain centre, sampled at each level's cell centres
+  // (ghosts included): the isosurface is a sphere crossing all three levels.
+  double dx = 1.0 / 16.0;
+  for (std::size_t lev = 0; lev < h.num_levels(); ++lev) {
+    amr::AmrLevel& level = h.level(lev);
+    for (std::size_t i = 0; i < level.data.size(); ++i) {
+      for (BoxIterator it(level.data[i].box()); it.ok(); ++it) {
+        double r2 = 0.0;
+        for (int d = 0; d < mesh::kDim; ++d) {
+          const double x = ((*it)[d] + 0.5) * dx - 0.5;
+          r2 += x * x;
+        }
+        level.data[i](*it) = std::sqrt(r2);
+      }
+    }
+    dx /= 2.0;
+  }
+  const auto as_bytes = [](const std::pair<viz::TriangleMesh, viz::IsosurfaceStats>& r) {
+    std::vector<std::uint8_t> bytes(r.first.vertices.size() * sizeof(viz::Vec3));
+    std::memcpy(bytes.data(), r.first.vertices.data(), bytes.size());
+    for (const std::size_t n :
+         {r.second.triangles, r.second.cells_scanned, r.second.active_cells}) {
+      const auto* p = reinterpret_cast<const std::uint8_t*>(&n);
+      bytes.insert(bytes.end(), p, p + sizeof n);
+    }
+    return bytes;
+  };
+  std::pair<viz::TriangleMesh, viz::IsosurfaceStats> want;
+  want.first = seed::amr_isosurface(h, 0.3, 0, 1.0 / 16.0, want.second);
+  ASSERT_GT(want.second.triangles, 0u);
+  expect_matches_seed<std::pair<viz::TriangleMesh, viz::IsosurfaceStats>>(
+      as_bytes(want),
+      [&] {
+        std::pair<viz::TriangleMesh, viz::IsosurfaceStats> got;
+        got.first = viz::extract_amr_isosurface(h, 0.3, 0, 1.0 / 16.0, &got.second);
+        return got;
+      },
+      as_bytes);
 }
 
 TEST(ParallelKernels, EntropyIgnoresNaNCells) {
