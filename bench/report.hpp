@@ -1,6 +1,6 @@
 // The one harness of the regression-gate benches (alloc_churn,
-// kernel_scaling, des_scaling, chaos_sweep, trigger_sweep): their command
-// line, their gates and their JSON report.
+// kernel_scaling, chaos_sweep, trigger_sweep): their command line, their
+// gates and their JSON report.
 //
 //   --quick   CI-sized run
 //   --check   also enforce the bench's threshold gates

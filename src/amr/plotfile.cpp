@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -41,6 +42,33 @@ Box read_box(std::istream& is) {
   for (int d = 0; d < mesh::kDim; ++d) lo[d] = read_pod<std::int32_t>(is);
   for (int d = 0; d < mesh::kDim; ++d) hi[d] = read_pod<std::int32_t>(is);
   return Box(lo, hi);
+}
+
+/// Stream offset of the end of `is`; the read position is left unchanged.
+std::streamoff stream_end(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  XL_REQUIRE(here != std::streampos(-1) && end != std::streampos(-1) && is.good(),
+             "plotfile stream is not seekable");
+  return end;
+}
+
+/// Payload bytes a non-empty box claims at `ncomp` doubles per cell. Extents
+/// are taken in 64 bits (a box spanning INT_MIN..INT_MAX overflows int), and
+/// the product saturates at kHugeClaim, more than any stream holds.
+constexpr std::uint64_t kHugeClaim = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t payload_bytes(const Box& b, int ncomp) {
+  std::uint64_t bytes = sizeof(double) * static_cast<std::uint64_t>(ncomp);
+  for (int d = 0; d < mesh::kDim; ++d) {
+    const auto extent =
+        static_cast<std::uint64_t>(std::int64_t{b.hi()[d]} - b.lo()[d] + 1);
+    if (bytes > kHugeClaim / extent) return kHugeClaim;
+    bytes *= extent;
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -106,6 +134,7 @@ PlotFileData read_plotfile(std::istream& is) {
   XL_REQUIRE(data.ncomp >= 1 && data.ncomp < 1024, "implausible component count");
   const auto num_levels = read_pod<std::uint32_t>(is);
   XL_REQUIRE(num_levels >= 1 && num_levels < 64, "implausible level count");
+  const std::streamoff end = stream_end(is);
 
   // Mirror of the writer: one read buffer reused across all boxes.
   PoolVec<double> payload;
@@ -119,11 +148,18 @@ PlotFileData read_plotfile(std::istream& is) {
       XL_REQUIRE(!valid.empty(), "empty box in plotfile");
       XL_REQUIRE(level.domain.contains(valid), "box outside level domain");
       const auto rank = read_pod<std::int32_t>(is);
+      // Check the claim against the stream before allocating anything for it.
+      const std::uint64_t need = payload_bytes(valid, data.ncomp);
+      const auto left = static_cast<std::uint64_t>(end - std::streamoff(is.tellg()));
+      if (need > left) {
+        std::ostringstream os;
+        os << "plotfile level " << l << " box " << i << " " << valid << " is missing "
+           << (need == kHugeClaim ? "more than " : "") << need - left << " payload bytes";
+        throw ContractError(os.str());
+      }
       mesh::Fab fab(valid, data.ncomp);
-      payload.resize(static_cast<std::size_t>(valid.num_cells()) *
-                     static_cast<std::size_t>(data.ncomp));
-      is.read(reinterpret_cast<char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size() * sizeof(double)));
+      payload.resize(need / sizeof(double));
+      is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(need));
       XL_REQUIRE(is.good(), "plotfile payload truncated");
       fab.unpack(valid, payload);
       level.boxes.push_back(valid);

@@ -154,20 +154,22 @@ double distribution_entropy(const std::vector<std::int64_t>& weights) {
   return entropy;
 }
 
+std::size_t entropy_rung(double entropy, const std::vector<double>& thresholds) {
+  XL_REQUIRE(std::is_sorted(thresholds.begin(), thresholds.end()),
+             "entropy thresholds must be sorted ascending");
+  std::size_t rung = 0;
+  for (std::size_t t = thresholds.size(); t-- > 0;) {
+    if (entropy >= thresholds[t]) break;
+    ++rung;
+  }
+  return rung;
+}
+
 int factor_for_entropy(double entropy, const std::vector<double>& thresholds,
                        const std::vector<int>& factors) {
   XL_REQUIRE(factors.size() == thresholds.size() + 1,
              "need one more factor than thresholds");
-  XL_REQUIRE(std::is_sorted(thresholds.begin(), thresholds.end()),
-             "thresholds must be sorted ascending");
-  // High entropy -> first (smallest) factor; each threshold crossed downward
-  // moves one factor up the reduction ladder.
-  std::size_t idx = 0;
-  for (std::size_t t = thresholds.size(); t-- > 0;) {
-    if (entropy >= thresholds[t]) break;
-    ++idx;
-  }
-  return factors[idx];
+  return factors[entropy_rung(entropy, thresholds)];
 }
 
 std::vector<BlockDecision> entropy_downsample_plan(const Fab& fab, int block_size,

@@ -32,9 +32,16 @@ double block_entropy(const mesh::Fab& fab, const mesh::Box& region,
 /// empty or single-outcome distribution.
 double distribution_entropy(const std::vector<std::int64_t>& weights);
 
+/// The entropy bucket walk of the paper's application-layer selector (§4.1):
+/// thresholds sorted ascending (ContractError otherwise); entropy >=
+/// thresholds.back() is rung 0 (keep most), and each threshold the entropy
+/// falls below moves one rung up, to at most thresholds.size().
+std::size_t entropy_rung(double entropy, const std::vector<double>& thresholds);
+
 /// Map an entropy value to a down-sampling factor given thresholds sorted
-/// ascending: entropy >= thresholds.back() -> factors.front() (keep most),
-/// lower entropy -> larger factor. factors.size() == thresholds.size() + 1.
+/// ascending: factors[entropy_rung(entropy, thresholds)], so entropy >=
+/// thresholds.back() -> factors.front() (keep most), lower entropy -> larger
+/// factor. factors.size() == thresholds.size() + 1.
 int factor_for_entropy(double entropy, const std::vector<double>& thresholds,
                        const std::vector<int>& factors);
 

@@ -3,39 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
 namespace xl {
 
 namespace {
-
-/// Hint the kernel to back a large freshly-allocated buffer with transparent
-/// hugepages. Most distros ship THP policy "madvise", so without the hint a
-/// multi-megabyte arena sits on 4 KiB pages and large-working-set consumers
-/// (the DES ladder's handler slabs and ref arrays at ~1M virtual cores) pay a
-/// TLB walk on nearly every random touch. Best-effort: on failure, on small
-/// buffers, or off Linux the buffer simply stays on small pages — values and
-/// visible behavior are unchanged.
-void advise_hugepages(void* p, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  constexpr std::size_t kMinAdviseBytes = std::size_t{2} << 20;
-  if (p == nullptr || bytes < kMinAdviseBytes) return;
-  static const std::uintptr_t page =
-      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t lo = (addr + page - 1) & ~(page - 1);
-  const std::uintptr_t hi = (addr + bytes) & ~(page - 1);
-  if (hi > lo) {
-    (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
 
 std::size_t next_pow2(std::size_t n) {
   std::size_t b = 1;
@@ -103,13 +73,9 @@ PoolVec<T> BufferPool::acquire(std::size_t n) {
     return recycled;
   }
   // Heap fall-through outside the lock; reserve the full bucket so the buffer
-  // recycles into the bucket it was sized for. Hint hugepage backing before
-  // resize() touches the pages, so they fault in as hugepages where THP
-  // policy is "madvise". The hint sticks to the mapping, so it survives
-  // pool recycling.
+  // recycles into the bucket it was sized for.
   PoolVec<T> buf;
   buf.reserve(bucket_for_acquire(n));
-  advise_hugepages(buf.data(), buf.capacity() * sizeof(T));
   buf.resize(n);
   return buf;
 }
@@ -176,11 +142,6 @@ BufferPool& BufferPool::global() {
   // function-local static would have been destroyed. Still reachable through
   // this pointer, so leak checkers stay quiet.
   static BufferPool* pool = new BufferPool();
-  return *pool;
-}
-
-BufferPool& BufferPool::engine() {
-  static BufferPool* pool = new BufferPool();  // leaked; see global()
   return *pool;
 }
 

@@ -18,23 +18,20 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/contract.hpp"
 #include "common/mutex.hpp"
 
 namespace xl {
 
 /// Every pooled buffer starts on a 64-byte boundary: one cache line, and wide
-/// enough for any current SIMD width (AVX-512 included). Fab rows, Scratch
-/// slabs, and ArenaVec records can therefore use aligned vector loads on lane
-/// zero of every buffer, and ArenaVec may hold records up to this alignment.
+/// enough for any current SIMD width (AVX-512 included). Fab rows and
+/// Scratch slabs can therefore use aligned vector loads on lane zero of every
+/// buffer.
 inline constexpr std::size_t kPoolAlignment = 64;
 
 /// Minimal allocator handing out kPoolAlignment-aligned storage via the
@@ -148,15 +145,6 @@ class BufferPool {
   /// The process-global pool backing mesh::Fab and the kernel scratch.
   static BufferPool& global();
 
-  /// A separate process-global pool for engine-internal arenas (the DES
-  /// ladder queue's buckets and handler slabs, flat rank tables, the staged-
-  /// byte ledger). Keeping engine bookkeeping off the data-path pool means
-  /// the pool telemetry stamped into workflow events reflects payload
-  /// traffic only — the analytic and event-queue substrates stay
-  /// byte-identical — and engine arena churn never contends on the data
-  /// path's lock.
-  static BufferPool& engine();
-
  private:
   template <typename T>
   struct Shelf {
@@ -206,147 +194,6 @@ class Scratch {
  private:
   BufferPool* pool_;
   PoolVec<T> buf_;
-};
-
-/// Flat arena-backed array of trivially copyable records — the storage unit
-/// behind the DES ladder-queue buckets, the per-rank record tables, and the
-/// staged-byte ring. Semantically a stripped-down vector whose backing bytes
-/// come from (and return to) a BufferPool, so steady-state growth cycles
-/// recycle pooled capacity instead of touching the heap. Records are plain
-/// data: growth is one memcpy, sorting works on raw T* iterators, and there
-/// is never a per-element allocation or destructor.
-///
-/// Arena lifetime rules: the backing buffer belongs to this ArenaVec until
-/// destruction (or move-from), at which point it is released to the owning
-/// pool; elements must not hold pointers into the arena across push_back
-/// (growth relocates), and T must be trivially copyable — both are enforced
-/// at compile time where the language allows.
-template <typename T>
-class ArenaVec {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "ArenaVec records are relocated with memcpy");
-  // Alignment contract: pooled byte buffers are PoolVec<std::uint8_t>
-  // storage, which AlignedAllocator obtains from the align_val_t operator new
-  // at kPoolAlignment (64 bytes). The pool recycles whole vectors (it never
-  // offsets into them), so every bucket hand-out keeps that guarantee, and
-  // the static_assert below makes the reinterpret_cast in data() safe for
-  // every admissible T. grow() re-checks the invariant with XL_ASSERT each
-  // time the backing buffer changes.
-  static_assert(alignof(T) <= kPoolAlignment,
-                "pooled buffers guarantee kPoolAlignment (64-byte) alignment only");
-
- public:
-  /// Default-constructed arenas draw from the process-global pool.
-  ArenaVec() : pool_(&BufferPool::global()) {}
-  explicit ArenaVec(BufferPool& pool) : pool_(&pool) {}
-
-  ArenaVec(const ArenaVec&) = delete;
-  ArenaVec& operator=(const ArenaVec&) = delete;
-
-  ArenaVec(ArenaVec&& o) noexcept
-      : pool_(o.pool_), raw_(std::move(o.raw_)), size_(std::exchange(o.size_, 0)) {}
-
-  ArenaVec& operator=(ArenaVec&& o) noexcept {
-    if (this != &o) {
-      reset();
-      pool_ = o.pool_;
-      raw_ = std::move(o.raw_);
-      size_ = std::exchange(o.size_, 0);
-    }
-    return *this;
-  }
-
-  ~ArenaVec() { reset(); }
-
-  /// Release the backing buffer to the pool and become empty.
-  void reset() noexcept {
-    size_ = 0;
-    if (!raw_.empty() || raw_.capacity() != 0) pool_->release(std::move(raw_));
-    raw_ = PoolVec<std::uint8_t>();
-  }
-
-  T* data() noexcept {
-    XL_ASSERT_DBG(reinterpret_cast<std::uintptr_t>(raw_.data()) % alignof(T) == 0,
-                  "pooled arena misaligned for T");
-    return reinterpret_cast<T*>(raw_.data());
-  }
-  const T* data() const noexcept {
-    XL_ASSERT_DBG(reinterpret_cast<std::uintptr_t>(raw_.data()) % alignof(T) == 0,
-                  "pooled arena misaligned for T");
-    return reinterpret_cast<const T*>(raw_.data());
-  }
-  T* begin() noexcept { return data(); }
-  T* end() noexcept { return data() + size_; }
-  const T* begin() const noexcept { return data(); }
-  const T* end() const noexcept { return data() + size_; }
-
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t capacity() const noexcept { return raw_.size() / sizeof(T); }
-
-  T& operator[](std::size_t i) noexcept { return data()[i]; }
-  const T& operator[](std::size_t i) const noexcept { return data()[i]; }
-  T& back() noexcept { return data()[size_ - 1]; }
-  const T& back() const noexcept { return data()[size_ - 1]; }
-
-  void clear() noexcept { size_ = 0; }
-  void pop_back() noexcept { --size_; }
-
-  void reserve(std::size_t n) {
-    if (n > capacity()) grow(n);
-  }
-
-  void push_back(const T& v) {
-    if (size_ == capacity()) grow(size_ + 1);
-    // memcpy into pooled byte storage implicitly begins the record's lifetime
-    // (T is trivially copyable), sidestepping placement-new bookkeeping.
-    std::memcpy(raw_.data() + size_ * sizeof(T), &v, sizeof(T));
-    ++size_;
-  }
-
-  /// Insert `v` before index `at`, shifting the tail one slot right.
-  void insert_at(std::size_t at, const T& v) {
-    if (size_ == capacity()) grow(size_ + 1);
-    std::memmove(raw_.data() + (at + 1) * sizeof(T), raw_.data() + at * sizeof(T),
-                 (size_ - at) * sizeof(T));
-    std::memcpy(raw_.data() + at * sizeof(T), &v, sizeof(T));
-    ++size_;
-  }
-
-  /// Grow (value-filling new slots) or shrink to exactly `n` records.
-  void resize(std::size_t n, const T& fill = T{}) {
-    if (n > capacity()) grow(n);
-    for (std::size_t i = size_; i < n; ++i) {
-      std::memcpy(raw_.data() + i * sizeof(T), &fill, sizeof(T));
-    }
-    size_ = n;
-  }
-
-  void swap(ArenaVec& o) noexcept {
-    std::swap(pool_, o.pool_);
-    raw_.swap(o.raw_);
-    std::swap(size_, o.size_);
-  }
-
- private:
-  void grow(std::size_t min_elems) {
-    std::size_t want =
-        capacity() == 0 ? BufferPool::kMinBucketElements : capacity() * 2;
-    while (want < min_elems) want *= 2;
-    PoolVec<std::uint8_t> bigger = pool_->acquire<std::uint8_t>(want * sizeof(T));
-    XL_ASSERT(reinterpret_cast<std::uintptr_t>(bigger.data()) % alignof(T) == 0,
-              "pool handed back a buffer misaligned for T (alignof="
-                  << alignof(T) << ")");
-    // The first growth has no backing buffer yet: memcpy from nullptr is
-    // undefined even for zero bytes.
-    if (size_ > 0) std::memcpy(bigger.data(), raw_.data(), size_ * sizeof(T));
-    pool_->release(std::move(raw_));
-    raw_ = std::move(bigger);
-  }
-
-  BufferPool* pool_;
-  PoolVec<std::uint8_t> raw_;  ///< pooled backing bytes (capacity in slots).
-  std::size_t size_ = 0;
 };
 
 }  // namespace xl

@@ -49,21 +49,10 @@ AppDecision select_factor_by_entropy(double block_entropy,
                                      std::size_t raw_cells, int ncomp,
                                      std::size_t mem_available_bytes,
                                      const AppPolicyConfig& config) {
-  // Bucket by thresholds (ascending): entropy above the top threshold keeps
-  // the smallest factor; each threshold crossed downward moves one rung up
-  // the acceptable ladder, clamped to its length. Unlike
-  // analysis::factor_for_entropy this tolerates ladders of any length
-  // relative to the threshold list (user hints are free-form) — but the rung
-  // walk still assumes ascending thresholds, so an unsorted hint would
-  // silently mis-bucket.
+  // User hints are free-form: the ladder's length need not match the
+  // threshold list, so the rung is clamped to the ladder.
   XL_REQUIRE(!acceptable.empty(), "acceptable factor set must be non-empty");
-  XL_REQUIRE(std::is_sorted(thresholds.begin(), thresholds.end()),
-             "entropy thresholds must be sorted ascending");
-  std::size_t rung = 0;
-  for (std::size_t t = thresholds.size(); t-- > 0;) {
-    if (block_entropy >= thresholds[t]) break;
-    ++rung;
-  }
+  const std::size_t rung = analysis::entropy_rung(block_entropy, thresholds);
   const int wanted = acceptable[std::min(rung, acceptable.size() - 1)];
   // Memory can only push the factor further up the ladder, never down.
   std::vector<int> allowed;

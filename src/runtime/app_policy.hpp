@@ -41,9 +41,9 @@ AppDecision select_downsample_factor(const std::vector<int>& acceptable,
                                      const AppPolicyConfig& config = {});
 
 /// Entropy-based selector: maps a measured block entropy to a factor using
-/// the hint thresholds (ascending) and the acceptable factor ladder.
-/// Equivalent to analysis::factor_for_entropy but clamped by memory exactly
-/// like the range-based selector.
+/// the hint thresholds (ascending) and the acceptable factor ladder. The
+/// rung is analysis::entropy_rung, clamped to the ladder's length, and memory
+/// then clamps the factor exactly like the range-based selector.
 AppDecision select_factor_by_entropy(double block_entropy,
                                      const std::vector<double>& thresholds,
                                      const std::vector<int>& acceptable,

@@ -26,7 +26,7 @@ enum class EventKind {
   Fault,      ///< injected fault fired (fault kind, servers_down, bytes lost).
   Retry,      ///< transfer attempt failed; retrying after backoff.
   Recovery,   ///< staging partition returned to full health.
-  // Durability stream (replication > 1 and/or lease_steps > 0 only).
+  // Durability stream (replication > 1 and/or a `faults = ...;lease=N` lease only).
   ServerSuspected,  ///< heartbeats missed but lease not expired yet.
   ReplicaLost,      ///< declared crash removed staged replicas (bytes = replica bytes).
   RepairScheduled,  ///< anti-entropy re-replication queued on the staging cores.

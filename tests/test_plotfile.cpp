@@ -9,6 +9,7 @@
 #include <string>
 
 #include "amr/plotfile.hpp"
+#include "common/buffer_pool.hpp"
 
 namespace xl::amr {
 namespace {
@@ -102,6 +103,54 @@ TEST(Plotfile, RejectsGarbageAndTruncation) {
   std::stringstream truncated(std::ios::in | std::ios::out | std::ios::binary);
   truncated << full.substr(0, full.size() / 2);
   EXPECT_THROW(read_plotfile(truncated), ContractError);
+}
+
+/// A one-level plotfile header whose domain and only box are `box`, ending
+/// right after the box's rank: the payload it claims is missing.
+std::string header_claiming(const Box& box) {
+  std::ostringstream os(std::ios::binary);
+  auto put = [&os](auto v) { os.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
+  auto put_box = [&put](const Box& b) {
+    for (int d = 0; d < mesh::kDim; ++d) put(std::int32_t{b.lo()[d]});
+    for (int d = 0; d < mesh::kDim; ++d) put(std::int32_t{b.hi()[d]});
+  };
+  os.write("XLPF", 4);
+  put(std::uint32_t{1});  // version
+  put(std::int32_t{0});   // step
+  put(0.0);               // time
+  put(std::int32_t{1});   // ncomp
+  put(std::int32_t{2});   // ref_ratio
+  put(std::uint32_t{1});  // num_levels
+  put_box(box);           // level domain
+  put(std::uint32_t{1});  // nboxes
+  put_box(box);
+  put(std::int32_t{0});  // rank
+  return os.str();
+}
+
+TEST(Plotfile, RejectsAMissingPayloadBeforeAllocatingIt) {
+  std::stringstream is(header_claiming(Box::domain({128, 128, 128})),
+                       std::ios::in | std::ios::binary);
+  const PoolStats before = BufferPool::global().stats();
+  try {
+    (void)read_plotfile(is);
+    ADD_FAILURE() << "a 128^3 box without its payload was accepted";
+  } catch (const ContractError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("level 0 box 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("missing 16777216 payload bytes"), std::string::npos) << what;
+  }
+  const PoolStats after = BufferPool::global().stats();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+}
+
+TEST(Plotfile, RejectsABoxSpanningTheWholeIntRange) {
+  // Each extent is 2^32 cells: Box::size() would overflow int.
+  constexpr int kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr int kMax = std::numeric_limits<std::int32_t>::max();
+  std::stringstream is(header_claiming(Box({kMin, kMin, kMin}, {kMax, kMax, kMax})),
+                       std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_plotfile(is), ContractError);
 }
 
 TEST(Plotfile, RestorationRejectsMismatchedDomain) {

@@ -816,8 +816,9 @@ struct Cache {
 TEST(ScratchEscape, DeferredCaptureFlagged) {
   const auto f = lint_text("src/foo.cpp", R"cpp(
 #include <cstddef>
+#include <cstdint>
 void defer(ThreadPool& pool, std::size_t n) {
-  ArenaVec<int> ids(n);
+  Scratch<std::uint32_t> ids(n);
   pool.submit([&] { consume(ids); });
 }
 )cpp");

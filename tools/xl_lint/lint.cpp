@@ -122,7 +122,7 @@ const std::vector<RuleInfo>& rules() {
       {"unguarded-field",
        "mutex-owning class field lacking XL_GUARDED_BY or XL_UNGUARDED(reason)"},
       {"lock-order", "cycle in the cross-TU lock acquisition order graph"},
-      {"scratch-escape", "pooled Scratch/ArenaVec storage escaping its RAII scope"},
+      {"scratch-escape", "pooled Scratch storage escaping its RAII scope"},
       {"stale-suppression", "an allow() marker that no longer suppresses anything"},
   };
   return kRules;

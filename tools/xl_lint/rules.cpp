@@ -758,13 +758,10 @@ void rule_scratch_escape(const FileModel& model, std::vector<Finding>& findings)
   const Tokens& t = model.tokens;
   for (const FunctionModel& fn : model.functions) {
     const std::size_t b = fn.body_open + 1, e = fn.body_close;
-    // Pooled RAII locals: Scratch<T> name(...) / ArenaVec<T> name(...).
+    // Pooled RAII locals: Scratch<T> name(...).
     std::set<std::string> pooled;
     for (std::size_t i = b; i + 1 < e; ++i) {
-      if (t[i].kind != Kind::Ident ||
-          (t[i].text != "Scratch" && t[i].text != "ArenaVec")) {
-        continue;
-      }
+      if (t[i].kind != Kind::Ident || t[i].text != "Scratch") continue;
       std::size_t j = i + 1;
       if (tok_is(t, j, "<")) {
         const std::size_t past = try_match_angles(t, j, e);
