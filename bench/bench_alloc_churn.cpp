@@ -57,31 +57,10 @@ std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 [[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
 
-// The pool's AlignedAllocator allocates through the align_val_t forms; count
-// those too so pooled (aligned) and plain allocations land in one ledger.
-[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -113,7 +92,7 @@ double consume(const mesh::Fab& fab) {
 /// pre-rework semantics: payload copied into staging, each consumer handed
 /// its own copy of the staged Fab.
 double run_step(staging::StagingSpace& space, const mesh::Box& domain, int step,
-                bool deep_copy, PoolVec<double>& scratch, mesh::Fab& ghost) {
+                bool deep_copy, std::vector<double>& scratch, mesh::Fab& ghost) {
   mesh::Fab src(domain, 1);
   std::span<double> cells = src.flat();
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -159,7 +138,7 @@ PhaseReport run_phase(const mesh::Box& domain, int steps, bool deep_copy) {
 
   staging::StagingSpace space(/*num_servers=*/4,
                               /*memory_per_server=*/std::size_t{1} << 30);
-  PoolVec<double> scratch;
+  std::vector<double> scratch;
   mesh::Fab ghost(domain, 1);
   PhaseReport report;
 

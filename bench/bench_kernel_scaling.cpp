@@ -1,9 +1,10 @@
 // Kernel raw-speed and thread-scaling benchmark.
 //
-// Section 1 — row/SIMD speedup: the seed per-cell kernels (every access
+// Section 1 — row-path speedup: the seed per-cell kernels (every access
 // through the bounds-checked `fab(*it, c)` path, bit-by-bit stream packing)
 // stay alive as reference replicas in tests/seed_kernels.hpp, timed
-// single-thread against the library's flat-row implementations. The replicas
+// single-thread against the library's flat-row loops, which are plain C++
+// the compiler vectorizes (one kernel path on every build). The replicas
 // also serve as oracles: the library output must match them EXACTLY
 // (bit-for-bit / byte-for-byte), which is the determinism contract of
 // DESIGN.md §3.10 made executable. `--check` additionally gates the speedups
@@ -35,7 +36,6 @@
 #include "analysis/downsample.hpp"
 #include "analysis/entropy.hpp"
 #include "bench_util.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "report.hpp"
@@ -182,9 +182,7 @@ int main(int argc, char** argv) {
     speedups.push_back(r);
   }
 
-  std::cout << "row/SIMD path vs seed per-cell path (single thread, "
-            << (simd::active() ? "XLAYER_SIMD active" : "scalar pack lanes")
-            << "):\n";
+  std::cout << "row path vs seed per-cell path (single thread):\n";
   Table st({"kernel", "seed (ms)", "rows (ms)", "speedup", "rows Mcells/s",
             "bit-identical"});
   bool all_identical = true;
@@ -273,7 +271,7 @@ int main(int argc, char** argv) {
                  "thread_efficiency\n";
   }
 
-  report.set("n", n).set("simd_active", simd::active());
+  report.set("n", n);
   for (const SpeedupRow& r : speedups) {
     report.add("row_speedup", bench::Record()
                                   .set("kernel", r.name)

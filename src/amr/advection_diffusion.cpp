@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
 namespace xl::amr {
@@ -45,20 +44,17 @@ void AdvectionDiffusion::face_flux(const Fab& u, const Box& faces, int dim, doub
   // Each face is computed from the two neighbouring cells and written in
   // place: slab partitioning cannot change the result. Row form: the left
   // neighbour of a whole row is the same row shifted one cell in `dim`, so
-  // the stencil is three flat streams — and the upwind branch is on the
-  // loop-invariant sign of `vel`, so each lane runs the scalar operation
-  // sequence exactly (lane-per-face SIMD, bit-identical).
+  // the stencil is three flat streams, and the upwind branch is on the
+  // loop-invariant sign of `vel`, so the face loop is branch-free and
+  // vectorizes with every face taking the per-face operations.
   const auto nz = static_cast<std::size_t>(faces.size()[2]);
   parallel_for(ThreadPool::global(), 0, nz,
                [&](std::size_t zb, std::size_t ze) {
-    using simd::dpack;
     const Box slab = mesh::z_slab(faces, zb, ze);
     const int x0 = slab.lo()[0];
     const auto nx = static_cast<std::size_t>(slab.size()[0]);
     const std::size_t uxoff = static_cast<std::size_t>(x0 - u.box().lo()[0]);
     const std::size_t fxoff = static_cast<std::size_t>(x0 - flux.box().lo()[0]);
-    const dpack vvel = dpack::broadcast(vel);
-    const dpack vnd = dpack::broadcast(-d_over_dx);
     mesh::for_each_row(slab, [&](int j, int k) {
       const double* ur_row = u.row(0, j, k) + uxoff;
       const double* ul_row = dim == 0   ? ur_row - 1
@@ -66,14 +62,7 @@ void AdvectionDiffusion::face_flux(const Fab& u, const Box& faces, int dim, doub
                                         : u.row(0, j, k - 1) + uxoff;
       const double* adv_row = vel >= 0.0 ? ul_row : ur_row;
       double* f = flux.row(0, j, k) + fxoff;
-      std::size_t i = 0;
-      for (; i + dpack::lanes <= nx; i += dpack::lanes) {
-        const dpack advective = vvel * dpack::load(adv_row + i);
-        const dpack diffusive =
-            vnd * (dpack::load(ur_row + i) - dpack::load(ul_row + i));
-        (advective + diffusive).store(f + i);
-      }
-      for (; i < nx; ++i) {
+      for (std::size_t i = 0; i < nx; ++i) {
         const double advective = vel * adv_row[i];
         const double diffusive = -d_over_dx * (ur_row[i] - ul_row[i]);
         f[i] = advective + diffusive;

@@ -1,13 +1,11 @@
 #include "amr/physics.hpp"
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace xl::amr {
 
 void godunov_update(const Physics& physics, const Fab& u, const Box& valid, double dx,
                     double dt, Fab& u_new) {
-  using simd::dpack;
   const int nc = physics.ncomp();
   XL_REQUIRE(u.ncomp() == nc && u_new.ncomp() == nc, "component mismatch");
   XL_REQUIRE(u_new.box().contains(valid), "destination does not cover valid box");
@@ -19,7 +17,6 @@ void godunov_update(const Physics& physics, const Fab& u, const Box& valid, doub
   const auto nx = static_cast<std::size_t>(valid.size()[0]);
   const auto nxoff =
       static_cast<std::size_t>(valid.lo()[0] - u_new.box().lo()[0]);
-  const dpack vlambda = dpack::broadcast(lambda);
   for (int d = 0; d < mesh::kDim; ++d) {
     // Faces needed: low faces of every valid cell plus the face one past the
     // high end (hi+1 stores the high face of the last cell).
@@ -29,8 +26,9 @@ void godunov_update(const Physics& physics, const Fab& u, const Box& valid, doub
     Fab flux(faces, nc);
     physics.face_flux(u, faces, d, dx, flux);
     // The low and high faces of a whole row are two flat streams (the high
-    // stream is the low one shifted in `d`), so the difference is a
-    // lane-per-cell elementwise update — bit-identical to the cell loop.
+    // stream is the low one shifted in `d`), so the difference is one
+    // elementwise loop the compiler vectorizes, each cell taking the cell
+    // loop's operations.
     for (int c = 0; c < nc; ++c) {
       mesh::for_each_row(valid, [&](int j, int k) {
         const double* flo = flux.row(c, j, k);
@@ -38,13 +36,7 @@ void godunov_update(const Physics& physics, const Fab& u, const Box& valid, doub
                             : d == 1 ? flux.row(c, j + 1, k)
                                      : flux.row(c, j, k + 1);
         double* un = u_new.row(c, j, k) + nxoff;
-        std::size_t i = 0;
-        for (; i + dpack::lanes <= nx; i += dpack::lanes) {
-          const dpack upd = dpack::load(un + i) -
-                            vlambda * (dpack::load(fhi + i) - dpack::load(flo + i));
-          upd.store(un + i);
-        }
-        for (; i < nx; ++i) {
+        for (std::size_t i = 0; i < nx; ++i) {
           un[i] -= lambda * (fhi[i] - flo[i]);
         }
       });

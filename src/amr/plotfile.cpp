@@ -93,7 +93,7 @@ void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
   // One pack buffer reused across every box of every level: it grows to the
   // largest box once and recycles through the pool afterwards, instead of a
   // fresh vector per box.
-  PoolVec<double> payload;
+  std::vector<double> payload;
   for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
     const AmrLevel& level = hierarchy.level(l);
     write_box(os, level.domain);
@@ -132,12 +132,14 @@ PlotFileData read_plotfile(std::istream& is) {
   data.ncomp = read_pod<std::int32_t>(is);
   data.ref_ratio = read_pod<std::int32_t>(is);
   XL_REQUIRE(data.ncomp >= 1 && data.ncomp < 1024, "implausible component count");
+  XL_REQUIRE(data.ref_ratio >= 2,
+             "plotfile ref_ratio " + std::to_string(data.ref_ratio) + " is below 2");
   const auto num_levels = read_pod<std::uint32_t>(is);
   XL_REQUIRE(num_levels >= 1 && num_levels < 64, "implausible level count");
   const std::streamoff end = stream_end(is);
 
   // Mirror of the writer: one read buffer reused across all boxes.
-  PoolVec<double> payload;
+  std::vector<double> payload;
   for (std::uint32_t l = 0; l < num_levels; ++l) {
     PlotLevel level;
     level.domain = read_box(is);
@@ -182,13 +184,33 @@ AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& 
   XL_REQUIRE(!data.levels.empty(), "plotfile has no levels");
   XL_REQUIRE(config.base_domain == data.levels.front().domain,
              "config base domain does not match plotfile");
+  const std::size_t nlevels = data.levels.size();
+  if (nlevels > static_cast<std::size_t>(config.max_levels)) {
+    throw ContractError("plotfile has " + std::to_string(nlevels) +
+                        " levels, more than the config's max_levels " +
+                        std::to_string(config.max_levels));
+  }
+  if (nlevels > 1 && data.ref_ratio != config.ref_ratio) {
+    throw ContractError("plotfile ref_ratio " + std::to_string(data.ref_ratio) +
+                        " does not match the config's ref_ratio " +
+                        std::to_string(config.ref_ratio));
+  }
   AmrHierarchy hierarchy(config, data.ncomp);
+  // The fine boxes are recorded in their level's index space: each recorded
+  // domain must be the one the config refines the base domain into.
+  for (std::size_t l = 1; l < nlevels; ++l) {
+    if (data.levels[l].domain == hierarchy.domain_of(l)) continue;
+    std::ostringstream os;
+    os << "plotfile level " << l << " domain " << data.levels[l].domain
+       << " does not match the config's " << hierarchy.domain_of(l);
+    throw ContractError(os.str());
+  }
 
   // Rebuild the fine layouts with the recorded rank assignment, then copy
   // payloads level by level. A recorded rank must be one of the config's:
   // the layout sizes its per-rank totals by the rank count.
   std::vector<mesh::BoxLayout> fine_layouts;
-  for (std::size_t l = 1; l < data.levels.size(); ++l) {
+  for (std::size_t l = 1; l < nlevels; ++l) {
     const PlotLevel& level = data.levels[l];
     XL_REQUIRE(level.ranks.size() == level.boxes.size(),
                "plotfile level " + std::to_string(l) + " needs one rank per box");
@@ -204,7 +226,7 @@ AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& 
   }
   hierarchy.regrid(fine_layouts);
 
-  for (std::size_t l = 0; l < data.levels.size(); ++l) {
+  for (std::size_t l = 0; l < nlevels; ++l) {
     AmrLevel& level = hierarchy.level(l);
     for (std::size_t i = 0; i < data.levels[l].boxes.size(); ++i) {
       const Box& src_box = data.levels[l].boxes[i];

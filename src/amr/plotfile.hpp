@@ -49,6 +49,8 @@ PlotFileData read_plotfile(const std::string& path);
 
 /// Restore a hierarchy from plotfile data (layouts rebalanced over the
 /// recorded ranks; ghost cells left zero — call exchange() before use).
+/// Throws ContractError, naming the plotfile field, when its base domain,
+/// level count, refinement ratio, level domains or ranks do not fit `config`.
 AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& config);
 
 }  // namespace xl::amr

@@ -7,7 +7,6 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
 namespace xl::analysis {
@@ -54,9 +53,8 @@ void linear_fit(const double* v, std::size_t n, double& a, double& b) {
 /// Encode one block of `n` values into `dst` (header + zeroed packed bits).
 /// `q` and `t` are caller-owned scratch of at least `n` slots.
 void encode_block(const double* v, std::size_t n, int bits, std::uint32_t levels,
-                  PoolVec<std::uint32_t>& q, PoolVec<double>& t,
+                  std::vector<std::uint32_t>& q, std::vector<double>& t,
                   std::uint8_t* dst) {
-  using simd::dpack;
   double a, b;
   linear_fit(v, n, a, b);
   // The residual range is a sequential scalar scan BY CONTRACT: rmin and
@@ -74,23 +72,13 @@ void encode_block(const double* v, std::size_t n, int bits, std::uint32_t levels
   store_double(dst + 1 * sizeof(double), b);
   store_double(dst + 2 * sizeof(double), rmin);
   store_double(dst + 3 * sizeof(double), step);
-  // Stage the scaled residuals (v - (a + b*i) - rmin) / step elementwise:
-  // lane-per-value SIMD, every lane running the scalar operation sequence,
-  // so t[i] is bit-identical to the scalar expression.
+  // Stage the scaled residuals (v - (a + b*i) - rmin) / step in one
+  // elementwise loop. The index is an int (a block holds at most INT_MAX
+  // values): GCC vectorizes int-to-double conversion but not size_t's, and
+  // both are exact, so t[i] is bit-identical to the scalar expression.
   if (step > 0.0) {
-    std::size_t i = 0;
-    const dpack va = dpack::broadcast(a);
-    const dpack vb = dpack::broadcast(b);
-    const dpack vrmin = dpack::broadcast(rmin);
-    const dpack vstep = dpack::broadcast(step);
-    for (; i + dpack::lanes <= n; i += dpack::lanes) {
-      const dpack idx = dpack::broadcast(static_cast<double>(i)) + dpack::iota();
-      const dpack r = dpack::load(v + i) - (va + vb * idx);
-      const dpack scaled = (r - vrmin) / vstep;
-      scaled.store(t.data() + i);
-    }
-    for (; i < n; ++i) {
-      const double r = v[i] - (a + b * static_cast<double>(i));
+    for (int i = 0; i < static_cast<int>(n); ++i) {
+      const double r = v[i] - (a + b * i);
       t[i] = (r - rmin) / step;
     }
   }
@@ -188,7 +176,6 @@ mesh::Fab decompress(const CompressedField& field) {
 
   parallel_for(ThreadPool::global(), 0, nblocks,
                [&](std::size_t blo, std::size_t bhi) {
-    using simd::dpack;
     const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
     Scratch<std::uint32_t> q(block);
     for (std::size_t b = blo; b < bhi; ++b) {
@@ -212,24 +199,11 @@ mesh::Fab decompress(const CompressedField& field) {
         acc >>= bits;
         pending -= static_cast<unsigned>(bits);
       }
-      // Reconstruct elementwise: ((a + bb*i) + rmin) + step*q per lane, the
-      // scalar operation sequence exactly (-ffp-contract=off, no FMA).
-      std::size_t i = 0;
-      const dpack va = dpack::broadcast(a);
-      const dpack vb = dpack::broadcast(bb);
-      const dpack vrmin = dpack::broadcast(rmin);
-      const dpack vstep = dpack::broadcast(step);
-      for (; i + dpack::lanes <= n; i += dpack::lanes) {
-        const dpack idx = dpack::broadcast(static_cast<double>(i)) + dpack::iota();
-        const dpack qd{{static_cast<double>(q[i]), static_cast<double>(q[i + 1]),
-                        static_cast<double>(q[i + 2]), static_cast<double>(q[i + 3])}};
-        dpack r = va + vb * idx;
-        r += vrmin;
-        r += vstep * qd;
-        r.store(data.data() + start + i);
-      }
-      for (; i < n; ++i) {
-        data[start + i] = a + bb * static_cast<double>(i) + rmin + step * q[i];
+      // Reconstruct elementwise: ((a + bb*i) + rmin) + step*q, two rounded
+      // operations per product-sum (-ffp-contract=off, no FMA). An int index
+      // for the same reason as encode_block's.
+      for (int i = 0; i < static_cast<int>(n); ++i) {
+        data[start + i] = a + bb * i + rmin + step * q[i];
       }
     }
   });

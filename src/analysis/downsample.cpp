@@ -5,7 +5,6 @@
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
 namespace xl::analysis {
@@ -40,47 +39,27 @@ double average_cell_clipped(const Fab& src, const IntVect& coarse, int c,
 }
 
 /// Interior coarse cells [cx_lo, cx_hi] of one coarse row: every child lies
-/// inside src, so the sum runs dz -> dy -> dx — the exact BoxIterator order
-/// of the unclipped children box. Lane-per-output-cell SIMD for factor 2
-/// (even/odd deinterleave of the child row); flat scalar rows otherwise.
+/// inside src, so each sum runs dz -> dy -> dx, the exact BoxIterator order
+/// of the unclipped children box. The row accumulates one child offset at a
+/// time with the coarse-x loop innermost, so every factor shares one loop
+/// the compiler can vectorize and each cell still gets 0.0 + child + child
+/// ... in that order, then the scale.
 void average_row_interior(const Fab& src, Fab& out, int c, int j, int k,
                           int cx_lo, int cx_hi, int factor, double inv_vol) {
-  using simd::dpack;
-  double* orow = out.row(c, j, k);
-  const int out_x0 = out.box().lo()[0];
-  const int src_x0 = src.box().lo()[0];
-  int cx = cx_lo;
-  if (factor == 2) {
-    const dpack vinv = dpack::broadcast(inv_vol);
-    for (; cx + static_cast<int>(dpack::lanes) - 1 <= cx_hi;
-         cx += static_cast<int>(dpack::lanes)) {
-      dpack acc = dpack::broadcast(0.0);
-      for (int dz = 0; dz < 2; ++dz) {
-        for (int dy = 0; dy < 2; ++dy) {
-          const double* p =
-              src.row(c, 2 * j + dy, 2 * k + dz) + (2 * cx - src_x0);
-          dpack even, odd;
-          dpack::deinterleave2(dpack::load(p), dpack::load(p + dpack::lanes),
-                               even, odd);
-          acc += even;  // dx = 0 children, then dx = 1: BoxIterator order
-          acc += odd;
-        }
-      }
-      acc *= vinv;
-      acc.store(orow + (cx - out_x0));
-    }
-  }
-  for (; cx <= cx_hi; ++cx) {
-    double sum = 0.0;
-    for (int dz = 0; dz < factor; ++dz) {
-      for (int dy = 0; dy < factor; ++dy) {
-        const double* p = src.row(c, factor * j + dy, factor * k + dz) +
-                          (factor * cx - src_x0);
-        for (int dx = 0; dx < factor; ++dx) sum += p[dx];
+  double* o = out.row(c, j, k) + (cx_lo - out.box().lo()[0]);
+  const auto n = static_cast<std::size_t>(cx_hi - cx_lo + 1);
+  const auto f = static_cast<std::size_t>(factor);
+  std::fill(o, o + n, 0.0);
+  for (int dz = 0; dz < factor; ++dz) {
+    for (int dy = 0; dy < factor; ++dy) {
+      const double* p = src.row(c, factor * j + dy, factor * k + dz) +
+                        (factor * cx_lo - src.box().lo()[0]);
+      for (std::size_t dx = 0; dx < f; ++dx) {
+        for (std::size_t i = 0; i < n; ++i) o[i] += p[f * i + dx];
       }
     }
-    orow[cx - out_x0] = sum * inv_vol;
   }
+  for (std::size_t i = 0; i < n; ++i) o[i] *= inv_vol;
 }
 
 }  // namespace

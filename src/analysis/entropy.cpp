@@ -7,7 +7,6 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "mesh/layout.hpp"
 
@@ -20,23 +19,28 @@ using mesh::Fab;
 namespace {
 
 /// Fold [r, r+n) into the running min/max with std::min/std::max selection
-/// semantics (NaN inputs leave the accumulators untouched). Lane-parallel
-/// under XLAYER_SIMD: min/max of a set is order-independent, so the folded
-/// VALUE matches the scalar left-to-right scan bit for bit — the one
-/// sanctioned lane-parallel reduction (see common/simd.hpp).
+/// semantics (NaN inputs leave the accumulators untouched). Four independent
+/// min/max pairs split the loop-carried compare chain (a single chain made
+/// block_entropy about 25% slower); min/max of a set is order-independent,
+/// so the folded VALUE matches a left-to-right scan bit for bit. This is the
+/// one reduction that may run out of order (DESIGN.md §3.10).
 void minmax_scan(const double* r, std::size_t n, double& l, double& h) {
-  using simd::dpack;
   std::size_t i = 0;
-  if (n >= dpack::lanes) {
-    dpack vl = dpack::broadcast(l);
-    dpack vh = dpack::broadcast(h);
-    for (; i + dpack::lanes <= n; i += dpack::lanes) {
-      const dpack x = dpack::load(r + i);
-      vl = min(vl, x);
-      vh = max(vh, x);
+  if (n >= 4) {
+    double lo[4] = {l, l, l, l};
+    double hi[4] = {h, h, h, h};
+    for (; i + 4 <= n; i += 4) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        lo[k] = std::min(lo[k], r[i + k]);
+        hi[k] = std::max(hi[k], r[i + k]);
+      }
     }
-    l = std::min(l, vl.reduce_min());
-    h = std::max(h, vh.reduce_max());
+    for (std::size_t k = 1; k < 4; ++k) {
+      lo[0] = std::min(lo[0], lo[k]);
+      hi[0] = std::max(hi[0], hi[k]);
+    }
+    l = std::min(l, lo[0]);
+    h = std::max(h, hi[0]);
   }
   for (; i < n; ++i) {
     l = std::min(l, r[i]);

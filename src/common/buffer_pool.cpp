@@ -39,9 +39,9 @@ template <>
 BufferPool::Shelf<std::size_t>& BufferPool::shelf<std::size_t>() { return sizes_; }
 
 template <typename T>
-PoolVec<T> BufferPool::acquire(std::size_t n) {
+std::vector<T> BufferPool::acquire(std::size_t n) {
   if (n == 0) return {};
-  PoolVec<T> recycled;
+  std::vector<T> recycled;
   {
     MutexLock lock(mutex_);
     if (enabled_) {
@@ -74,14 +74,14 @@ PoolVec<T> BufferPool::acquire(std::size_t n) {
   }
   // Heap fall-through outside the lock; reserve the full bucket so the buffer
   // recycles into the bucket it was sized for.
-  PoolVec<T> buf;
+  std::vector<T> buf;
   buf.reserve(bucket_for_acquire(n));
   buf.resize(n);
   return buf;
 }
 
 template <typename T>
-void BufferPool::release(PoolVec<T>&& buf) {
+void BufferPool::release(std::vector<T>&& buf) {
   if (buf.capacity() == 0) return;
   const std::size_t cached = buf.capacity() * sizeof(T);
   MutexLock lock(mutex_);
@@ -97,14 +97,14 @@ void BufferPool::release(PoolVec<T>&& buf) {
   shelf<T>().free[bucket_for_release(buf.capacity())].push_back(std::move(buf));
 }
 
-template PoolVec<double> BufferPool::acquire<double>(std::size_t);
-template PoolVec<std::uint8_t> BufferPool::acquire<std::uint8_t>(std::size_t);
-template PoolVec<std::uint32_t> BufferPool::acquire<std::uint32_t>(std::size_t);
-template PoolVec<std::size_t> BufferPool::acquire<std::size_t>(std::size_t);
-template void BufferPool::release<double>(PoolVec<double>&&);
-template void BufferPool::release<std::uint8_t>(PoolVec<std::uint8_t>&&);
-template void BufferPool::release<std::uint32_t>(PoolVec<std::uint32_t>&&);
-template void BufferPool::release<std::size_t>(PoolVec<std::size_t>&&);
+template std::vector<double> BufferPool::acquire<double>(std::size_t);
+template std::vector<std::uint8_t> BufferPool::acquire<std::uint8_t>(std::size_t);
+template std::vector<std::uint32_t> BufferPool::acquire<std::uint32_t>(std::size_t);
+template std::vector<std::size_t> BufferPool::acquire<std::size_t>(std::size_t);
+template void BufferPool::release<double>(std::vector<double>&&);
+template void BufferPool::release<std::uint8_t>(std::vector<std::uint8_t>&&);
+template void BufferPool::release<std::uint32_t>(std::vector<std::uint32_t>&&);
+template void BufferPool::release<std::size_t>(std::vector<std::size_t>&&);
 
 void BufferPool::set_enabled(bool enabled) {
   MutexLock lock(mutex_);

@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -27,45 +26,6 @@
 #include "common/mutex.hpp"
 
 namespace xl {
-
-/// Every pooled buffer starts on a 64-byte boundary: one cache line, and wide
-/// enough for any current SIMD width (AVX-512 included). Fab rows and
-/// Scratch slabs can therefore use aligned vector loads on lane zero of every
-/// buffer.
-inline constexpr std::size_t kPoolAlignment = 64;
-
-/// Minimal allocator handing out kPoolAlignment-aligned storage via the
-/// align_val_t forms of operator new/delete. Stateless, so all instances are
-/// interchangeable and PoolVec moves are pointer swaps, exactly like the
-/// default allocator. This is the "aligned bucket class" behind the pool's
-/// size buckets: buckets recycle whole PoolVecs, so every hand-out keeps the
-/// allocation-time alignment.
-template <typename T>
-struct AlignedAllocator {
-  using value_type = T;
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kPoolAlignment}));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t{kPoolAlignment});
-  }
-
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) noexcept {
-    return true;
-  }
-};
-
-/// The pooled buffer type: a std::vector whose storage is always 64-byte
-/// aligned. Everything the BufferPool acquires, caches, and releases is a
-/// PoolVec; iterator/span interop with plain vectors is unchanged.
-template <typename T>
-using PoolVec = std::vector<T, AlignedAllocator<T>>;
 
 /// Snapshot of one pool's counters (monotonic except the byte gauges).
 struct PoolStats {
@@ -107,12 +67,11 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// A buffer of exactly n elements, recycled when a compatible bucket has
-  /// one cached, always starting on a kPoolAlignment boundary. Contents are
-  /// unspecified beyond vector resize semantics — callers must fully
-  /// overwrite before reading (see the determinism note above). Supported T:
-  /// double, std::uint8_t, std::uint32_t, std::size_t.
+  /// one cached. Contents are unspecified beyond vector resize semantics —
+  /// callers must fully overwrite before reading (see the determinism note
+  /// above). Supported T: double, std::uint8_t, std::uint32_t, std::size_t.
   template <typename T>
-  PoolVec<T> acquire(std::size_t n);
+  std::vector<T> acquire(std::size_t n);
 
   /// Return a buffer to the pool. Buffers beyond the byte cap (or when the
   /// pool is disabled) are dropped to the heap and counted as trims.
@@ -120,7 +79,7 @@ class BufferPool {
   /// from this pool) are welcome donations, but they skew the outstanding
   /// gauge — see PoolStats::outstanding_bytes.
   template <typename T>
-  void release(PoolVec<T>&& buf);
+  void release(std::vector<T>&& buf);
 
   /// Disabling makes every acquire a heap miss and every release a trim —
   /// the before/after switch bench_alloc_churn and the bit-identity tests
@@ -149,7 +108,7 @@ class BufferPool {
   template <typename T>
   struct Shelf {
     /// bucket capacity (elements) -> cached buffers of at least that capacity.
-    std::map<std::size_t, std::vector<PoolVec<T>>> free;
+    std::map<std::size_t, std::vector<std::vector<T>>> free;
   };
 
   template <typename T>
@@ -189,11 +148,11 @@ class Scratch {
   std::size_t size() const noexcept { return buf_.size(); }
   T& operator[](std::size_t i) { return buf_[i]; }
   const T& operator[](std::size_t i) const { return buf_[i]; }
-  PoolVec<T>& vec() noexcept { return buf_; }
+  std::vector<T>& vec() noexcept { return buf_; }
 
  private:
   BufferPool* pool_;
-  PoolVec<T> buf_;
+  std::vector<T> buf_;
 };
 
 }  // namespace xl

@@ -9,8 +9,8 @@
 //                            XLAYER_CONTRACTS_ABORT (Debug / sanitizer
 //                            builds), throws xl::InternalError otherwise.
 //   XL_ENSURE(cond, msg)  -- postcondition, same mechanics as XL_ASSERT.
-//   XL_ASSERT_DBG(...)    -- expensive check, compiled out in Release unless
-//                            XLAYER_CONTRACTS_FULL is defined.
+//   XL_ASSERT_DBG(...)    -- expensive check, compiled out when NDEBUG is
+//                            defined (Release).
 //
 // Guarded conversions (the static-analysis gate bans raw float->int casts;
 // these are the sanctioned replacements -- identical to static_cast for
@@ -182,9 +182,9 @@ T parse_number(std::string_view text, std::string_view what) {
     }                                                                         \
   } while (0)
 
-/// Expensive invariant: active in Debug (or with XLAYER_CONTRACTS_FULL),
-/// compiled out -- unevaluated -- in Release.
-#if !defined(NDEBUG) || defined(XLAYER_CONTRACTS_FULL)
+/// Expensive invariant: active in Debug, compiled out -- unevaluated -- in
+/// Release.
+#if !defined(NDEBUG)
 #define XL_ASSERT_DBG(cond, msg) XL_ASSERT(cond, msg)
 #else
 #define XL_ASSERT_DBG(cond, msg) \

@@ -47,7 +47,7 @@ class Fab {
     if (this != &other) {
       // Acquire before releasing so self-sized assigns can recycle in place
       // and the pool high-water mark reflects the true overlap.
-      PoolVec<double> fresh = BufferPool::global().acquire<double>(other.data_.size());
+      std::vector<double> fresh = BufferPool::global().acquire<double>(other.data_.size());
       std::copy(other.data_.begin(), other.data_.end(), fresh.begin());
       BufferPool::global().add_copied_bytes(other.bytes());
       release_storage();
@@ -172,12 +172,12 @@ class Fab {
   /// contiguous buffer — the wire format the transport layer ships. The
   /// buffer is pool-acquired; callers that keep it only briefly should
   /// release() it back so the wire scratch recycles (plotfile does).
-  PoolVec<double> pack(const Box& region) const;
+  std::vector<double> pack(const Box& region) const;
 
   /// pack() into caller-owned scratch: `buffer` is resized (reusing its
   /// capacity when large enough) and fully overwritten. Callers looping over
   /// many boxes keep one buffer hot instead of allocating per box.
-  void pack_into(const Box& region, PoolVec<double>& buffer) const;
+  void pack_into(const Box& region, std::vector<double>& buffer) const;
 
   /// Inverse of pack(): scatter `buffer` into the overlap with `region`.
   void unpack(const Box& region, std::span<const double> buffer);
@@ -198,7 +198,7 @@ class Fab {
 
   Box box_;
   int ncomp_ = 0;
-  PoolVec<double> data_;
+  std::vector<double> data_;
 };
 
 }  // namespace xl::mesh

@@ -1,7 +1,7 @@
 // Frozen copies of the seed per-cell kernels, the oracles of the determinism
 // contract (DESIGN.md §3.10). Every cell access funnels through the
 // bounds-checked fab(p, c) operator and compression packs its stream one bit
-// at a time, exactly as the kernels did before the flat-row / SIMD rewrites.
+// at a time, exactly as the kernels did before the flat-row rewrites.
 // The library kernels must match these bit-for-bit: test_parallel_kernels'
 // SeedIdentity suite asserts it at several worker counts, and
 // bench_kernel_scaling times them as its baseline and gates on it under

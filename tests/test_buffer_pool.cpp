@@ -27,7 +27,7 @@ namespace {
 
 TEST(BufferPool, MissThenBucketReuse) {
   BufferPool pool;
-  PoolVec<double> a = pool.acquire<double>(100);
+  std::vector<double> a = pool.acquire<double>(100);
   EXPECT_EQ(a.size(), 100u);
   EXPECT_GE(a.capacity(), 128u);  // reserved to the next-pow2 bucket
   const double* raw = a.data();
@@ -35,7 +35,7 @@ TEST(BufferPool, MissThenBucketReuse) {
 
   // A smaller request is served from the same 128-element bucket: same
   // allocation comes back, no reallocation.
-  PoolVec<double> b = pool.acquire<double>(90);
+  std::vector<double> b = pool.acquire<double>(90);
   EXPECT_EQ(b.size(), 90u);
   EXPECT_EQ(b.data(), raw);
 
@@ -49,19 +49,19 @@ TEST(BufferPool, MissThenBucketReuse) {
 
 TEST(BufferPool, TinyAcquiresShareTheMinimumBucket) {
   BufferPool pool;
-  PoolVec<std::uint32_t> a = pool.acquire<std::uint32_t>(3);
+  std::vector<std::uint32_t> a = pool.acquire<std::uint32_t>(3);
   EXPECT_GE(a.capacity(), BufferPool::kMinBucketElements);
   pool.release(std::move(a));
   // 3 and 60 both round up to the 64-element bucket, so the second acquire
   // is a hit instead of fragmenting the shelf.
-  PoolVec<std::uint32_t> b = pool.acquire<std::uint32_t>(60);
+  std::vector<std::uint32_t> b = pool.acquire<std::uint32_t>(60);
   EXPECT_EQ(pool.stats().hits, 1u);
   pool.release(std::move(b));
 }
 
 TEST(BufferPool, ZeroSizeAcquireAndEmptyReleaseAreNoOps) {
   BufferPool pool;
-  PoolVec<double> empty = pool.acquire<double>(0);
+  std::vector<double> empty = pool.acquire<double>(0);
   EXPECT_TRUE(empty.empty());
   pool.release(std::move(empty));
   const PoolStats s = pool.stats();
@@ -71,7 +71,7 @@ TEST(BufferPool, ZeroSizeAcquireAndEmptyReleaseAreNoOps) {
 
 TEST(BufferPool, GaugesBalanceAcrossAcquireRelease) {
   BufferPool pool;
-  PoolVec<double> a = pool.acquire<double>(256);
+  std::vector<double> a = pool.acquire<double>(256);
   PoolStats s = pool.stats();
   EXPECT_EQ(s.outstanding_bytes, 256 * sizeof(double));
   EXPECT_EQ(s.pooled_bytes, 0u);
@@ -95,7 +95,7 @@ TEST(BufferPool, DisabledPoolTrimsEveryRelease) {
   BufferPool pool;
   pool.set_enabled(false);
   EXPECT_FALSE(pool.enabled());
-  PoolVec<double> a = pool.acquire<double>(64);
+  std::vector<double> a = pool.acquire<double>(64);
   pool.release(std::move(a));
   const PoolStats s = pool.stats();
   EXPECT_EQ(s.misses, 1u);
@@ -106,56 +106,14 @@ TEST(BufferPool, DisabledPoolTrimsEveryRelease) {
 
 TEST(BufferPool, CapacityCapTrimsOverflow) {
   BufferPool pool(/*capacity_bytes=*/64 * sizeof(double));
-  PoolVec<double> a = pool.acquire<double>(64);
-  PoolVec<double> b = pool.acquire<double>(64);
+  std::vector<double> a = pool.acquire<double>(64);
+  std::vector<double> b = pool.acquire<double>(64);
   pool.release(std::move(a));  // fills the cap exactly
   pool.release(std::move(b));  // over the cap -> dropped to the heap
   const PoolStats s = pool.stats();
   EXPECT_EQ(s.releases, 1u);
   EXPECT_EQ(s.trims, 1u);
   EXPECT_EQ(s.pooled_bytes, 64 * sizeof(double));
-}
-
-// DESIGN.md §3.10 alignment contract: every pool buffer — fresh miss,
-// recycled hit, Scratch, Fab storage — starts on a kPoolAlignment (cache
-// line, widest-SIMD) boundary, and the aligned buckets keep the byte ledger
-// exact.
-bool cache_line_aligned(const void* p) {
-  return reinterpret_cast<std::uintptr_t>(p) % kPoolAlignment == 0;
-}
-
-TEST(BufferPool, AcquiresAreCacheLineAligned) {
-  BufferPool pool;
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{64}, std::size_t{100},
-        std::size_t{1000}, std::size_t{4097}}) {
-    PoolVec<double> d = pool.acquire<double>(n);
-    EXPECT_TRUE(cache_line_aligned(d.data())) << "fresh acquire of " << n;
-    const double* raw = d.data();
-    pool.release(std::move(d));
-    PoolVec<double> r = pool.acquire<double>(n);
-    EXPECT_EQ(r.data(), raw) << "bucket did not recycle for " << n;
-    EXPECT_TRUE(cache_line_aligned(r.data())) << "recycled acquire of " << n;
-    pool.release(std::move(r));
-    PoolVec<std::uint8_t> b = pool.acquire<std::uint8_t>(n);
-    EXPECT_TRUE(cache_line_aligned(b.data())) << "byte acquire of " << n;
-    pool.release(std::move(b));
-  }
-  // Alignment must not leak bytes: everything released, the gauge is zero.
-  EXPECT_EQ(pool.stats().outstanding_bytes, 0u);
-}
-
-TEST(BufferPool, FabAndScratchStorageAreCacheLineAligned) {
-  // Fab storage comes from the global pool; the first row of component 0 is
-  // the buffer base and must sit on the boundary (interior rows float).
-  mesh::Fab fab(mesh::Box::cube({-1, -1, -1}, 5), 2);
-  EXPECT_TRUE(cache_line_aligned(fab.flat().data()));
-  EXPECT_EQ(fab.row(0, -1, -1), fab.flat().data());
-  BufferPool pool;
-  Scratch<double> scratch(pool, 17);
-  EXPECT_TRUE(cache_line_aligned(scratch.data()));
-  Scratch<std::size_t> counts(pool, 5);
-  EXPECT_TRUE(cache_line_aligned(counts.data()));
 }
 
 TEST(BufferPool, CopiedBytesTapAccumulates) {
@@ -194,7 +152,7 @@ TEST(BufferPool, CrossThreadAcquireReleaseLedgerBalances) {
     group.run([&pool, t] {
       for (int r = 0; r < kRounds; ++r) {
         const std::size_t n = 64 + 16 * ((t + static_cast<std::size_t>(r)) % 8);
-        PoolVec<double> buf = pool.acquire<double>(n);
+        std::vector<double> buf = pool.acquire<double>(n);
         buf[0] = static_cast<double>(t);
         buf[n - 1] = static_cast<double>(r);
         pool.release(std::move(buf));
@@ -218,7 +176,7 @@ TEST(BufferPool, FabValuesUnaffectedByRecycledStorage) {
   const bool was_enabled = pool.enabled();
   pool.set_enabled(true);
   {
-    PoolVec<double> dirty =
+    std::vector<double> dirty =
         pool.acquire<double>(static_cast<std::size_t>(box.num_cells()));
     std::fill(dirty.begin(), dirty.end(), -999.0);
     pool.release(std::move(dirty));
@@ -228,7 +186,7 @@ TEST(BufferPool, FabValuesUnaffectedByRecycledStorage) {
     ASSERT_EQ(fab(*it), 0.5);
   }
 
-  PoolVec<double> packed;
+  std::vector<double> packed;
   fab.pack_into(box, packed);
   mesh::Fab back(box, 1, 0.0);
   back.unpack(box, packed);

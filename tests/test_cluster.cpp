@@ -128,7 +128,7 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-TEST(EventQueue, LadderStressMatchesStableSortReference) {
+TEST(EventQueue, StressMatchesStableSortReference) {
   // Many hash-spread timestamps including deliberate collisions. The firing
   // order must equal a stable sort by time — stable sort on scheduling order
   // IS the (time, seq) tie-break contract.
@@ -153,7 +153,7 @@ TEST(EventQueue, LadderStressMatchesStableSortReference) {
   EXPECT_EQ(q.stats().fired, kN);
 }
 
-TEST(EventQueue, AllEqualTimestampsFireInSchedulingOrderAtLadderScale) {
+TEST(EventQueue, AllEqualTimestampsFireInSchedulingOrder) {
   // A degenerate batch (every event at one timestamp) is ordered by
   // sequence number alone.
   constexpr std::size_t kN = 5000;
@@ -217,7 +217,7 @@ TEST(EventQueue, SchedulingAtExactlyNowIsAllowed) {
   EXPECT_THROW(q.schedule_at(0.5, [] {}), ContractError);
 }
 
-TEST(EventQueue, SelfSchedulingSteadyStateReusesArenas) {
+TEST(EventQueue, SelfSchedulingChainFiresEveryLink) {
   // A self-scheduling chain drains and refills the queue repeatedly; each
   // link fires a quarter second after the one before.
   EventQueue q;

@@ -57,7 +57,7 @@ TEST(Contract, EnsureReportsAsPostcondition) {
 }
 
 TEST(Contract, AssertDbgMatchesBuildMode) {
-#if !defined(NDEBUG) || defined(XLAYER_CONTRACTS_FULL)
+#if !defined(NDEBUG)
   if (contracts_abort()) {
     EXPECT_DEATH(XL_ASSERT_DBG(false, "active"), "active");
   } else {

@@ -56,7 +56,7 @@ TEST(Fab, PackUnpackRoundTrip) {
     for (BoxIterator it(src.box()); it.ok(); ++it) src(*it, c) = cell_value(*it, c);
   }
   const Box region({1, 0, 2}, {3, 3, 3});
-  const PoolVec<double> wire = src.pack(region);
+  const std::vector<double> wire = src.pack(region);
   EXPECT_EQ(wire.size(),
             static_cast<std::size_t>((region & src.box()).num_cells()) * 3);
 

@@ -243,7 +243,7 @@ TEST(ParallelKernels, AmrIsosurfaceIsThreadCountInvariant) {
 }
 
 // --- seed-reference bit-identity suite ---------------------------------------
-// DESIGN.md §3.10: the flat-row / SIMD kernel rewrites must be
+// DESIGN.md §3.10: the flat-row kernel rewrites must be
 // indistinguishable from the seed per-cell formulations — not merely
 // thread-invariant, but bit-identical to the original bounds-checked
 // fab(p, c) code. The replicas in seed_kernels.hpp freeze the seed semantics

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -161,6 +162,57 @@ TEST(Plotfile, RestorationRejectsMismatchedDomain) {
   AmrConfig wrong = h.config();
   wrong.base_domain = Box::domain({32, 32, 32});
   EXPECT_THROW(hierarchy_from_plotfile(data, wrong), ContractError);
+}
+
+TEST(Plotfile, RestorationRejectsAMismatchedRefinement) {
+  const AmrHierarchy h = sample_hierarchy();
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_plotfile(buffer, h, 0, 0.0);
+  const PlotFileData data = read_plotfile(buffer);
+  const auto expect_rejected = [](const PlotFileData& d, const AmrConfig& cfg,
+                                  const std::string& field) {
+    try {
+      (void)hierarchy_from_plotfile(d, cfg);
+      ADD_FAILURE() << "restored despite a mismatched " << field;
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
+  };
+  // Fine boxes recorded at ratio 2 would land in a ratio-4 index space.
+  AmrConfig ratio4 = h.config();
+  ratio4.ref_ratio = 4;
+  expect_rejected(data, ratio4, "ref_ratio 2");
+  // A recorded level-1 domain of 64^3 against the config's 32^3.
+  PlotFileData wide = data;
+  wide.levels[1].domain = Box::domain({64, 64, 64});
+  expect_rejected(wide, h.config(), "level 1 domain");
+  // Two recorded levels against a one-level config.
+  AmrConfig one_level = h.config();
+  one_level.max_levels = 1;
+  expect_rejected(data, one_level, "2 levels");
+}
+
+TEST(Plotfile, RejectsARefinementRatioBelowTwo) {
+  const AmrHierarchy h = sample_hierarchy();
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_plotfile(buffer, h, 0, 0.0);
+  const std::string good = buffer.str();
+  // ref_ratio follows magic, version, step, time and ncomp.
+  constexpr std::size_t kRatioOffset = 4 + 4 + 4 + 8 + 4;
+  for (const std::int32_t ratio : {1, 0, -2}) {
+    std::string bad = good;
+    std::memcpy(bad.data() + kRatioOffset, &ratio, sizeof(ratio));
+    std::stringstream is(bad, std::ios::in | std::ios::binary);
+    try {
+      (void)read_plotfile(is);
+      ADD_FAILURE() << "ref_ratio " << ratio << " accepted";
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ref_ratio " + std::to_string(ratio)), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Plotfile, RestorationRejectsRanksOutsideTheConfig) {
