@@ -1,15 +1,15 @@
-// The one harness of the regression-gate benches (alloc_churn,
-// kernel_scaling, chaos_sweep, trigger_sweep): their command line, their
-// gates and their JSON report.
+// The harness of the regression-gate benches (bench_kernel_scaling): their
+// command line, their gates and their JSON report. A bench gates what needs
+// a timing; an invariant that needs none is a ctest case.
 //
 //   --quick   CI-sized run
 //   --check   also enforce the bench's threshold gates
 //   --json F  write the report as JSON to file F
 //
-// A gate is either an invariant (bit-identity, checksum, zero loss), which
-// fails the run with or without --check, or a threshold (a speedup or
-// allocation bar), which fails it only under --check. Every report shares
-// one envelope and then carries the bench's own fields and record arrays:
+// A gate is either an invariant (bit-identity, a checksum), which fails the
+// run with or without --check, or a threshold (a speedup bar), which fails it
+// only under --check. Every report shares one envelope and then carries the
+// bench's own fields and record arrays:
 //
 //   {"bench": ..., "quick": ..., "ok": ..., "gates": [...], <bench fields>}
 //

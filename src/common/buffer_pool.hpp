@@ -82,8 +82,8 @@ class BufferPool {
   void release(std::vector<T>&& buf);
 
   /// Disabling makes every acquire a heap miss and every release a trim —
-  /// the before/after switch bench_alloc_churn and the bit-identity tests
-  /// flip. Values never change, only allocation behavior.
+  /// the switch the pool-state golden tests flip. Values never change, only
+  /// allocation behavior.
   void set_enabled(bool enabled);
   bool enabled() const;
 

@@ -20,7 +20,7 @@ constexpr std::size_t kChunksPerWorker = 4;
 
 std::size_t default_global_workers() {
   // xl-lint: allow(banned-symbol): the single sanctioned environment read — the
-  // documented XL_THREADS escape hatch for CI and the CLI (config keys win).
+  // documented XL_THREADS setting, the one outside control of the kernel pool.
   const char* env = std::getenv("XL_THREADS");
   if (env == nullptr || *env == '\0') return 0;
   return parse_number<std::size_t>(env, "XL_THREADS");

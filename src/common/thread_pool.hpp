@@ -4,9 +4,8 @@
 //
 // Determinism contract: every kernel built on parallel_for/parallel_for_chunks
 // merges per-chunk results in chunk order, so any worker count (including 0)
-// produces bit-identical output. The process-wide default pool starts with 0
-// workers (serial); it is sized by `xlayer_cli --threads`, the `threads`
-// config key, or the XL_THREADS environment variable.
+// produces bit-identical output. The process-wide default pool starts with
+// XL_THREADS workers (0, serial, when unset); set_global_workers resizes it.
 #pragma once
 
 #include <cstddef>

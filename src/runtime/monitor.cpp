@@ -62,7 +62,6 @@ void Monitor::record_analysis(const AnalysisSample& sample) {
     last_intransit_cost_ = cost;
     has_intransit_ = true;
   }
-  ++analysis_count_;
 }
 
 void Monitor::record_sim_step(int /*step*/, double seconds, std::size_t cells) {

@@ -96,8 +96,6 @@ class Monitor {
   /// 0.0 — a zero next-step time would unbalance eq. 9 on the first sample.
   double estimate_sim_seconds(std::size_t cells) const;
 
-  std::size_t analysis_observations() const noexcept { return analysis_count_; }
-
  private:
   double normalized_cost(Placement placement) const;
 
@@ -112,7 +110,6 @@ class Monitor {
   std::optional<double> oracle_intransit_;
   double last_sim_seconds_ = 0.0;
   std::size_t last_sim_cells_ = 0;
-  std::size_t analysis_count_ = 0;
   TriggerDetector trigger_;
   int armed_step_ = -1;      ///< step the latest observe_step evaluated.
   bool armed_fire_ = false;  ///< its decision (trigger policies only).

@@ -85,8 +85,6 @@ class TriggerDetector {
 
   int triggers_fired() const noexcept { return triggers_fired_; }
   int steps_suppressed() const noexcept { return steps_suppressed_; }
-  /// Steps since the last fired trigger (0 right after a fire).
-  int steps_since_fire() const noexcept { return steps_since_fire_; }
 
  private:
   /// Does step `step`'s indicator enter the window? Counter-keyed stateless
@@ -101,7 +99,7 @@ class TriggerDetector {
   std::deque<double> window_;
   int triggers_fired_ = 0;
   int steps_suppressed_ = 0;
-  int steps_since_fire_ = 0;
+  int steps_since_fire_ = 0;  ///< steps since the last fire (0 right after one).
 };
 
 }  // namespace xl::runtime

@@ -179,8 +179,7 @@ class StagingService {
   /// Servers currently accepting data.
   int alive_servers() const;
 
-  /// Seconds the staging area still needs to clear its current queue,
-  /// estimated from queued analysis work (the live analogue of the
+  /// Requests queued or running on the workers (the live analogue of the
   /// monitor's backlog signal). 0 when idle.
   std::size_t pending_requests() const;
 

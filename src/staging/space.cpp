@@ -352,18 +352,6 @@ ReadReport StagingSpace::read_repair(int version, const Box& region) {
   return report;
 }
 
-void StagingSpace::resize(int num_servers) {
-  XL_REQUIRE(num_servers >= 1, "need at least one staging server");
-  const auto target = static_cast<std::size_t>(num_servers);
-  if (target < server_used_.size()) {
-    for (std::size_t s = target; s < server_used_.size(); ++s) {
-      XL_REQUIRE(server_used_[s] == 0, "cannot shrink away a non-empty staging server");
-    }
-  }
-  server_used_.resize(target, 0);
-  server_dead_.resize(target, false);
-}
-
 std::size_t StagingSpace::replica_count() const noexcept {
   std::size_t n = 0;
   for (const auto& [id, obj] : objects_) n += obj.replicas.size();

@@ -1,8 +1,9 @@
 // The shared-space staging service modeled on DataSpaces: a group of staging
 // servers holding versioned, spatially-indexed data objects with per-server
-// memory accounting. Small-scale (in-process) runs store real Fab payloads;
-// machine-scale runs store metadata-only objects (byte sizes), exercising the
-// identical indexing and accounting code.
+// memory accounting. In-process runs (StagingService) store real Fab
+// payloads; an object put without one holds only its byte size. The modeled
+// machine-scale pipeline does not use this space: it prices crash losses with
+// the closed forms crash_loss_fraction and replica_loss_bytes below.
 //
 // Durability: objects are staged k-way replicated (replication >= 1). The
 // primary replica lands on the Morton-hash target (server_for_box) and the
@@ -206,10 +207,6 @@ class StagingSpace {
   /// scoped to the read). The DataSpaces get path calls this before handing
   /// payloads out.
   ReadReport read_repair(int version, const Box& region);
-
-  /// Grow or shrink the server group (resource-layer adaptation). Shrinking
-  /// requires the vacated servers to be empty; objects are never migrated.
-  void resize(int num_servers);
 
   std::size_t object_count() const noexcept { return objects_.size(); }
   /// Live replicas across all objects (== object_count() when replication=1).

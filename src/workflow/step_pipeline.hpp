@@ -88,8 +88,9 @@ class StepPipeline {
   /// Run one step through all phases.
   void run_step(int step);
 
-  /// Drain the substrate, finalize windows / staging trace / eq. 12, and
-  /// hand over the result. Call once, after the last step.
+  /// Drain the substrate, finalize the per-step windows and eq. 12's
+  /// utilization, emit RunEnd, and hand over the result. Call once, after
+  /// the last step.
   WorkflowResult finish();
 
  private:

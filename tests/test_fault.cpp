@@ -8,19 +8,18 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/cost_model.hpp"
 #include "common/error.hpp"
+#include "events_csv.hpp"
 #include "runtime/fault.hpp"
 #include "staging/space.hpp"
 #include "transport/retry_ladder.hpp"
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
 #include "workflow/observer.hpp"
-#include "workflow/trace_io.hpp"
 
 using namespace xl;
 using namespace xl::workflow;
@@ -346,24 +345,14 @@ FaultConfig stormy_faults() {
   return f;
 }
 
-std::string events_csv_of(const WorkflowConfig& config, ExecutionSubstrate& substrate) {
-  CoupledWorkflow wf(config);
-  EventLog log;
-  wf.set_observer(&log);
-  (void)wf.run_on(substrate);
-  std::ostringstream os;
-  write_events_csv(os, log);
-  return os.str();
-}
-
 TEST(FaultPipeline, SubstratesEmitByteIdenticalEventLogs) {
   for (Mode mode : {Mode::StaticInTransit, Mode::AdaptiveMiddleware, Mode::Global}) {
     WorkflowConfig config = fault_config(mode);
     config.faults = stormy_faults();
     AnalyticSubstrate analytic;
     EventQueueSubstrate des;
-    const std::string a = events_csv_of(config, analytic);
-    const std::string d = events_csv_of(config, des);
+    const std::string a = test::events_csv(config, analytic);
+    const std::string d = test::events_csv(config, des);
     EXPECT_EQ(a, d) << mode_name(mode);
     // The storm actually happened: the log contains fault traffic.
     EXPECT_NE(a.find("fault"), std::string::npos) << mode_name(mode);
@@ -374,7 +363,7 @@ TEST(FaultPipeline, SameSeedReproducesTheRun) {
   WorkflowConfig config = fault_config(Mode::AdaptiveMiddleware);
   config.faults = stormy_faults();
   AnalyticSubstrate s1, s2;
-  EXPECT_EQ(events_csv_of(config, s1), events_csv_of(config, s2));
+  EXPECT_EQ(test::events_csv(config, s1), test::events_csv(config, s2));
 }
 
 TEST(FaultPipeline, MidRunCrashStillCompletesEveryStep) {
@@ -549,8 +538,8 @@ TEST(ReplicatedPipeline, SubstratesStayByteIdenticalWithReplicationAndLease) {
     WorkflowConfig config = replicated_config(/*replication=*/2, lease);
     AnalyticSubstrate analytic;
     EventQueueSubstrate des;
-    const std::string a = events_csv_of(config, analytic);
-    const std::string d = events_csv_of(config, des);
+    const std::string a = test::events_csv(config, analytic);
+    const std::string d = test::events_csv(config, des);
     EXPECT_EQ(a, d) << "lease=" << lease;
     // The durability stream actually flowed.
     EXPECT_NE(a.find("replica-created"), std::string::npos) << "lease=" << lease;
@@ -603,7 +592,7 @@ TEST(ReplicatedPipeline, ReplicationOneAndZeroLeaseMatchTheOriginalPath) {
   with_defaults.replication = 1;
   with_defaults.faults.lease_steps = 0;
   AnalyticSubstrate s1, s2;
-  EXPECT_EQ(events_csv_of(config, s1), events_csv_of(with_defaults, s2));
+  EXPECT_EQ(test::events_csv(config, s1), test::events_csv(with_defaults, s2));
   const WorkflowResult r = CoupledWorkflow(config).run();
   EXPECT_EQ(r.server_suspicions, 0);
   EXPECT_EQ(r.repairs_scheduled, 0);
@@ -633,8 +622,8 @@ TEST(FaultPipeline, FullOutageUnderBacklogKeepsSubstratesIdentical) {
   c.faults = runtime::parse_fault_spec("crash=40:16:1");
   AnalyticSubstrate analytic;
   EventQueueSubstrate des;
-  const std::string a = events_csv_of(c, analytic);
-  EXPECT_EQ(a, events_csv_of(c, des));
+  const std::string a = test::events_csv(c, analytic);
+  EXPECT_EQ(a, test::events_csv(c, des));
   EXPECT_NE(a.find("server-crash"), std::string::npos);
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "digest.hpp"
+#include "events_csv.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/coupled_workflow.hpp"
@@ -347,19 +348,10 @@ TEST(SubstrateAgreement, HoldsAtLargeStepCounts) {
   for (Mode mode : {Mode::StaticInTransit, Mode::Global}) {
     WorkflowConfig config = golden_config(mode);
     config.steps = 200;
-    auto csv_of = [&](ExecutionSubstrate& substrate) {
-      CoupledWorkflow wf(config);
-      EventLog log;
-      wf.set_observer(&log);
-      (void)wf.run_on(substrate);
-      std::ostringstream os;
-      write_events_csv(os, log);
-      return os.str();
-    };
     AnalyticSubstrate analytic;
     EventQueueSubstrate des;
-    const std::string a = csv_of(analytic);
-    const std::string d = csv_of(des);
+    const std::string a = test::events_csv(config, analytic);
+    const std::string d = test::events_csv(config, des);
     EXPECT_EQ(a, d) << mode_name(mode);
   }
 }

@@ -1,19 +1,27 @@
 // Tests for the staging durability layer: k-way replica placement across
 // failure domains, per-replica ledger accounting, LossPolicy semantics,
-// quorum reads with read-repair, budgeted anti-entropy, and the threaded
-// service surviving k-1 concurrent server failures under client load (the
-// TSan chaos target).
+// quorum reads with read-repair, budgeted anti-entropy, the chaos schedules
+// (no staged object or byte lost while concurrent failures stay at or below
+// k-1, on the space and in the workflow), and the threaded service surviving
+// k-1 concurrent server failures under client load (the TSan chaos target).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/machine.hpp"
 #include "common/contract.hpp"
 #include "common/error.hpp"
+#include "events_csv.hpp"
+#include "runtime/fault.hpp"
 #include "staging/service.hpp"
 #include "staging/space.hpp"
+#include "workflow/coupled_workflow.hpp"
+#include "workflow/execution_substrate.hpp"
 
 namespace xl::staging {
 namespace {
@@ -288,6 +296,193 @@ TEST(ReadRepair, RestoresQuorumForTheReadObjects) {
   }
   // Objects of other versions were NOT repaired by this read.
   EXPECT_GT(space.replica_deficit(), 0u);
+}
+
+// --- object-level chaos ------------------------------------------------------
+
+// Scripted failure schedules. Each keeps concurrent failures at or below k-1
+// for every k it runs at, so none may lose an object.
+enum class Schedule { Single, Rolling, Simultaneous, FailDuringRepair };
+
+struct ScheduleCase {
+  Schedule schedule;
+  const char* name;
+  int min_k;  ///< smallest k the schedule stays within k-1 failures at.
+};
+
+const ScheduleCase kSchedules[] = {
+    // Relocate rebuilds even a sole copy, so these hold at k = 1.
+    {Schedule::Single, "single", 1},
+    {Schedule::Rolling, "rolling", 1},
+    // k-1 concurrent failures in distinct domains; the survivors stay
+    // degraded until the anti-entropy pass.
+    {Schedule::Simultaneous, "simultaneous", 2},
+    // The second failure lands while the first repair is part-way through
+    // its byte budget: two concurrent failures.
+    {Schedule::FailDuringRepair, "fail-during-repair", 3},
+};
+
+constexpr std::size_t kChaosObjects = 64;
+const Box kEverything = Box::domain({256, 256, 256});
+
+/// 64 objects of 4 versions and 7 sizes on 8 servers in 4 domains of 2.
+StagingSpace chaos_space(int k) {
+  StagingSpace space(8, std::size_t{1} << 20, k, /*servers_per_domain=*/2);
+  for (int i = 0; i < static_cast<int>(kChaosObjects); ++i) {
+    const Box box = Box::cube({(i % 8) * 32, ((i / 8) % 8) * 32, ((i / 16) % 4) * 64}, 16);
+    space.put(i % 4, box, 1, 2048 + 64 * static_cast<std::size_t>(i % 7));
+  }
+  return space;
+}
+
+/// Run `schedule` at replication `k`, then recover every server and repair
+/// without a byte budget. Returns the objects the failures dropped.
+std::size_t run_schedule(StagingSpace& space, Schedule schedule, int k) {
+  std::size_t dropped = 0;
+  const auto fail = [&](int server, LossPolicy policy) {
+    dropped += space.fail_server(server, policy).dropped_objects;
+  };
+  switch (schedule) {
+    case Schedule::Single:
+      fail(2, LossPolicy::Relocate);
+      space.recover_server(2);
+      break;
+    case Schedule::Rolling:
+      for (int s = 0; s < space.num_servers(); ++s) {
+        fail(s, LossPolicy::Relocate);
+        space.recover_server(s);
+      }
+      break;
+    case Schedule::Simultaneous:
+      for (int f = 0; f < k - 1; ++f) fail(2 * f, LossPolicy::Repair);
+      space.anti_entropy_repair();
+      for (int f = 0; f < k - 1; ++f) space.recover_server(2 * f);
+      break;
+    case Schedule::FailDuringRepair:
+      fail(0, LossPolicy::Repair);
+      space.anti_entropy_repair(/*max_bytes=*/4096);
+      fail(2, LossPolicy::Repair);
+      space.anti_entropy_repair();
+      space.recover_server(0);
+      space.recover_server(2);
+      break;
+  }
+  space.anti_entropy_repair();
+  return dropped;
+}
+
+/// Every server's liveness and ledger, then every object's id, version, bytes
+/// and replicas, primary first.
+std::string space_state(const StagingSpace& space) {
+  std::ostringstream os;
+  for (int s = 0; s < space.num_servers(); ++s) {
+    os << space.server_alive(s) << ' ' << space.server_used_bytes(s) << '\n';
+  }
+  for (int version = 0; version < 4; ++version) {
+    for (const StagedObject* obj : space.query(version, kEverything)) {
+      os << obj->id << ' ' << obj->version << ' ' << obj->bytes << ':';
+      for (int r : obj->replicas) os << ' ' << r;
+      os << '\n';
+    }
+  }
+  return os.str();
+}
+
+TEST(ObjectChaos, ZeroLossWithinKMinusOneFailures) {
+  for (int k = 1; k <= 3; ++k) {
+    for (const ScheduleCase& sc : kSchedules) {
+      if (k < sc.min_k) continue;
+      SCOPED_TRACE(testing::Message() << sc.name << " at k=" << k);
+      StagingSpace space = chaos_space(k);
+      EXPECT_EQ(run_schedule(space, sc.schedule, k), 0u);
+      EXPECT_EQ(space.object_count(), kChaosObjects);
+      EXPECT_EQ(space.replica_deficit(), 0u);
+      StagingSpace rerun = chaos_space(k);
+      run_schedule(rerun, sc.schedule, k);
+      EXPECT_EQ(space_state(rerun), space_state(space));
+    }
+  }
+}
+
+TEST(ObjectChaos, KillingEveryReplicaLosesTheObject) {
+  // The negative control: the harness sees a loss when there is one.
+  for (int k = 1; k <= 3; ++k) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    StagingSpace space = chaos_space(k);
+    const std::vector<int> holders = space.query(0, kEverything).front()->replicas;
+    ASSERT_EQ(holders.size(), static_cast<std::size_t>(k));
+    std::size_t dropped = 0;
+    for (int s : holders) dropped += space.fail_server(s, LossPolicy::Drop).dropped_objects;
+    EXPECT_GE(dropped, 1u);
+    EXPECT_EQ(space.object_count(), kChaosObjects - dropped);
+  }
+}
+
+// --- workflow-level chaos ----------------------------------------------------
+
+// Crash schedules on Titan 128+8, static in transit, with deliberately
+// expensive analysis kernels: the staging backlog is non-empty when a crash
+// fires, so the shed and repair arithmetic runs on staged bytes, and the
+// static placement cannot dodge a crash by going in situ.
+struct CrashSchedule {
+  const char* name;
+  const char* crashes;  ///< fault-spec crash clauses.
+  int max_down;         ///< most servers down at once.
+};
+
+const CrashSchedule kCrashSchedules[] = {
+    {"single", "crash=5:1:4", 1},
+    {"rolling", "crash=4:1:3;crash=9:1:3", 1},
+    {"simultaneous", "crash=5:2:4", 2},
+    // The second crash lands while the first one's repair is still queued;
+    // the outages never overlap.
+    {"fail-during-repair", "crash=5:1:2;crash=8:1:2", 1},
+};
+
+workflow::WorkflowConfig crash_config(const CrashSchedule& schedule, int k, int lease) {
+  workflow::WorkflowConfig c;
+  c.machine = cluster::titan();
+  c.sim_cores = 128;
+  c.staging_cores = 8;
+  c.steps = 15;
+  c.mode = workflow::Mode::StaticInTransit;
+  c.geometry.base_domain = Box::domain({256, 128, 128});
+  c.geometry.tile_size = 8;
+  c.geometry.front_speed = 0.01;
+  c.memory_model.ncomp = 1;
+  c.hints.factor_phases = {{0, {2}}};
+  c.active_cell_fraction = 0.5;
+  c.costs.mc_scan_flops_per_cell = 500;
+  c.costs.mc_active_flops_per_cell = 5000;
+  c.replication = k;
+  // Crashes only, no transfer drops: every dropped byte is a lost staged one.
+  c.faults = runtime::parse_fault_spec("seed=11;retries=2;backoff=0.001;lease=" +
+                                       std::to_string(lease) + ";" + schedule.crashes);
+  return c;
+}
+
+TEST(WorkflowChaos, ZeroLossWithinKMinusOneAndIdenticalReplays) {
+  std::size_t dropped_unreplicated = 0;
+  for (const CrashSchedule& schedule : kCrashSchedules) {
+    for (int k : {1, 2}) {
+      for (int lease : {0, 2}) {
+        SCOPED_TRACE(testing::Message() << schedule.name << " k=" << k << " lease=" << lease);
+        const workflow::WorkflowConfig config = crash_config(schedule, k, lease);
+        workflow::AnalyticSubstrate a1, a2;
+        workflow::EventQueueSubstrate des;
+        workflow::WorkflowResult result;
+        const std::string csv = test::events_csv(config, a1, &result);
+        EXPECT_EQ(csv, test::events_csv(config, a2));
+        EXPECT_EQ(csv, test::events_csv(config, des));
+        if (schedule.max_down <= k - 1) {
+          EXPECT_EQ(result.dropped_bytes, 0u);
+        }
+        if (k == 1) dropped_unreplicated += result.dropped_bytes;
+      }
+    }
+  }
+  // The crashes reach staged bytes: without replication they lose some.
+  EXPECT_GT(dropped_unreplicated, 0u);
 }
 
 // --- service-level chaos (the TSan target) -----------------------------------

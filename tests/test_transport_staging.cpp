@@ -184,23 +184,6 @@ TEST(StagingSpace, EraseVersionFreesEverything) {
   EXPECT_EQ(space.used_bytes(), 300u);
 }
 
-TEST(StagingSpace, ResizeGrowAndShrinkRules) {
-  StagingSpace space(2, 1000);
-  space.resize(6);
-  EXPECT_EQ(space.num_servers(), 6);
-  EXPECT_EQ(space.capacity_bytes(), 6000u);
-  // Put something on a known server, then try to shrink past it.
-  const Box box = Box::cube({0, 0, 0}, 4);
-  const int server = staging::server_for_box(box, 6);
-  space.put(0, box, 1, 10);
-  if (server >= 1) {
-    EXPECT_THROW(space.resize(server), ContractError);
-  }
-  space.erase_version(0);
-  space.resize(1);
-  EXPECT_EQ(space.num_servers(), 1);
-}
-
 TEST(StagingSpace, ValidatesConstruction) {
   EXPECT_THROW(StagingSpace(0, 1024), ContractError);
   EXPECT_THROW(StagingSpace(4, 0), ContractError);

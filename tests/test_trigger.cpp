@@ -1,22 +1,28 @@
 // Tests for the percentile-sampling trigger layer: the TriggerDetector's
 // determinism contract, the Monitor's policy gate, and the workflow-level
 // guarantees (FixedPeriod byte-identity with the legacy cadence, Percentile
-// byte-identity across reruns and substrates, the Hybrid max-interval cap).
+// byte-identity across reruns and substrates, the Hybrid max-interval cap),
+// including the trigger sweep: no injected shock missed on a bursty run, at
+// least 30% fewer decisions on a quiescent one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cluster/machine.hpp"
 #include "common/contract.hpp"
+#include "events_csv.hpp"
 #include "runtime/monitor.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/coupled_workflow.hpp"
 #include "workflow/execution_substrate.hpp"
 #include "workflow/observer.hpp"
-#include "workflow/trace_io.hpp"
 
 namespace xl {
 namespace {
@@ -221,27 +227,77 @@ WorkflowConfig workflow_config() {
   return c;
 }
 
-std::string events_csv(const WorkflowConfig& config, ExecutionSubstrate& substrate,
-                       WorkflowResult* out = nullptr) {
-  CoupledWorkflow wf(config);
-  EventLog log;
-  wf.set_observer(&log);
-  const WorkflowResult r = wf.run_on(substrate);
-  if (out != nullptr) *out = r;
-  std::ostringstream os;
-  write_events_csv(os, log);
-  return os.str();
+// The trigger sweep: 40-step runs of two geometries. The bursty one injects
+// two shocks, a blob onset and a sharp front-decay regime change; the blobs'
+// drift between them adds tile-granular churn the trailing quantile must ride
+// out. The quiescent one is frozen, so the indicator is exactly 0 after the
+// first step and every later decision is wasted work.
+constexpr int kShocks[] = {12, 26};  ///< blob onset, front-decay onset.
+
+struct SweepCase {
+  const char* name;
+  bool bursty;
+  TriggerPolicy policy;
+  double sample_rate;
+};
+
+const SweepCase kSweep[] = {
+    {"bursty/fixed", true, TriggerPolicy::FixedPeriod, 1.0},
+    {"bursty/percentile", true, TriggerPolicy::Percentile, 1.0},
+    {"bursty/hybrid", true, TriggerPolicy::Hybrid, 1.0},
+    {"bursty/percentile/subsampled", true, TriggerPolicy::Percentile, 0.7},
+    {"quiescent/fixed", false, TriggerPolicy::FixedPeriod, 1.0},
+    {"quiescent/percentile", false, TriggerPolicy::Percentile, 1.0},
+    {"quiescent/hybrid", false, TriggerPolicy::Hybrid, 1.0},
+};
+
+WorkflowConfig sweep_config(const SweepCase& sc) {
+  WorkflowConfig c = workflow_config();
+  c.steps = 40;
+  c.monitor.trigger.window = 8;
+  c.monitor.trigger.policy = sc.policy;
+  c.monitor.trigger.sample_rate = sc.sample_rate;
+  if (sc.bursty) {
+    c.geometry.front_speed = 0.002;
+    c.geometry.blob_onset_step = kShocks[0];
+    c.geometry.num_blobs = 3;
+    c.geometry.blob_radius = 0.08;
+    c.geometry.front_decay = 0.75;
+    c.geometry.front_decay_onset = kShocks[1];
+  } else {
+    c.geometry.front_speed = 0.0;
+    c.geometry.num_blobs = 0;
+    c.geometry.front_decay = 1.0;
+  }
+  return c;
+}
+
+/// Steps of an events CSV's trigger-fired rows.
+std::vector<int> fired_steps(const std::string& csv) {
+  constexpr std::string_view kFired = "trigger-fired,";
+  std::vector<int> steps;
+  std::istringstream rows(csv);
+  for (std::string row; std::getline(rows, row);) {
+    if (row.starts_with(kFired)) steps.push_back(std::stoi(row.substr(kFired.size())));
+  }
+  return steps;
 }
 
 TEST(WorkflowTrigger, FixedPeriodEmitsNoTriggerEvents) {
-  WorkflowConfig config = workflow_config();
-  AnalyticSubstrate substrate;
-  WorkflowResult result;
-  const std::string csv = events_csv(config, substrate, &result);
-  EXPECT_EQ(result.triggers_fired, 0);
-  EXPECT_EQ(result.steps_suppressed, 0);
-  EXPECT_EQ(csv.find("trigger-fired"), std::string::npos);
-  EXPECT_EQ(csv.find("trigger-suppressed"), std::string::npos);
+  std::vector<std::pair<std::string, WorkflowConfig>> runs = {{"20 steps", workflow_config()}};
+  for (const SweepCase& sc : kSweep) {
+    if (sc.policy == TriggerPolicy::FixedPeriod) runs.emplace_back(sc.name, sweep_config(sc));
+  }
+  for (const auto& [name, config] : runs) {
+    SCOPED_TRACE(name);
+    AnalyticSubstrate substrate;
+    WorkflowResult result;
+    const std::string csv = test::events_csv(config, substrate, &result);
+    EXPECT_EQ(result.triggers_fired, 0);
+    EXPECT_EQ(result.steps_suppressed, 0);
+    EXPECT_EQ(csv.find("trigger-fired"), std::string::npos);
+    EXPECT_EQ(csv.find("trigger-suppressed"), std::string::npos);
+  }
 }
 
 TEST(WorkflowTrigger, PercentileIdenticalAcrossRerunsAndSubstrates) {
@@ -251,9 +307,9 @@ TEST(WorkflowTrigger, PercentileIdenticalAcrossRerunsAndSubstrates) {
   AnalyticSubstrate a1, a2;
   EventQueueSubstrate des;
   WorkflowResult result;
-  const std::string csv1 = events_csv(config, a1, &result);
-  const std::string csv2 = events_csv(config, a2);
-  const std::string csv3 = events_csv(config, des);
+  const std::string csv1 = test::events_csv(config, a1, &result);
+  const std::string csv2 = test::events_csv(config, a2);
+  const std::string csv3 = test::events_csv(config, des);
   EXPECT_EQ(csv1, csv2);
   EXPECT_EQ(csv1, csv3);
   EXPECT_GT(result.triggers_fired, 0);
@@ -262,20 +318,26 @@ TEST(WorkflowTrigger, PercentileIdenticalAcrossRerunsAndSubstrates) {
 }
 
 TEST(WorkflowTrigger, HybridNeverExceedsMaxInterval) {
-  WorkflowConfig config = workflow_config();
-  config.monitor.trigger.policy = TriggerPolicy::Hybrid;
-  config.monitor.trigger.max_interval = 4;
-  CoupledWorkflow wf(config);
-  EventLog log;
-  wf.set_observer(&log);
-  wf.run();
-  std::vector<int> fired;
-  for (const WorkflowEvent& e : log.events()) {
-    if (e.kind == EventKind::TriggerFired) fired.push_back(e.step);
+  WorkflowConfig capped = workflow_config();
+  capped.monitor.trigger.policy = TriggerPolicy::Hybrid;
+  capped.monitor.trigger.max_interval = 4;
+  std::vector<std::pair<std::string, WorkflowConfig>> runs = {{"20 steps", capped}};
+  for (const SweepCase& sc : kSweep) {
+    if (sc.policy == TriggerPolicy::Hybrid) runs.emplace_back(sc.name, sweep_config(sc));
   }
-  ASSERT_GE(fired.size(), 2u);
-  for (std::size_t i = 1; i < fired.size(); ++i) {
-    EXPECT_LE(fired[i] - fired[i - 1], config.monitor.trigger.max_interval);
+  for (const auto& [name, config] : runs) {
+    SCOPED_TRACE(name);
+    AnalyticSubstrate substrate;
+    const std::vector<int> fired = fired_steps(test::events_csv(config, substrate));
+    ASSERT_GE(fired.size(), 2u);
+    const int max_interval = config.monitor.trigger.max_interval;
+    int last = -1;
+    for (int step : fired) {
+      EXPECT_LE(step - last, max_interval) << "fire at step " << step;
+      last = step;
+    }
+    // The quiet run after the last fire counts too.
+    EXPECT_LT(config.steps - 1 - last, max_interval);
   }
 }
 
@@ -297,6 +359,55 @@ TEST(WorkflowTrigger, StepEndCarriesCumulativeCounters) {
   }
   EXPECT_EQ(last_fired, result.triggers_fired);
   EXPECT_EQ(last_suppressed, result.steps_suppressed);
+}
+
+TEST(TriggerSweep, InjectedShocksShowInTheEveryStepBaseline) {
+  // Firing at the shocks means something only if they are there: at each one
+  // the analyzed cells of the every-step baseline change by more than 15%.
+  const WorkflowResult baseline = CoupledWorkflow(sweep_config(kSweep[0])).run();
+  for (const int shock : kShocks) {
+    SCOPED_TRACE(testing::Message() << "shock at step " << shock);
+    const StepRecord& at = baseline.steps.at(static_cast<std::size_t>(shock));
+    ASSERT_EQ(at.step, shock);
+    const auto before =
+        static_cast<double>(baseline.steps.at(static_cast<std::size_t>(shock - 1)).analyzed_cells);
+    const auto after = static_cast<double>(at.analyzed_cells);
+    EXPECT_GT(std::abs(after - before) / std::max(1.0, before), 0.15);
+  }
+}
+
+TEST(TriggerSweep, TriggerPoliciesFireAtEveryShock) {
+  for (const SweepCase& sc : kSweep) {
+    if (!sc.bursty || sc.policy == TriggerPolicy::FixedPeriod) continue;
+    SCOPED_TRACE(sc.name);
+    AnalyticSubstrate substrate;
+    const std::vector<int> fired = fired_steps(test::events_csv(sweep_config(sc), substrate));
+    for (const int shock : kShocks) {
+      EXPECT_NE(std::find(fired.begin(), fired.end(), shock), fired.end())
+          << "missed the shock at step " << shock;
+    }
+  }
+}
+
+TEST(TriggerSweep, QuiescentRunsSaveAtLeast30PercentOfDecisions) {
+  for (const SweepCase& sc : kSweep) {
+    if (sc.bursty || sc.policy == TriggerPolicy::FixedPeriod) continue;
+    SCOPED_TRACE(sc.name);
+    // Adapting every step takes 40 decisions.
+    EXPECT_LE(CoupledWorkflow(sweep_config(sc)).run().triggers_fired, 28);
+  }
+}
+
+TEST(TriggerSweep, EveryCaseIsIdenticalAcrossRerunsAndSubstrates) {
+  for (const SweepCase& sc : kSweep) {
+    SCOPED_TRACE(sc.name);
+    const WorkflowConfig config = sweep_config(sc);
+    AnalyticSubstrate a1, a2;
+    EventQueueSubstrate des;
+    const std::string csv = test::events_csv(config, a1);
+    EXPECT_EQ(csv, test::events_csv(config, a2));
+    EXPECT_EQ(csv, test::events_csv(config, des));
+  }
 }
 
 }  // namespace

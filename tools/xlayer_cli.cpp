@@ -14,7 +14,6 @@
 //   domain = 1024 1024 512
 //   steps = 50
 //   factors = 2 4
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -22,7 +21,6 @@
 
 #include "common/contract.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/config_file.hpp"
 #include "workflow/energy.hpp"
@@ -39,9 +37,8 @@ int usage() {
                " [--events <out.csv>] [--faults <spec>] [--threads <N>]"
                " [--replication <K>] [--trigger <policy>] [--quiet]\n"
             << "  xlayer_cli print-config\n"
-            << "--threads N: per-rank analysis worker threads (0 = serial;"
-               " overrides the config's `threads` key and sizes the process"
-               " thread pool)\n"
+            << "--threads N: modeled per-rank analysis threads (0 = serial;"
+               " overrides the config's `threads` key)\n"
             << "--replication K: staged-object copies (1 = unreplicated;"
                " overrides the config's `replication` key)\n"
             << "--trigger P: sampling-step policy, fixed | percentile | hybrid"
@@ -135,10 +132,6 @@ int run(int argc, char** argv) {
   if (!trigger_policy.empty()) {
     config.monitor.trigger.policy = runtime::parse_trigger_policy(trigger_policy, "--trigger");
   }
-  // Size the process-wide pool to match, so any real kernels invoked in this
-  // process (calibration, validation paths) use the same thread count the
-  // cost model assumes.
-  ThreadPool::set_global_workers(static_cast<std::size_t>(std::max(0, config.threads)));
   CoupledWorkflow workflow(config);
   EventLog log;
   if (!events_path.empty()) workflow.set_observer(&log);
