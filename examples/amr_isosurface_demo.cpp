@@ -8,6 +8,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "amr/amr_simulation.hpp"
 #include "amr/polytropic_gas.hpp"
@@ -26,6 +27,7 @@ int main(int argc, char** argv) {
   log::set_threshold(log::Level::Info);
   int steps = 8;
   try {
+    if (argc > 2) throw ContractError(std::string("unexpected argument '") + argv[2] + "'");
     if (argc > 1) steps = parse_number<int>(argv[1], "steps");
   } catch (const ContractError& e) {
     std::cerr << e.what() << "\nusage: amr_isosurface_demo [steps]\n";

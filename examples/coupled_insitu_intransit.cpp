@@ -20,6 +20,7 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "amr/amr_simulation.hpp"
@@ -48,6 +49,7 @@ double seconds_since(Clock::time_point start) {
 int main(int argc, char** argv) {
   int steps = 10;
   try {
+    if (argc > 2) throw ContractError(std::string("unexpected argument '") + argv[2] + "'");
     if (argc > 1) steps = parse_number<int>(argv[1], "steps");
   } catch (const ContractError& e) {
     std::cerr << e.what() << "\nusage: coupled_insitu_intransit [steps]\n";

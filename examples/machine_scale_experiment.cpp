@@ -12,6 +12,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/contract.hpp"
 #include "common/table.hpp"
@@ -71,32 +72,34 @@ void print_result(const WorkflowConfig& config, const WorkflowResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The positional arguments, with `--substrate analytic|des` taken out.
   bool use_des = true;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--substrate") == 0) {
-      const std::string which = argv[i + 1];
-      if (which == "analytic") use_des = false;
-      else if (which == "des") use_des = true;
-      else return usage();
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
+  std::vector<std::string> args;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--substrate") != 0) {
+      args.emplace_back(argv[i]);
+      continue;
     }
+    if (++i == argc) return usage();
+    const std::string which = argv[i];
+    if (which == "analytic") use_des = false;
+    else if (which == "des") use_des = true;
+    else return usage();
   }
-  if (argc < 3) return usage();
-  const std::string experiment = argv[1];
+  if (args.empty()) return usage();
+  const std::string& experiment = args[0];
 
   WorkflowConfig config;
   if (experiment == "middleware" || experiment == "global") {
-    if (argc < 4) return usage();
+    if (args.size() != 3) return usage();
     int scale = -1;
     try {
-      scale = parse_number<int>(argv[2], "scale");
+      scale = parse_number<int>(args[1], "scale");
     } catch (const ContractError& e) {
       std::cerr << e.what() << "\n";
     }
     if (scale < 0 || scale > 3) return usage();
-    const std::string variant = argv[3];
+    const std::string& variant = args[2];
     if (experiment == "middleware") {
       Mode mode;
       if (variant == "insitu") mode = Mode::StaticInSitu;
@@ -114,7 +117,8 @@ int main(int argc, char** argv) {
       }
     }
   } else if (experiment == "resource") {
-    const std::string variant = argv[2];
+    if (args.size() != 2) return usage();
+    const std::string& variant = args[1];
     if (variant == "static") config = intrepid_resource_experiment(Mode::StaticInTransit);
     else if (variant == "adaptive") config = intrepid_resource_experiment(Mode::AdaptiveResource);
     else return usage();

@@ -14,6 +14,7 @@
 //   ./visualization_pipeline [steps]    (default 10)
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "amr/amr_simulation.hpp"
 #include "amr/plotfile.hpp"
@@ -32,6 +33,7 @@ using namespace xl;
 int main(int argc, char** argv) {
   int steps = 10;
   try {
+    if (argc > 2) throw ContractError(std::string("unexpected argument '") + argv[2] + "'");
     if (argc > 1) steps = parse_number<int>(argv[1], "steps");
   } catch (const ContractError& e) {
     std::cerr << e.what() << "\nusage: visualization_pipeline [steps]\n";

@@ -50,16 +50,13 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 double SampleSet::quantile(double q) const {
   XL_REQUIRE(!samples_.empty(), "quantile of empty sample set");
   XL_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  MutexLock lock(cache_mutex_);
-  if (sorted_cache_.size() != samples_.size()) {
-    sorted_cache_ = samples_;
-    std::sort(sorted_cache_.begin(), sorted_cache_.end());
-  }
-  const double pos = q * static_cast<double>(sorted_cache_.size() - 1);
+  std::vector<double> sorted = samples_;
+  std::sort(sorted.begin(), sorted.end());
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_cache_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted_cache_[lo] * (1.0 - frac) + sorted_cache_[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double SampleSet::mean() const noexcept {

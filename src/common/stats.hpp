@@ -9,9 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
-#include "common/mutex.hpp"
-
 namespace xl {
 
 /// Welford single-pass mean/variance plus min/max.
@@ -40,42 +37,23 @@ class RunningStats {
 /// Retains every sample; exact quantiles. Fine for per-step experiment series
 /// (tens of thousands of samples at most).
 ///
-/// Concurrent const reads are safe: quantile() sorts into a separate cache
-/// guarded by a mutex instead of mutating the sample storage in place (the
-/// old lazy in-place sort raced when pool workers read stats). Writers
-/// (add()) still need external synchronization against readers.
+/// Const reads never mutate: quantile() sorts a local copy, so concurrent
+/// readers are safe. Writers (add()) need external synchronization against
+/// readers.
 class SampleSet {
  public:
-  SampleSet() = default;
-  SampleSet(const SampleSet& other) : samples_(other.samples_) {}
-  SampleSet& operator=(const SampleSet& other) {
-    if (this != &other) {
-      samples_ = other.samples_;
-      MutexLock lock(cache_mutex_);
-      sorted_cache_.clear();
-    }
-    return *this;
-  }
-
-  void add(double x) {
-    samples_.push_back(x);
-    MutexLock lock(cache_mutex_);
-    sorted_cache_.clear();
-  }
+  void add(double x) { samples_.push_back(x); }
   std::size_t count() const noexcept { return samples_.size(); }
   double quantile(double q) const;  ///< q in [0,1]; linear interpolation.
   double median() const { return quantile(0.5); }
   double mean() const noexcept;
   double min() const { return quantile(0.0); }
   double max() const { return quantile(1.0); }
-  /// Samples in insertion order (never reordered by const accessors).
+  /// Samples in insertion order.
   const std::vector<double>& samples() const noexcept { return samples_; }
 
  private:
-  XL_UNGUARDED("writers need external synchronization; const reads are safe")
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_cache_ XL_GUARDED_BY(cache_mutex_);
-  mutable Mutex cache_mutex_;
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the

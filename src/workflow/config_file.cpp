@@ -123,20 +123,20 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
       c.geometry.base_domain = mesh::Box::domain({n[0], n[1], n[2]});
     } else if (key == "factors") {
       c.hints.factor_phases = {{0, numbers(value, key, {.lo = 1})}};
-    } else if (key == "sim_cores") c.sim_cores = number<int>(value, key);
-    else if (key == "staging_cores") c.staging_cores = number<int>(value, key);
+    } else if (key == "sim_cores") c.sim_cores = ranged<int>(value, key, {.lo = 1});
+    else if (key == "staging_cores") c.staging_cores = ranged<int>(value, key, {.lo = 1});
     else if (key == "threads") c.threads = ranged<int>(value, key, {.lo = 0});
     else if (key == "thread_efficiency")
       c.costs.thread_efficiency = ranged<double>(value, key, {.lo = 0, .hi = 1});
-    else if (key == "steps") c.steps = number<int>(value, key);
-    else if (key == "ncomp") c.ncomp = number<int>(value, key);
+    else if (key == "steps") c.steps = ranged<int>(value, key, {.lo = 1});
+    else if (key == "ncomp") c.ncomp = ranged<int>(value, key, {.lo = 1});
     else if (key == "analysis_ncomp") analysis_ncomp = value;
     else if (key == "analysis_interval")
       c.analysis_interval = ranged<int>(value, key, {.lo = 1});
-    else if (key == "max_levels") c.geometry.max_levels = number<int>(value, key);
-    else if (key == "ref_ratio") c.geometry.ref_ratio = number<int>(value, key);
-    else if (key == "max_box_size") c.geometry.max_box_size = number<int>(value, key);
-    else if (key == "tile_size") c.geometry.tile_size = number<int>(value, key);
+    else if (key == "max_levels") c.geometry.max_levels = ranged<int>(value, key, {.lo = 1});
+    else if (key == "ref_ratio") c.geometry.ref_ratio = ranged<int>(value, key, {.lo = 2});
+    else if (key == "max_box_size") c.geometry.max_box_size = ranged<int>(value, key, {.lo = 1});
+    else if (key == "tile_size") c.geometry.tile_size = ranged<int>(value, key, {.lo = 1});
     else if (key == "front_radius0")
       c.geometry.front_radius0 = ranged<double>(value, key, {.lo = 0});
     else if (key == "front_speed")
@@ -157,7 +157,7 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
     else if (key == "active_cell_fraction")
       c.active_cell_fraction = ranged<double>(value, key, {.lo = 0, .hi = 1});
     else if (key == "staging_usable_fraction")
-      c.staging_usable_fraction = number<double>(value, key);
+      c.staging_usable_fraction = ranged<double>(value, key, {.lo = 0, .hi = 1, .lo_open = true});
     else if (key == "sim_euler_flops")
       c.costs.sim_euler_flops_per_cell = ranged<double>(value, key, {.lo = 0});
     else if (key == "sim_advect_flops")

@@ -18,19 +18,20 @@ namespace xl::workflow {
 ///   machine = titan | intrepid | test
 ///   mode = insitu | intransit | hybrid | adaptive | resource | global
 ///   analysis = isosurface | statistics | subsetting
-///   sim_cores, staging_cores, steps, ncomp = <int>
+///   sim_cores, staging_cores, steps, ncomp = <int >= 1>
 ///   analysis_ncomp = <int>         (0 = ncomp; at most ncomp)
 ///   analysis_interval = <int>      (>= 1: analyze every N-th step)
 ///   threads = <int>                (per-rank analysis threads, 0 = serial)
 ///   thread_efficiency = <float>    (threading-speedup exponent in [0, 1])
 ///   domain = NX NY NZ              (required)
-///   max_levels, ref_ratio, max_box_size, tile_size = <int>
+///   max_levels, max_box_size, tile_size = <int >= 1>, ref_ratio = <int >= 2>
 ///   front_radius0, front_speed = <float >= 0>
 ///   front_thickness = <float > 0>, front_decay = <float in (0, 1]>
 ///   front_decay_onset, blob_onset_step, num_blobs = <int >= 0>
 ///   blob_radius = <float >= 0>
 ///   seed = <uint>
-///   active_cell_fraction = <float in [0, 1]>, staging_usable_fraction = <float>
+///   active_cell_fraction = <float in [0, 1]>
+///   staging_usable_fraction = <float in (0, 1]>
 ///   sim_euler_flops, sim_advect_flops, mc_scan_flops, mc_active_flops = <float >= 0>
 ///   euler = 0|1
 ///   factors = X1 X2 ...            (single hint phase)

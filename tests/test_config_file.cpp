@@ -162,14 +162,17 @@ TEST(ConfigFile, NumbersMustBeTheWholeValueAndErrorsNameTheKey) {
 
 TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
   // Whole numbers outside the key's range stop at parse time, naming the key,
-  // instead of running with a fraction above 1 or reading euler = 7 as true.
+  // instead of running with a fraction above 1, reading euler = 7 as true, or
+  // failing later in a constructor check that does not name the key.
   for (const std::string text :
        {"active_cell_fraction = 2", "active_cell_fraction = -0.5", "euler = 7", "euler = -1",
         "analysis_interval = 0", "analysis_interval = -3", "front_speed = -1",
         "front_thickness = 0", "front_radius0 = -0.5", "front_decay = 7",
         "front_decay_onset = -1", "num_blobs = -2", "blob_radius = -1",
         "blob_onset_step = -5", "thread_efficiency = -5", "analysis_ncomp = 3\nncomp = 1",
-        "sim_euler_flops = -1"}) {
+        "sim_euler_flops = -1", "sim_cores = 0", "staging_cores = -4", "steps = 0",
+        "ncomp = 0", "max_levels = 0", "ref_ratio = 1", "max_box_size = 0", "tile_size = 0",
+        "staging_usable_fraction = 0"}) {
     try {
       parse(text);
       ADD_FAILURE() << "accepted: " << text;
