@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   try {
     if (argc > 2) throw ContractError(std::string("unexpected argument '") + argv[2] + "'");
     if (argc > 1) steps = parse_number<int>(argv[1], "steps");
+    if (steps < 1) throw ContractError("steps: must be >= 1, got " + std::to_string(steps));
   } catch (const ContractError& e) {
     std::cerr << e.what() << "\nusage: visualization_pipeline [steps]\n";
     return 2;

@@ -1,13 +1,16 @@
 #include "amr/plotfile.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
@@ -28,7 +31,7 @@ template <typename T>
 T read_pod(std::istream& is) {
   T value;
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  XL_REQUIRE(is.good(), "plotfile truncated");
+  if (!is.good()) throw ContractError("plotfile truncated");
   return value;
 }
 
@@ -50,8 +53,9 @@ std::streamoff stream_end(std::istream& is) {
   is.seekg(0, std::ios::end);
   const std::streampos end = is.tellg();
   is.seekg(here);
-  XL_REQUIRE(here != std::streampos(-1) && end != std::streampos(-1) && is.good(),
-             "plotfile stream is not seekable");
+  if (here == std::streampos(-1) || end == std::streampos(-1) || !is.good()) {
+    throw ContractError("plotfile stream is not seekable");
+  }
   return end;
 }
 
@@ -69,6 +73,28 @@ std::uint64_t payload_bytes(const Box& b, int ncomp) {
     bytes *= extent;
   }
   return bytes;
+}
+
+/// Throws, naming level `l` and both boxes, unless `boxes` are pairwise
+/// disjoint. Sorted by low x, a box can only meet the boxes after it that
+/// start within its x extent.
+void require_disjoint(const std::vector<Box>& boxes, std::uint32_t l) {
+  std::vector<std::size_t> order(boxes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&boxes](std::size_t a, std::size_t b) {
+    return boxes[a].lo()[0] < boxes[b].lo()[0];
+  });
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Box& a = boxes[order[k]];
+    for (std::size_t m = k + 1; m < order.size() && boxes[order[m]].lo()[0] <= a.hi()[0]; ++m) {
+      if (!a.intersects(boxes[order[m]])) continue;
+      const auto [i, j] = std::minmax(order[k], order[m]);
+      std::ostringstream os;
+      os << "plotfile level " << l << " box " << j << " " << boxes[j] << " overlaps box " << i
+         << " " << boxes[i];
+      throw ContractError(os.str());
+    }
+  }
 }
 
 }  // namespace
@@ -121,21 +147,25 @@ void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int 
 PlotFileData read_plotfile(std::istream& is) {
   char magic[4];
   is.read(magic, sizeof(magic));
-  XL_REQUIRE(is.good() && std::memcmp(magic, kMagic, 4) == 0,
-             "not a plotfile (bad magic)");
+  if (!is.good() || std::memcmp(magic, kMagic, 4) != 0) {
+    throw ContractError("not a plotfile (bad magic)");
+  }
   const auto version = read_pod<std::uint32_t>(is);
-  XL_REQUIRE(version == kVersion, "unsupported plotfile version");
+  if (version != kVersion) throw ContractError("unsupported plotfile version");
 
   PlotFileData data;
   data.step = read_pod<std::int32_t>(is);
   data.time = read_pod<double>(is);
   data.ncomp = read_pod<std::int32_t>(is);
   data.ref_ratio = read_pod<std::int32_t>(is);
-  XL_REQUIRE(data.ncomp >= 1 && data.ncomp < 1024, "implausible component count");
-  XL_REQUIRE(data.ref_ratio >= 2,
-             "plotfile ref_ratio " + std::to_string(data.ref_ratio) + " is below 2");
+  if (data.ncomp < 1 || data.ncomp >= 1024) {
+    throw ContractError("implausible component count");
+  }
+  if (data.ref_ratio < 2) {
+    throw ContractError("plotfile ref_ratio " + std::to_string(data.ref_ratio) + " is below 2");
+  }
   const auto num_levels = read_pod<std::uint32_t>(is);
-  XL_REQUIRE(num_levels >= 1 && num_levels < 64, "implausible level count");
+  if (num_levels < 1 || num_levels >= 64) throw ContractError("implausible level count");
   const std::streamoff end = stream_end(is);
 
   // Mirror of the writer: one read buffer reused across all boxes.
@@ -143,12 +173,12 @@ PlotFileData read_plotfile(std::istream& is) {
   for (std::uint32_t l = 0; l < num_levels; ++l) {
     PlotLevel level;
     level.domain = read_box(is);
-    XL_REQUIRE(!level.domain.empty(), "empty level domain");
+    if (level.domain.empty()) throw ContractError("empty level domain");
     const auto nboxes = read_pod<std::uint32_t>(is);
     for (std::uint32_t i = 0; i < nboxes; ++i) {
       const Box valid = read_box(is);
-      XL_REQUIRE(!valid.empty(), "empty box in plotfile");
-      XL_REQUIRE(level.domain.contains(valid), "box outside level domain");
+      if (valid.empty()) throw ContractError("empty box in plotfile");
+      if (!level.domain.contains(valid)) throw ContractError("box outside level domain");
       const auto rank = read_pod<std::int32_t>(is);
       // Check the claim against the stream before allocating anything for it.
       const std::uint64_t need = payload_bytes(valid, data.ncomp);
@@ -162,12 +192,13 @@ PlotFileData read_plotfile(std::istream& is) {
       mesh::Fab fab(valid, data.ncomp);
       payload.resize(need / sizeof(double));
       is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(need));
-      XL_REQUIRE(is.good(), "plotfile payload truncated");
+      if (!is.good()) throw ContractError("plotfile payload truncated");
       fab.unpack(valid, payload);
       level.boxes.push_back(valid);
       level.ranks.push_back(rank);
       level.data.push_back(std::move(fab));
     }
+    require_disjoint(level.boxes, l);
     data.levels.push_back(std::move(level));
   }
   BufferPool::global().release(std::move(payload));
@@ -176,14 +207,15 @@ PlotFileData read_plotfile(std::istream& is) {
 
 PlotFileData read_plotfile(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  XL_REQUIRE(is.good(), "cannot open plotfile: " + path);
+  if (!is.good()) throw ContractError("cannot open plotfile: " + path);
   return read_plotfile(is);
 }
 
 AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& config) {
-  XL_REQUIRE(!data.levels.empty(), "plotfile has no levels");
-  XL_REQUIRE(config.base_domain == data.levels.front().domain,
-             "config base domain does not match plotfile");
+  if (data.levels.empty()) throw ContractError("plotfile has no levels");
+  if (config.base_domain != data.levels.front().domain) {
+    throw ContractError("config base domain does not match plotfile");
+  }
   const std::size_t nlevels = data.levels.size();
   if (nlevels > static_cast<std::size_t>(config.max_levels)) {
     throw ContractError("plotfile has " + std::to_string(nlevels) +
@@ -212,8 +244,9 @@ AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& 
   std::vector<mesh::BoxLayout> fine_layouts;
   for (std::size_t l = 1; l < nlevels; ++l) {
     const PlotLevel& level = data.levels[l];
-    XL_REQUIRE(level.ranks.size() == level.boxes.size(),
-               "plotfile level " + std::to_string(l) + " needs one rank per box");
+    if (level.ranks.size() != level.boxes.size()) {
+      throw ContractError("plotfile level " + std::to_string(l) + " needs one rank per box");
+    }
     for (std::size_t i = 0; i < level.ranks.size(); ++i) {
       const int rank = level.ranks[i];
       if (rank >= 0 && rank < config.nranks) continue;

@@ -1,7 +1,7 @@
 // Kernel cost models: translate "work on N cells using P cores of machine M"
 // into simulated seconds. FLOP-per-cell constants are calibrated on this host
-// by bench_calibration_kernels against the real kernels in src/amr, src/viz
-// and src/analysis (see EXPERIMENTS.md); machine specs scale them to
+// by bench_kernels against the real kernels in src/amr, src/viz and
+// src/analysis (see EXPERIMENTS.md); machine specs scale them to
 // Intrepid/Titan rates.
 #pragma once
 
@@ -34,7 +34,7 @@ struct KernelCosts {
   /// with T worker threads their time divides by T^thread_efficiency.
   /// Slightly below the inter-rank exponent — shared caches and the
   /// fork/join barrier of the on-node pool cost more than rank-parallel
-  /// domain decomposition (bench_kernel_scaling measures the real curve).
+  /// domain decomposition (bench_kernels measures the real curve).
   double thread_efficiency = 0.9;
 };
 

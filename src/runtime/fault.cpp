@@ -129,11 +129,12 @@ FaultConfig parse_fault_spec(const std::string& spec) {
   while (std::getline(ss, clause, ';')) {
     if (clause.empty()) continue;
     const auto eq = clause.find('=');
-    XL_REQUIRE(eq != std::string::npos,
-               "fault spec: expected key=value in '" + clause + "'");
+    if (eq == std::string::npos) {
+      throw ContractError("fault spec: expected key=value in '" + clause + "'");
+    }
     const std::string key = clause.substr(0, eq);
     const std::string value = clause.substr(eq + 1);
-    XL_REQUIRE(!value.empty(), "fault spec: empty value in '" + clause + "'");
+    if (value.empty()) throw ContractError("fault spec: empty value in '" + clause + "'");
 
     if (key == "seed") {
       config.seed = parse_number<std::uint64_t>(value, clause_name(clause));
@@ -155,8 +156,9 @@ FaultConfig parse_fault_spec(const std::string& spec) {
       config.lease_steps = spec_int(value, clause, 0);
     } else if (key == "crash" || key == "straggler") {
       const auto fields = split_fields(value);
-      XL_REQUIRE(!fields.empty() && fields.size() <= 3,
-                 "fault spec: '" + clause + "' takes STEP[:ARG[:DURATION]]");
+      if (fields.empty() || fields.size() > 3) {
+        throw ContractError("fault spec: '" + clause + "' takes STEP[:ARG[:DURATION]]");
+      }
       FaultSpec fault;
       fault.step = spec_int(fields[0], clause, 0);
       if (key == "crash") {

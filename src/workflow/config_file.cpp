@@ -56,8 +56,9 @@ struct Range {
 template <typename T>
 T ranged(const std::string& value, const std::string& key, const Range& range) {
   const T v = number<T>(value, key);
-  XL_REQUIRE(range.contains(static_cast<double>(v)),
-             "config: " + key + " must be " + range.describe() + ", got " + value);
+  if (!range.contains(static_cast<double>(v))) {
+    throw ContractError("config: " + key + " must be " + range.describe() + ", got " + value);
+  }
   return v;
 }
 
@@ -87,11 +88,12 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
     line = trim(line);
     if (line.empty()) continue;
     const auto eq = line.find('=');
-    XL_REQUIRE(eq != std::string::npos,
-               "config line " + std::to_string(line_no) + ": expected key = value");
+    if (eq == std::string::npos) {
+      throw ContractError("config line " + std::to_string(line_no) + ": expected key = value");
+    }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    XL_REQUIRE(!value.empty(), "config: empty value for '" + key + "'");
+    if (value.empty()) throw ContractError("config: empty value for '" + key + "'");
 
     if (key == "machine") {
       if (value == "titan") c.machine = cluster::titan();
@@ -119,7 +121,7 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
       else throw ContractError("config: unknown objective '" + value + "'");
     } else if (key == "domain") {
       const std::vector<int> n = numbers(value, key, {.lo = 1});
-      XL_REQUIRE(n.size() == 3, "config: domain needs NX NY NZ");
+      if (n.size() != 3) throw ContractError("config: domain needs NX NY NZ");
       c.geometry.base_domain = mesh::Box::domain({n[0], n[1], n[2]});
     } else if (key == "factors") {
       c.hints.factor_phases = {{0, numbers(value, key, {.lo = 1})}};
@@ -189,8 +191,9 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
     else
       throw ContractError("config: unknown key '" + key + "'");
   }
-  XL_REQUIRE(!c.geometry.base_domain.empty(),
-             "config: missing required key 'domain' (NX NY NZ)");
+  if (c.geometry.base_domain.empty()) {
+    throw ContractError("config: missing required key 'domain' (NX NY NZ)");
+  }
   if (!analysis_ncomp.empty()) {
     c.analysis_ncomp = ranged<int>(analysis_ncomp, "analysis_ncomp",
                                    {.lo = 0, .hi = static_cast<double>(c.ncomp)});
@@ -201,7 +204,7 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
 
 WorkflowConfig parse_workflow_config_file(const std::string& path) {
   std::ifstream is(path);
-  XL_REQUIRE(is.good(), "cannot open config file: " + path);
+  if (!is.good()) throw ContractError("cannot open config file: " + path);
   return parse_workflow_config(is);
 }
 

@@ -3,9 +3,9 @@
 // bounds-checked fab(p, c) operator and compression packs its stream one bit
 // at a time, exactly as the kernels did before the flat-row rewrites.
 // The library kernels must match these bit-for-bit: test_parallel_kernels'
-// SeedIdentity suite asserts it at several worker counts, and
-// bench_kernel_scaling times them as its baseline and gates on it under
-// --check. Do not optimize or restyle them; they are the reference.
+// SeedIdentity suite asserts it at several worker counts, and bench_kernels
+// times them as its baseline and gates its exit status on the row path's
+// speedup over them. Do not optimize or restyle them; they are the reference.
 #pragma once
 
 #include <algorithm>

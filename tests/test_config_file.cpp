@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "mutants.hpp"
 #include "runtime/trigger.hpp"
 #include "workflow/config_file.hpp"
 #include "workflow/observer.hpp"
@@ -178,8 +179,7 @@ TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
       ADD_FAILURE() << "accepted: " << text;
     } catch (const ContractError& e) {
       const std::string key = text.substr(0, text.find(' '));
-      EXPECT_NE(std::string(e.what()).find("config: " + key), std::string::npos)
-          << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind("config: " + key, 0), 0u) << e.what();
     }
   }
   EXPECT_EQ(parse("active_cell_fraction = 0").active_cell_fraction, 0.0);
@@ -253,6 +253,59 @@ TEST(ConfigFile, GeometryIsBalancedOverTheSimulationCores) {
   // for the geometry's load balance as well as for the cost model.
   const std::string file = "machine = test\ndomain = 256 128 128\nsteps = 3\n";
   EXPECT_EQ(events_csv_of(file), events_csv_of(file + "sim_cores = 2048\n"));
+}
+
+TEST(ConfigFile, SeededMutantsParseOrFailAsInputErrors) {
+  // Every key once.
+  const std::string full = R"(# a comment line
+machine = intrepid
+mode = global
+analysis = statistics
+objective = utilization
+domain = 64 32 32
+factors = 2 4 8
+sim_cores = 4096   # trailing comment
+staging_cores = 256
+threads = 4
+thread_efficiency = 0.9
+steps = 40
+ncomp = 5
+analysis_ncomp = 1
+analysis_interval = 2
+max_levels = 3
+ref_ratio = 2
+max_box_size = 16
+tile_size = 4
+front_radius0 = 0.1
+front_speed = 0.0095
+front_thickness = 0.05
+front_decay = 0.5
+front_decay_onset = 10
+blob_onset_step = 5
+num_blobs = 3
+blob_radius = 0.05
+seed = 42
+active_cell_fraction = 0.3
+staging_usable_fraction = 0.8
+sim_euler_flops = 1800
+sim_advect_flops = 260
+mc_scan_flops = 60
+mc_active_flops = 900
+euler = 1
+sampling_period = 2
+trigger = hybrid
+trigger_quantile = 0.9
+trigger_window = 8
+trigger_sample_rate = 0.5
+trigger_max_interval = 4
+trigger_seed = 7
+faults = seed=7;drop=0.1;retries=3;crash=10:2:5;straggler=3:2.5:4;lease=2
+replication = 2
+)";
+  mutants::expect_parse_or_input_error(full, 2, mutants::text, [](const std::string& text) {
+    std::istringstream is(text);
+    (void)parse_workflow_config(is);
+  });
 }
 
 TEST(ConfigFile, MissingFileThrows) {

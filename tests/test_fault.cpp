@@ -14,6 +14,7 @@
 #include "cluster/cost_model.hpp"
 #include "common/error.hpp"
 #include "events_csv.hpp"
+#include "mutants.hpp"
 #include "runtime/fault.hpp"
 #include "staging/space.hpp"
 #include "transport/retry_ladder.hpp"
@@ -192,6 +193,13 @@ TEST(FaultSpecParse, RejectsBadInput) {
     EXPECT_NE(std::string(e.what()).find("'drop=0.05zz'"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(FaultSpecParse, SeededMutantsParseOrFailAsInputErrors) {
+  mutants::expect_parse_or_input_error(
+      "seed=7;drop=0.1;corrupt=0.05;retries=5;backoff=0.01;backoff_mult=3;timeout=0.5;"
+      "lease=2;crash=10:2:5;straggler=3:2.5:4",
+      3, mutants::text, [](const std::string& spec) { (void)runtime::parse_fault_spec(spec); });
 }
 
 // --- heartbeat lease detection -----------------------------------------------

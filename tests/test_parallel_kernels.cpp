@@ -249,7 +249,7 @@ TEST(ParallelKernels, AmrIsosurfaceIsThreadCountInvariant) {
 // fab(p, c) code. The replicas in seed_kernels.hpp freeze the seed semantics
 // (every access through operator(), streams packed one bit at a time); each
 // test compares the library kernel against its replica at 0, 2, and 5
-// workers. bench_kernel_scaling times the same replicas.
+// workers. bench_kernels times the same replicas.
 
 const std::vector<std::size_t> kSeedWorkerCounts = {0, 2, 5};
 

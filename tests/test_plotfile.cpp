@@ -11,6 +11,7 @@
 
 #include "amr/plotfile.hpp"
 #include "common/buffer_pool.hpp"
+#include "mutants.hpp"
 
 namespace xl::amr {
 namespace {
@@ -106,15 +107,23 @@ TEST(Plotfile, RejectsGarbageAndTruncation) {
   EXPECT_THROW(read_plotfile(truncated), ContractError);
 }
 
+/// `b` as the plotfile records it: six int32 corners.
+std::string box_bytes(const Box& b) {
+  std::string out;
+  for (const IntVect& corner : {b.lo(), b.hi()}) {
+    for (int d = 0; d < mesh::kDim; ++d) {
+      const std::int32_t v = corner[d];
+      out.append(reinterpret_cast<const char*>(&v), sizeof v);
+    }
+  }
+  return out;
+}
+
 /// A one-level plotfile header whose domain and only box are `box`, ending
 /// right after the box's rank: the payload it claims is missing.
 std::string header_claiming(const Box& box) {
   std::ostringstream os(std::ios::binary);
   auto put = [&os](auto v) { os.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
-  auto put_box = [&put](const Box& b) {
-    for (int d = 0; d < mesh::kDim; ++d) put(std::int32_t{b.lo()[d]});
-    for (int d = 0; d < mesh::kDim; ++d) put(std::int32_t{b.hi()[d]});
-  };
   os.write("XLPF", 4);
   put(std::uint32_t{1});  // version
   put(std::int32_t{0});   // step
@@ -122,9 +131,9 @@ std::string header_claiming(const Box& box) {
   put(std::int32_t{1});   // ncomp
   put(std::int32_t{2});   // ref_ratio
   put(std::uint32_t{1});  // num_levels
-  put_box(box);           // level domain
+  os << box_bytes(box);   // level domain
   put(std::uint32_t{1});  // nboxes
-  put_box(box);
+  os << box_bytes(box);
   put(std::int32_t{0});  // rank
   return os.str();
 }
@@ -152,6 +161,27 @@ TEST(Plotfile, RejectsABoxSpanningTheWholeIntRange) {
   std::stringstream is(header_claiming(Box({kMin, kMin, kMin}, {kMax, kMax, kMax})),
                        std::ios::in | std::ios::binary);
   EXPECT_THROW(read_plotfile(is), ContractError);
+}
+
+TEST(Plotfile, RejectsOverlappingBoxesNamingBoth) {
+  const AmrHierarchy h = sample_hierarchy();
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_plotfile(buffer, h, 0, 0.0);
+  std::string bytes = buffer.str();
+  // Level 1 records its second box over its first. Both are 8^3, so every
+  // payload still fits.
+  const std::string first = box_bytes(Box({8, 8, 8}, {15, 15, 15}));
+  const std::string second = box_bytes(Box({16, 8, 8}, {23, 15, 15}));
+  bytes.replace(bytes.find(second), second.size(), first);
+  std::stringstream is(bytes, std::ios::in | std::ios::binary);
+  try {
+    (void)read_plotfile(is);
+    ADD_FAILURE() << "overlapping boxes accepted";
+  } catch (const ContractError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("plotfile level 1 box 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("overlaps box 0"), std::string::npos) << what;
+  }
 }
 
 TEST(Plotfile, RestorationRejectsMismatchedDomain) {
@@ -233,6 +263,27 @@ TEST(Plotfile, RestorationRejectsRanksOutsideTheConfig) {
       EXPECT_NE(what.find("rank " + std::to_string(rank)), std::string::npos) << what;
     }
   }
+}
+
+TEST(Plotfile, SeededMutantsParseOrFailAsInputErrors) {
+  // Boxes of 2^3 cells and one component keep the headers near half of the
+  // file, so many mutants hit a field rather than a payload value.
+  AmrConfig cfg;
+  cfg.base_domain = Box::domain({4, 4, 4});
+  cfg.max_levels = 2;
+  cfg.ref_ratio = 2;
+  cfg.max_box_size = 2;
+  cfg.nghost = 1;
+  cfg.nranks = 2;
+  AmrHierarchy h(cfg, 1);
+  h.regrid({mesh::BoxLayout({Box({0, 0, 0}, {1, 1, 1}), Box({4, 4, 4}, {5, 5, 5})}, {0, 1}, 2)});
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_plotfile(buffer, h, 3, 0.5);
+  mutants::expect_parse_or_input_error(
+      buffer.str(), 1, mutants::binary, [&cfg](const std::string& bytes) {
+        std::stringstream is(bytes, std::ios::in | std::ios::binary);
+        (void)hierarchy_from_plotfile(read_plotfile(is), cfg);
+      });
 }
 
 TEST(Plotfile, MissingFileThrows) {
