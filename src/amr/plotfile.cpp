@@ -202,6 +202,13 @@ PlotFileData read_plotfile(std::istream& is) {
     data.levels.push_back(std::move(level));
   }
   BufferPool::global().release(std::move(payload));
+  // A plotfile is the whole stream: junk appended, or a second file, is not
+  // part of a valid one.
+  const std::streamoff trailing = end - std::streamoff(is.tellg());
+  if (trailing != 0) {
+    throw ContractError("plotfile has " + std::to_string(trailing) +
+                        " bytes after its last level");
+  }
   return data;
 }
 

@@ -43,7 +43,8 @@ void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
 void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int step,
                     double time);
 
-/// Read a plotfile back. Throws ContractError on malformed input.
+/// Read a plotfile back. The plotfile must be the whole stream. Throws
+/// ContractError on malformed input, and on bytes after the last level.
 PlotFileData read_plotfile(std::istream& is);
 PlotFileData read_plotfile(const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iomanip>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -71,6 +72,30 @@ std::vector<int> numbers(const std::string& value, const std::string& key,
   std::string field;
   while (ss >> field) out.push_back(ranged<int>(field, key, range));
   return out;
+}
+
+/// Level-0 boxes and base tiles one config may ask the synthetic geometry
+/// for: 8x what the largest shipped domain needs (Titan 16K, 2048 2048 1024
+/// in boxes of 32 and tiles of 8: 131,072 boxes and 8,388,608 tiles). Level 0
+/// is cut into boxes and the refinement tags are tile-granular, so the two
+/// counts bound what a step allocates.
+constexpr std::int64_t kMaxBaseBoxes = std::int64_t{1} << 20;
+constexpr std::int64_t kMaxBaseTiles = std::int64_t{1} << 26;
+
+/// Throws, naming `domain` and the limit, unless the domain cut into pieces
+/// of `edge` cells (a max_box_size or a tile_size) makes at most `limit` of
+/// them. Counted in doubles: an int domain can make more than 2^64 pieces.
+void require_domain_pieces(const amr::SyntheticAmrConfig& g, int edge, const char* key,
+                           const char* pieces, std::int64_t limit) {
+  const mesh::IntVect n = g.base_domain.size();
+  double count = 1;
+  for (int d = 0; d < mesh::kDim; ++d) count *= std::ceil(static_cast<double>(n[d]) / edge);
+  if (count <= static_cast<double>(limit)) return;
+  std::ostringstream os;
+  os << "config: domain " << n[0] << ' ' << n[1] << ' ' << n[2] << " makes " << std::fixed
+     << std::setprecision(0) << count << ' ' << pieces << " of " << key << ' ' << edge
+     << "; at most " << limit << " are allowed";
+  throw ContractError(os.str());
 }
 
 }  // namespace
@@ -194,6 +219,10 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
   if (c.geometry.base_domain.empty()) {
     throw ContractError("config: missing required key 'domain' (NX NY NZ)");
   }
+  // After the loop: max_box_size and tile_size may follow the domain.
+  require_domain_pieces(c.geometry, c.geometry.max_box_size, "max_box_size", "level-0 boxes",
+                        kMaxBaseBoxes);
+  require_domain_pieces(c.geometry, c.geometry.tile_size, "tile_size", "tiles", kMaxBaseTiles);
   if (!analysis_ncomp.empty()) {
     c.analysis_ncomp = ranged<int>(analysis_ncomp, "analysis_ncomp",
                                    {.lo = 0, .hi = static_cast<double>(c.ncomp)});

@@ -37,6 +37,10 @@ enum class EventKind {
   TriggerSuppressed, ///< quiescent step; adaptation skipped this step.
 };
 
+/// Number of EventKinds; TriggerSuppressed must stay the last.
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::TriggerSuppressed) + 1;
+
 const char* event_kind_name(EventKind kind) noexcept;
 
 /// One flat record of the stream. Only the fields relevant to `kind` are

@@ -1,89 +1,200 @@
 #include "workflow/trace_io.hpp"
 
+#include <charconv>
+#include <concepts>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace xl::workflow {
 
 const char* event_kind_name(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::RunBegin: return "run-begin";
-    case EventKind::StepBegin: return "step-begin";
-    case EventKind::Decision: return "decision";
-    case EventKind::Transfer: return "transfer";
-    case EventKind::Analysis: return "analysis";
-    case EventKind::StepEnd: return "step-end";
-    case EventKind::RunEnd: return "run-end";
-    case EventKind::Fault: return "fault";
-    case EventKind::Retry: return "retry";
-    case EventKind::Recovery: return "recovery";
-    case EventKind::ServerSuspected: return "server-suspected";
-    case EventKind::ReplicaLost: return "replica-lost";
-    case EventKind::RepairScheduled: return "repair-scheduled";
-    case EventKind::ReplicaCreated: return "replica-created";
-    case EventKind::ReadRepair: return "read-repair";
-    case EventKind::TriggerFired: return "trigger-fired";
-    case EventKind::TriggerSuppressed: return "trigger-suppressed";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "run-begin",      "step-begin",       "decision",     "transfer",
+      "analysis",       "step-end",         "run-end",      "fault",
+      "retry",          "recovery",         "server-suspected",
+      "replica-lost",   "repair-scheduled", "replica-created",
+      "read-repair",    "trigger-fired",    "trigger-suppressed"};
+  static_assert(std::size(kNames) == kEventKindCount, "one name per EventKind");
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kNames) ? kNames[k] : "?";
 }
 
-void write_steps_csv(std::ostream& os, const WorkflowResult& result) {
-  os << "step,total_cells,analyzed_cells,factor,placement,intransit_cores,"
-        "sim_seconds,reduce_seconds,insitu_analysis_seconds,"
-        "intransit_analysis_seconds,wait_seconds,window_seconds,"
-        "backlog_seconds,raw_bytes,moved_bytes,reason\n";
-  for (const StepRecord& s : result.steps) {
-    os << s.step << ',' << s.total_cells << ',' << s.analyzed_cells << ','
-       << s.factor << ',' << runtime::placement_name(s.placement) << ','
-       << s.intransit_cores << ',' << s.sim_seconds << ',' << s.reduce_seconds
-       << ',' << s.insitu_analysis_seconds << ',' << s.intransit_analysis_seconds
-       << ',' << s.wait_seconds << ',' << s.window_seconds << ','
-       << s.backlog_seconds << ',' << s.raw_bytes << ',' << s.moved_bytes << ','
-       << runtime::reason_name(s.decision_reason) << '\n';
+namespace {
+
+/// CSV cells formatted into one reused block and handed to the stream about
+/// 64 KiB at a time. Numbers go through std::to_chars: integers as they are,
+/// doubles in chars_format::general at precision 6, which is the text
+/// `operator<<` makes under a stream's default flags, byte for byte (nan,
+/// inf, -0 and subnormals included). Each cell is followed by a comma, which
+/// end_row turns into the newline.
+class CsvBlock {
+ public:
+  explicit CsvBlock(std::ostream& os) : os_(os) { text_.reserve(kBlock + kRowSlack); }
+
+  void text(std::string_view s) {
+    text_.append(s);
+    text_.push_back(',');
   }
-  XL_REQUIRE(os.good(), "CSV write failed");
+  void cell(bool b) { text(b ? "1" : "0"); }
+  void cell(std::integral auto v) { number(v); }
+  void cell(double v) { number(v, std::chars_format::general, 6); }
+  void cell(EventKind k) { text(event_kind_name(k)); }
+  void cell(runtime::Placement p) { text(runtime::placement_name(p)); }
+  void cell(runtime::DecisionReason r) { text(runtime::reason_name(r)); }
+  void cell(runtime::FaultKind f) { text(runtime::fault_kind_name(f)); }
+
+  void end_row() {
+    text_.back() = '\n';
+    if (text_.size() >= kBlock) flush();
+  }
+
+  void flush() {
+    os_.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+    text_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 64 * 1024;
+  /// A block is flushed at the first row end past kBlock; rows are far
+  /// shorter than this, so the block is allocated once.
+  static constexpr std::size_t kRowSlack = 4 * 1024;
+
+  template <typename... Format>
+  void number(auto v, Format... format) {
+    char digits[32];  // the longest is "-2.22507e-308" or a sign and 20 digits
+    const auto end = std::to_chars(digits, digits + sizeof digits, v, format...).ptr;
+    text_.append(digits, end);
+    text_.push_back(',');
+  }
+
+  std::ostream& os_;
+  std::string text_;
+};
+
+/// One CSV column of a Record: its header name and how to format its cell.
+/// The header and every row are generated from one table of these, so they
+/// cannot drift apart.
+template <typename Record>
+struct Column {
+  const char* name;
+  void (*put)(CsvBlock&, const Record&);
+};
+
+/// The `put` of a column that holds the field `Member` as it is.
+template <auto Member, typename Record>
+void field(CsvBlock& out, const Record& record) {
+  out.cell(record.*Member);
+}
+
+constexpr Column<StepRecord> kStepColumns[] = {
+    {"step", field<&StepRecord::step>},
+    {"total_cells", field<&StepRecord::total_cells>},
+    {"analyzed_cells", field<&StepRecord::analyzed_cells>},
+    {"factor", field<&StepRecord::factor>},
+    {"placement", field<&StepRecord::placement>},
+    {"intransit_cores", field<&StepRecord::intransit_cores>},
+    {"sim_seconds", field<&StepRecord::sim_seconds>},
+    {"reduce_seconds", field<&StepRecord::reduce_seconds>},
+    {"insitu_analysis_seconds", field<&StepRecord::insitu_analysis_seconds>},
+    {"intransit_analysis_seconds", field<&StepRecord::intransit_analysis_seconds>},
+    {"wait_seconds", field<&StepRecord::wait_seconds>},
+    {"window_seconds", field<&StepRecord::window_seconds>},
+    {"backlog_seconds", field<&StepRecord::backlog_seconds>},
+    {"raw_bytes", field<&StepRecord::raw_bytes>},
+    {"moved_bytes", field<&StepRecord::moved_bytes>},
+    {"reason", field<&StepRecord::decision_reason>},
+};
+
+constexpr Column<WorkflowEvent> kEventColumns[] = {
+    {"event", field<&WorkflowEvent::kind>},
+    {"step", field<&WorkflowEvent::step>},
+    {"sim_clock", field<&WorkflowEvent::sim_clock>},
+    {"staging_clock", field<&WorkflowEvent::staging_clock>},
+    {"placement", field<&WorkflowEvent::placement>},
+    {"reason", field<&WorkflowEvent::reason>},
+    {"factor", field<&WorkflowEvent::factor>},
+    {"intransit_cores", field<&WorkflowEvent::intransit_cores>},
+    {"app_adapted", field<&WorkflowEvent::app_adapted>},
+    {"resource_adapted", field<&WorkflowEvent::resource_adapted>},
+    {"middleware_adapted", field<&WorkflowEvent::middleware_adapted>},
+    {"cells", field<&WorkflowEvent::cells>},
+    {"bytes", field<&WorkflowEvent::bytes>},
+    {"seconds", field<&WorkflowEvent::seconds>},
+    {"wait_seconds", field<&WorkflowEvent::wait_seconds>},
+    {"skipped", field<&WorkflowEvent::skipped>},
+    {"fault", field<&WorkflowEvent::fault>},
+    {"attempt", field<&WorkflowEvent::attempt>},
+    {"backoff_seconds", field<&WorkflowEvent::backoff_seconds>},
+    {"servers_down", field<&WorkflowEvent::servers_down>},
+    {"servers_suspected", field<&WorkflowEvent::servers_suspected>},
+    {"replicas", field<&WorkflowEvent::replicas>},
+    {"pool_hits", field<&WorkflowEvent::pool_hits>},
+    {"pool_misses", field<&WorkflowEvent::pool_misses>},
+    {"pool_releases", field<&WorkflowEvent::pool_releases>},
+    {"pool_copied_bytes", field<&WorkflowEvent::pool_copied_bytes>},
+    {"indicator", field<&WorkflowEvent::indicator>},
+    {"trigger_threshold", field<&WorkflowEvent::trigger_threshold>},
+    {"triggers_fired", field<&WorkflowEvent::triggers_fired>},
+    {"steps_suppressed", field<&WorkflowEvent::steps_suppressed>},
+};
+
+/// The header of `columns`, then one row per record.
+template <typename Record, std::size_t N>
+void put_csv(std::ostream& os, const Column<Record> (&columns)[N],
+             const std::vector<Record>& records) {
+  CsvBlock out(os);
+  for (const Column<Record>& c : columns) out.text(c.name);
+  out.end_row();
+  for (const Record& r : records) {
+    for (const Column<Record>& c : columns) c.put(out, r);
+    out.end_row();
+  }
+  out.flush();
+}
+
+template <typename Record, std::size_t N>
+void write_csv(std::ostream& os, const Column<Record> (&columns)[N],
+               const std::vector<Record>& records) {
+  put_csv(os, columns, records);
+  if (!os.good()) throw ContractError("CSV write failed");
+}
+
+/// Writes a new file at `path`. The file is closed before the check, so an
+/// error that only shows when the last bytes reach the disk (a full device)
+/// fails the write too; each error names the path.
+template <typename Record, std::size_t N>
+void write_csv(const std::string& path, const Column<Record> (&columns)[N],
+               const std::vector<Record>& records) {
+  std::ofstream os(path);
+  if (!os.is_open()) throw ContractError("cannot open CSV output: " + path);
+  put_csv(os, columns, records);
+  os.close();
+  if (!os) throw ContractError("cannot write CSV output: " + path);
+}
+
+}  // namespace
+
+void write_steps_csv(std::ostream& os, const WorkflowResult& result) {
+  write_csv(os, kStepColumns, result.steps);
 }
 
 void write_steps_csv(const std::string& path, const WorkflowResult& result) {
-  std::ofstream os(path);
-  XL_REQUIRE(os.good(), "cannot open CSV output: " + path);
-  write_steps_csv(os, result);
+  write_csv(path, kStepColumns, result.steps);
 }
 
 void write_events_csv(std::ostream& os, const EventLog& log) {
-  os << "event,step,sim_clock,staging_clock,placement,reason,factor,"
-        "intransit_cores,app_adapted,resource_adapted,middleware_adapted,"
-        "cells,bytes,seconds,wait_seconds,skipped,fault,attempt,"
-        "backoff_seconds,servers_down,servers_suspected,replicas,pool_hits,"
-        "pool_misses,pool_releases,pool_copied_bytes,indicator,"
-        "trigger_threshold,triggers_fired,steps_suppressed\n";
-  for (const WorkflowEvent& e : log.events()) {
-    os << event_kind_name(e.kind) << ',' << e.step << ',' << e.sim_clock << ','
-       << e.staging_clock << ',' << runtime::placement_name(e.placement) << ','
-       << runtime::reason_name(e.reason) << ',' << e.factor << ','
-       << e.intransit_cores << ',' << int(e.app_adapted) << ','
-       << int(e.resource_adapted) << ',' << int(e.middleware_adapted) << ','
-       << e.cells << ',' << e.bytes << ',' << e.seconds << ','
-       << e.wait_seconds << ',' << int(e.skipped) << ','
-       << runtime::fault_kind_name(e.fault) << ',' << e.attempt << ','
-       << e.backoff_seconds << ',' << e.servers_down << ','
-       << e.servers_suspected << ',' << e.replicas << ',' << e.pool_hits
-       << ',' << e.pool_misses << ',' << e.pool_releases << ','
-       << e.pool_copied_bytes << ',' << e.indicator << ','
-       << e.trigger_threshold << ',' << e.triggers_fired << ','
-       << e.steps_suppressed << '\n';
-  }
-  XL_REQUIRE(os.good(), "CSV write failed");
+  write_csv(os, kEventColumns, log.events());
 }
 
 void write_events_csv(const std::string& path, const EventLog& log) {
-  std::ofstream os(path);
-  XL_REQUIRE(os.good(), "cannot open CSV output: " + path);
-  write_events_csv(os, log);
+  write_csv(path, kEventColumns, log.events());
 }
 
 std::string summarize(const WorkflowResult& result) {

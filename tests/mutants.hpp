@@ -50,19 +50,24 @@ inline bool truncate_or_flip(std::string& s, Rng& rng) {
 }
 
 /// `s` truncated, with one bit flipped, with a 4-byte-aligned field set to an
-/// int32 extreme, or with up to 16 bytes overwritten by junk.
+/// int32 extreme, with up to 16 bytes overwritten by junk, or with up to 16
+/// junk bytes appended.
 inline std::string binary(std::string s, Rng& rng) {
   if (truncate_or_flip(s, rng)) return s;
   const std::size_t at = pick(s, rng);
-  if (rng.uniform_int(0, 1) == 0) {
+  const auto mutation = rng.uniform_int(0, 2);
+  if (mutation == 0) {
     constexpr std::int32_t kExtremes[] = {std::numeric_limits<std::int32_t>::min(), -1, 0, 1,
                                           std::numeric_limits<std::int32_t>::max()};
     const std::int32_t v = pick(kExtremes, rng);
     const std::size_t field = at / 4 * 4;
     std::memcpy(s.data() + field, &v, std::min(sizeof v, s.size() - field));
-  } else {
+  } else if (mutation == 1) {
     const auto n = std::min(s.size() - at, static_cast<std::size_t>(rng.uniform_int(1, 16)));
     for (std::size_t i = 0; i < n; ++i) s[at + i] = static_cast<char>(rng.next_u64());
+  } else {
+    const auto n = rng.uniform_int(1, 16);
+    for (std::int64_t i = 0; i < n; ++i) s.push_back(static_cast<char>(rng.next_u64()));
   }
   return s;
 }

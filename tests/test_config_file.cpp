@@ -248,6 +248,39 @@ TEST(ConfigFile, DomainIsRequiredAndNamed) {
   }
 }
 
+TEST(ConfigFile, DomainIsCappedNamingTheLimit) {
+  const auto parse_text = [](const std::string& text) {
+    std::istringstream is(text);
+    return parse_workflow_config(is);
+  };
+  const auto error = [&](const std::string& text) {
+    try {
+      (void)parse_text(text);
+    } catch (const ContractError& e) {
+      return std::string(e.what());
+    }
+    return std::string("parsed");
+  };
+  // The largest shipped domain (Titan 16K) parses.
+  EXPECT_NO_THROW(parse_text("machine = test\nsteps = 2\ndomain = 2048 2048 1024\n"));
+  // Only parsed here: running it would ask the geometry for 2^78 boxes.
+  EXPECT_EQ(error("machine = test\nsteps = 2\ndomain = 2147483647 2147483647 2147483647\n"),
+            "config: domain 2147483647 2147483647 2147483647 makes "
+            "302231454903657293676544 level-0 boxes of max_box_size 32; at most 1048576 "
+            "are allowed");
+  EXPECT_EQ(error("domain = 2048 2048 1024\ntile_size = 1\n"),
+            "config: domain 2048 2048 1024 makes 4294967296 tiles of tile_size 1; at most "
+            "67108864 are allowed");
+  // The cap is checked after every key: box and tile sizes given after the
+  // domain count.
+  const std::string big = "domain = 4096 4096 4096\n";
+  EXPECT_NE(error(big).find("level-0 boxes of max_box_size 32; at most 1048576"),
+            std::string::npos);
+  EXPECT_NE(error(big + "max_box_size = 64\n").find("tiles of tile_size 8; at most 67108864"),
+            std::string::npos);
+  EXPECT_NO_THROW(parse_text(big + "max_box_size = 64\ntile_size = 16\n"));
+}
+
 TEST(ConfigFile, GeometryIsBalancedOverTheSimulationCores) {
   // sim_cores is the one rank count: leaving it out means its default, 2048,
   // for the geometry's load balance as well as for the cost model.

@@ -211,6 +211,7 @@ TEST(EventsCsv, WritesOneRowPerEvent) {
 }
 
 TEST(EventKindNames, AreStable) {
+  static_assert(kEventKindCount == 17);
   EXPECT_STREQ(event_kind_name(EventKind::RunBegin), "run-begin");
   EXPECT_STREQ(event_kind_name(EventKind::StepBegin), "step-begin");
   EXPECT_STREQ(event_kind_name(EventKind::Decision), "decision");
@@ -218,6 +219,17 @@ TEST(EventKindNames, AreStable) {
   EXPECT_STREQ(event_kind_name(EventKind::Analysis), "analysis");
   EXPECT_STREQ(event_kind_name(EventKind::StepEnd), "step-end");
   EXPECT_STREQ(event_kind_name(EventKind::RunEnd), "run-end");
+  EXPECT_STREQ(event_kind_name(EventKind::Fault), "fault");
+  EXPECT_STREQ(event_kind_name(EventKind::Retry), "retry");
+  EXPECT_STREQ(event_kind_name(EventKind::Recovery), "recovery");
+  EXPECT_STREQ(event_kind_name(EventKind::ServerSuspected), "server-suspected");
+  EXPECT_STREQ(event_kind_name(EventKind::ReplicaLost), "replica-lost");
+  EXPECT_STREQ(event_kind_name(EventKind::RepairScheduled), "repair-scheduled");
+  EXPECT_STREQ(event_kind_name(EventKind::ReplicaCreated), "replica-created");
+  EXPECT_STREQ(event_kind_name(EventKind::ReadRepair), "read-repair");
+  EXPECT_STREQ(event_kind_name(EventKind::TriggerFired), "trigger-fired");
+  EXPECT_STREQ(event_kind_name(EventKind::TriggerSuppressed), "trigger-suppressed");
+  EXPECT_STREQ(event_kind_name(static_cast<EventKind>(kEventKindCount)), "?");
 }
 
 // --- substrate contract ------------------------------------------------------

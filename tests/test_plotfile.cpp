@@ -107,6 +107,25 @@ TEST(Plotfile, RejectsGarbageAndTruncation) {
   EXPECT_THROW(read_plotfile(truncated), ContractError);
 }
 
+TEST(Plotfile, RejectsTrailingBytesNamingTheCount) {
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_plotfile(buffer, sample_hierarchy(), 0, 0.0);
+  const std::string file = buffer.str();
+  // Junk appended, and two plotfiles concatenated.
+  for (const std::string& bytes : {file + std::string(4096, '\x5a'), file + file}) {
+    std::stringstream is(bytes, std::ios::in | std::ios::binary);
+    try {
+      (void)read_plotfile(is);
+      ADD_FAILURE() << "a plotfile with " << bytes.size() - file.size()
+                    << " bytes appended was accepted";
+    } catch (const ContractError& e) {
+      EXPECT_EQ(std::string(e.what()), "plotfile has " +
+                                           std::to_string(bytes.size() - file.size()) +
+                                           " bytes after its last level");
+    }
+  }
+}
+
 /// `b` as the plotfile records it: six int32 corners.
 std::string box_bytes(const Box& b) {
   std::string out;

@@ -267,6 +267,27 @@ double norm(double x) { return std::sqrt(x); }
   EXPECT_EQ(count_rule(f, "missing-include"), 0);
 }
 
+TEST(MissingInclude, CharconvFlagged) {
+  const auto f = lint_text("src/foo.cpp", R"cpp(
+char* put(char* p, char* end, double v) {
+  return std::to_chars(p, end, v, std::chars_format::general, 6).ptr;
+}
+)cpp");
+  EXPECT_EQ(count_rule(f, "missing-include"), 1);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_NE(f[0].message.find("<charconv>"), std::string::npos) << f[0].message;
+}
+
+TEST(MissingInclude, CharconvIncludedPasses) {
+  const auto f = lint_text("src/foo.cpp", R"cpp(
+#include <charconv>
+char* put(char* p, char* end, double v) {
+  return std::to_chars(p, end, v, std::chars_format::general, 6).ptr;
+}
+)cpp");
+  EXPECT_EQ(count_rule(f, "missing-include"), 0);
+}
+
 // --- banned-symbol -----------------------------------------------------------
 
 TEST(BannedSymbol, BadFlagged) {

@@ -604,6 +604,7 @@ void rule_missing_include(const FileModel& model, std::vector<Finding>& findings
        "(<"},
       {"numeric", {"accumulate", "iota", "reduce", "inner_product", "partial_sum"}, "(<"},
       {"sstream", {"stringstream", "istringstream", "ostringstream"}, ""},
+      {"charconv", {"to_chars", "from_chars", "chars_format"}, ""},
   };
   const Tokens& t = model.tokens;
   for (const Owner& owner : kOwners) {
