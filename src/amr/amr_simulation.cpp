@@ -65,7 +65,7 @@ void AmrSimulation::initialize() {
     for (std::size_t l = 1; l < hierarchy_.num_levels(); ++l) {
       layouts.push_back(hierarchy_.level(l).layout);
     }
-    layouts.push_back(mesh::balance(std::move(boxes), config_.nranks, config_.balance));
+    layouts.push_back(mesh::balance(std::move(boxes), config_.nranks));
     hierarchy_.regrid(layouts);
     init_level_from_physics(hierarchy_.num_levels() - 1);
     fill_ghosts(hierarchy_.num_levels() - 1);
@@ -228,7 +228,7 @@ void AmrSimulation::regrid_all() {
     }
     if (boxes.empty()) break;
     parent_union = boxes;
-    layouts.push_back(mesh::balance(std::move(boxes), config_.nranks, config_.balance));
+    layouts.push_back(mesh::balance(std::move(boxes), config_.nranks));
   }
   hierarchy_.regrid(layouts);
   for (std::size_t lev = 1; lev < hierarchy_.num_levels(); ++lev) fill_ghosts(lev);

@@ -14,8 +14,8 @@ AmrHierarchy::AmrHierarchy(const AmrConfig& config, int ncomp)
   XL_REQUIRE(ncomp >= 1, "need at least one component");
   AmrLevel base;
   base.domain = config.base_domain;
-  base.layout = mesh::balance(mesh::decompose(config.base_domain, config.max_box_size),
-                              config.nranks, config.balance);
+  base.layout =
+      mesh::balance(mesh::decompose(config.base_domain, config.max_box_size), config.nranks);
   base.data = LevelData(base.layout, ncomp, config.nghost);
   levels_.push_back(std::move(base));
 }
@@ -68,16 +68,6 @@ std::size_t AmrHierarchy::bytes() const noexcept {
   std::size_t total = 0;
   for (const AmrLevel& lev : levels_) total += lev.data.bytes();
   return total;
-}
-
-bool AmrHierarchy::is_finest_at(std::size_t l, const IntVect& cell) const {
-  if (l + 1 >= levels_.size()) return true;
-  const IntVect fine = cell.refine(IntVect::uniform(config_.ref_ratio));
-  const Box child(fine, fine + (config_.ref_ratio - 1));
-  for (const Box& b : levels_[l + 1].layout.boxes()) {
-    if (b.intersects(child)) return false;
-  }
-  return true;
 }
 
 }  // namespace xl::amr

@@ -40,7 +40,6 @@ struct AmrConfig {
   /// coarse time (piecewise-constant in time; Chombo interpolates linearly).
   /// false = non-subcycled: all levels advance with the shared stable dt.
   bool subcycle = false;
-  mesh::BalanceMethod balance = mesh::BalanceMethod::MortonRoundRobin;
 };
 
 /// One level: its layout, domain (in its own index space), and field data.
@@ -76,10 +75,6 @@ class AmrHierarchy {
 
   /// Payload bytes of all level data (ghosts included).
   std::size_t bytes() const noexcept;
-
-  /// Valid-region mask: true where level l's cell is NOT covered by level l+1.
-  /// Needed by analysis/visualization to avoid double-counting.
-  bool is_finest_at(std::size_t l, const IntVect& cell) const;
 
  private:
   AmrConfig config_;

@@ -30,14 +30,4 @@ std::vector<std::size_t> per_rank_peak_bytes(const std::vector<mesh::BoxLayout>&
   return out;
 }
 
-std::vector<std::size_t> per_rank_available_bytes(
-    const std::vector<mesh::BoxLayout>& levels, const MemoryModelConfig& config,
-    std::size_t capacity_per_rank) {
-  std::vector<std::size_t> used = per_rank_peak_bytes(levels, config);
-  for (std::size_t& u : used) {
-    u = u >= capacity_per_rank ? 0 : capacity_per_rank - u;
-  }
-  return used;
-}
-
 }  // namespace xl::amr

@@ -37,9 +37,4 @@ struct MemoryModelConfig {
 std::vector<std::size_t> per_rank_peak_bytes(const std::vector<mesh::BoxLayout>& levels,
                                              const MemoryModelConfig& config);
 
-/// Memory still available per rank given a per-rank capacity.
-std::vector<std::size_t> per_rank_available_bytes(
-    const std::vector<mesh::BoxLayout>& levels, const MemoryModelConfig& config,
-    std::size_t capacity_per_rank);
-
 }  // namespace xl::amr

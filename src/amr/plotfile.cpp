@@ -14,6 +14,7 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
+#include "common/output_file.hpp"
 
 namespace xl::amr {
 
@@ -134,14 +135,13 @@ void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
     }
   }
   BufferPool::global().release(std::move(payload));
-  XL_REQUIRE(os.good(), "plotfile write failed");
+  if (!os.good()) throw ContractError("plotfile write failed");
 }
 
 void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int step,
                     double time) {
-  std::ofstream os(path, std::ios::binary);
-  XL_REQUIRE(os.good(), "cannot open plotfile for writing: " + path);
-  write_plotfile(os, hierarchy, step, time);
+  write_file(path, "plotfile output",
+             [&](std::ostream& os) { write_plotfile(os, hierarchy, step, time); });
 }
 
 PlotFileData read_plotfile(std::istream& is) {
@@ -216,69 +216,6 @@ PlotFileData read_plotfile(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) throw ContractError("cannot open plotfile: " + path);
   return read_plotfile(is);
-}
-
-AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& config) {
-  if (data.levels.empty()) throw ContractError("plotfile has no levels");
-  if (config.base_domain != data.levels.front().domain) {
-    throw ContractError("config base domain does not match plotfile");
-  }
-  const std::size_t nlevels = data.levels.size();
-  if (nlevels > static_cast<std::size_t>(config.max_levels)) {
-    throw ContractError("plotfile has " + std::to_string(nlevels) +
-                        " levels, more than the config's max_levels " +
-                        std::to_string(config.max_levels));
-  }
-  if (nlevels > 1 && data.ref_ratio != config.ref_ratio) {
-    throw ContractError("plotfile ref_ratio " + std::to_string(data.ref_ratio) +
-                        " does not match the config's ref_ratio " +
-                        std::to_string(config.ref_ratio));
-  }
-  AmrHierarchy hierarchy(config, data.ncomp);
-  // The fine boxes are recorded in their level's index space: each recorded
-  // domain must be the one the config refines the base domain into.
-  for (std::size_t l = 1; l < nlevels; ++l) {
-    if (data.levels[l].domain == hierarchy.domain_of(l)) continue;
-    std::ostringstream os;
-    os << "plotfile level " << l << " domain " << data.levels[l].domain
-       << " does not match the config's " << hierarchy.domain_of(l);
-    throw ContractError(os.str());
-  }
-
-  // Rebuild the fine layouts with the recorded rank assignment, then copy
-  // payloads level by level. A recorded rank must be one of the config's:
-  // the layout sizes its per-rank totals by the rank count.
-  std::vector<mesh::BoxLayout> fine_layouts;
-  for (std::size_t l = 1; l < nlevels; ++l) {
-    const PlotLevel& level = data.levels[l];
-    if (level.ranks.size() != level.boxes.size()) {
-      throw ContractError("plotfile level " + std::to_string(l) + " needs one rank per box");
-    }
-    for (std::size_t i = 0; i < level.ranks.size(); ++i) {
-      const int rank = level.ranks[i];
-      if (rank >= 0 && rank < config.nranks) continue;
-      std::ostringstream os;
-      os << "plotfile level " << l << " box " << i << " " << level.boxes[i] << " has rank "
-         << rank << ", outside [0, " << config.nranks << ")";
-      throw ContractError(os.str());
-    }
-    fine_layouts.emplace_back(level.boxes, level.ranks, config.nranks);
-  }
-  hierarchy.regrid(fine_layouts);
-
-  for (std::size_t l = 0; l < nlevels; ++l) {
-    AmrLevel& level = hierarchy.level(l);
-    for (std::size_t i = 0; i < data.levels[l].boxes.size(); ++i) {
-      const Box& src_box = data.levels[l].boxes[i];
-      for (std::size_t j = 0; j < level.layout.num_boxes(); ++j) {
-        const Box overlap = level.layout.box(j) & src_box;
-        if (!overlap.empty()) {
-          level.data[j].copy_from(data.levels[l].data[i], overlap);
-        }
-      }
-    }
-  }
-  return hierarchy;
 }
 
 }  // namespace xl::amr

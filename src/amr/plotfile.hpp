@@ -37,7 +37,9 @@ struct PlotFileData {
   std::int64_t total_cells() const noexcept;
 };
 
-/// Write the hierarchy's valid data to `os` / `path`.
+/// Write the hierarchy's valid data to `os` / `path`. Both throw ContractError
+/// when the output fails; the path overload's errors name the path
+/// (xl::write_file).
 void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
                     double time);
 void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int step,
@@ -47,11 +49,5 @@ void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int 
 /// ContractError on malformed input, and on bytes after the last level.
 PlotFileData read_plotfile(std::istream& is);
 PlotFileData read_plotfile(const std::string& path);
-
-/// Restore a hierarchy from plotfile data (layouts rebalanced over the
-/// recorded ranks; ghost cells left zero — call exchange() before use).
-/// Throws ContractError, naming the plotfile field, when its base domain,
-/// level count, refinement ratio, level domains or ranks do not fit `config`.
-AmrHierarchy hierarchy_from_plotfile(const PlotFileData& data, const AmrConfig& config);
 
 }  // namespace xl::amr

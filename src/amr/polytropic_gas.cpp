@@ -19,9 +19,8 @@ struct Eos {
 };
 
 /// The equation of state: density floored at kFloor, pressure
-/// (gamma - 1)(E - |m|^2 / 2 rho) floored at kFloor. pressure(), sound_speed(),
-/// max_wave_speed() and the flux kernel all go through here, so the floors and
-/// the formula exist once.
+/// (gamma - 1)(E - |m|^2 / 2 rho) floored at kFloor. max_wave_speed() and the
+/// flux kernel both go through here, so the floors and the formula exist once.
 inline Eos eos(double gamma, double rho, double mx, double my, double mz, double e) {
   const double r = std::max(rho, kFloor);
   const double ke = 0.5 * (mx * mx + my * my + mz * mz) / r;
@@ -57,18 +56,6 @@ void PolytropicGas::initial_value(const IntVect& p, double dx, double* out) cons
   out[kMomY] = 0.0;
   out[kMomZ] = 0.0;
   out[kEnergy] = pr / (config_.gamma - 1.0);
-}
-
-double PolytropicGas::pressure(const double* cons) const {
-  const Eos s =
-      eos(config_.gamma, cons[kRho], cons[kMomX], cons[kMomY], cons[kMomZ], cons[kEnergy]);
-  return s.p;
-}
-
-double PolytropicGas::sound_speed(const double* cons) const {
-  const Eos s =
-      eos(config_.gamma, cons[kRho], cons[kMomX], cons[kMomY], cons[kMomZ], cons[kEnergy]);
-  return std::sqrt(config_.gamma * s.p / s.rho);
 }
 
 double PolytropicGas::max_wave_speed(const Fab& u, const Box& valid, double /*dx*/) const {

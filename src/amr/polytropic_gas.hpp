@@ -48,11 +48,6 @@ class PolytropicGas final : public Physics {
   double gamma() const noexcept { return config_.gamma; }
   const PolytropicGasConfig& config() const noexcept { return config_; }
 
-  /// Pressure from a conserved-state vector.
-  double pressure(const double* cons) const;
-  /// Sound speed from a conserved-state vector.
-  double sound_speed(const double* cons) const;
-
  private:
   PolytropicGasConfig config_;
 };

@@ -38,9 +38,8 @@ SyntheticAmrEvolution::SyntheticAmrEvolution(const SyntheticAmrConfig& config)
   }
 
   // Level 0 never changes; build its layout once.
-  base_layout_ = mesh::balance(
-      mesh::decompose(config_.base_domain, config_.max_box_size), config_.nranks,
-      config_.balance);
+  base_layout_ =
+      mesh::balance(mesh::decompose(config_.base_domain, config_.max_box_size), config_.nranks);
 }
 
 // Tags live in "base-tile space": the level-0 domain coarsened by tile_size.
@@ -166,7 +165,7 @@ SyntheticStep SyntheticAmrEvolution::at(int step) const {
       boxes.push_back(fine);
     }
     if (boxes.empty()) break;
-    out.levels.push_back(mesh::balance(std::move(boxes), config_.nranks, config_.balance));
+    out.levels.push_back(mesh::balance(std::move(boxes), config_.nranks));
     level_ratio *= config_.ref_ratio;
   }
 

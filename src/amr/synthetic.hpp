@@ -32,6 +32,8 @@ struct SyntheticAmrConfig {
   int max_box_size = 32;
   int tile_size = 8;         ///< tag granularity (cells per tile side, level-0 space).
   int nranks = 64;
+  /// Read by no code here: balance() has one method. Kept for callers
+  /// outside the library that still pass it on.
   mesh::BalanceMethod balance = mesh::BalanceMethod::MortonRoundRobin;
   double fill_ratio = 0.7;
 

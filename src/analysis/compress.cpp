@@ -210,31 +210,4 @@ mesh::Fab decompress(const CompressedField& field) {
   return out;
 }
 
-std::size_t compressed_bytes(std::size_t cells, int ncomp, const CompressConfig& config) {
-  validate(config);
-  const std::size_t values = cells * static_cast<std::size_t>(ncomp);
-  const auto block = static_cast<std::size_t>(config.block);
-  const std::size_t full_blocks = values / block;
-  const std::size_t tail = values % block;
-  std::size_t bytes = full_blocks *
-                      (kBlockHeaderBytes + block_payload_bytes(block, config.residual_bits));
-  if (tail > 0) {
-    bytes += kBlockHeaderBytes + block_payload_bytes(tail, config.residual_bits);
-  }
-  return bytes + sizeof(CompressConfig) + sizeof(mesh::Box) + sizeof(int);
-}
-
-std::size_t compression_scratch_bytes(std::size_t cells, int ncomp,
-                                      const CompressConfig& config) {
-  // Output stream plus one block of residuals/quantized values.
-  return compressed_bytes(cells, ncomp, config) +
-         static_cast<std::size_t>(config.block) * (sizeof(double) + sizeof(std::uint32_t));
-}
-
-double max_error_for_range(double residual_range, const CompressConfig& config) {
-  validate(config);
-  const auto levels = (1u << config.residual_bits) - 1u;
-  return residual_range > 0.0 ? 0.5 * residual_range / levels : 0.0;
-}
-
 }  // namespace xl::analysis

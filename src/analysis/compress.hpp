@@ -42,17 +42,4 @@ CompressedField compress(const mesh::Fab& fab, const CompressConfig& config = {}
 /// Reconstruct the field. The result covers the original box exactly.
 mesh::Fab decompress(const CompressedField& field);
 
-/// Exact compressed size (bytes) for a field of `cells` x `ncomp` doubles at
-/// this config — the f_data_reduce model when compression is the selected
-/// reduction (rate is fixed, independent of content).
-std::size_t compressed_bytes(std::size_t cells, int ncomp, const CompressConfig& config = {});
-
-/// Scratch memory the compressor needs (output + one block of residuals).
-std::size_t compression_scratch_bytes(std::size_t cells, int ncomp,
-                                      const CompressConfig& config = {});
-
-/// Worst-case absolute reconstruction error for a block whose residual range
-/// (after the linear predictor) is `residual_range`.
-double max_error_for_range(double residual_range, const CompressConfig& config = {});
-
 }  // namespace xl::analysis

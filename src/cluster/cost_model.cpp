@@ -45,11 +45,6 @@ double CostModel::downsample_seconds(std::size_t output_cells, int cores) const 
          thread_speedup();
 }
 
-double CostModel::entropy_seconds(std::size_t cells, int cores) const {
-  return kernel_seconds(costs_.entropy_flops_per_cell, cells, cores) /
-         thread_speedup();
-}
-
 double CostModel::statistics_seconds(std::size_t cells, int cores) const {
   return kernel_seconds(costs_.stats_flops_per_cell, cells, cores) /
          thread_speedup();

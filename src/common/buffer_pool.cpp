@@ -32,8 +32,6 @@ std::size_t BufferPool::bucket_for_release(std::size_t capacity) {
 template <>
 BufferPool::Shelf<double>& BufferPool::shelf<double>() { return doubles_; }
 template <>
-BufferPool::Shelf<std::uint8_t>& BufferPool::shelf<std::uint8_t>() { return bytes_; }
-template <>
 BufferPool::Shelf<std::uint32_t>& BufferPool::shelf<std::uint32_t>() { return u32_; }
 template <>
 BufferPool::Shelf<std::size_t>& BufferPool::shelf<std::size_t>() { return sizes_; }
@@ -98,11 +96,9 @@ void BufferPool::release(std::vector<T>&& buf) {
 }
 
 template std::vector<double> BufferPool::acquire<double>(std::size_t);
-template std::vector<std::uint8_t> BufferPool::acquire<std::uint8_t>(std::size_t);
 template std::vector<std::uint32_t> BufferPool::acquire<std::uint32_t>(std::size_t);
 template std::vector<std::size_t> BufferPool::acquire<std::size_t>(std::size_t);
 template void BufferPool::release<double>(std::vector<double>&&);
-template void BufferPool::release<std::uint8_t>(std::vector<std::uint8_t>&&);
 template void BufferPool::release<std::uint32_t>(std::vector<std::uint32_t>&&);
 template void BufferPool::release<std::size_t>(std::vector<std::size_t>&&);
 
@@ -124,7 +120,6 @@ void BufferPool::set_capacity_bytes(std::size_t capacity_bytes) {
 void BufferPool::clear() {
   MutexLock lock(mutex_);
   doubles_.free.clear();
-  bytes_.free.clear();
   u32_.free.clear();
   sizes_.free.clear();
   stats_.pooled_bytes = 0;

@@ -47,8 +47,8 @@ struct PoolStats {
 };
 
 /// Thread-safe, size-bucketed recycling pool for the element types the data
-/// path moves: doubles (Fab stores, pack scratch), bytes (compressed streams),
-/// uint32 (quantizer scratch), and size_t (histogram/count scratch).
+/// path moves: doubles (Fab stores, pack scratch), uint32 (quantizer
+/// scratch), and size_t (histogram/count scratch).
 ///
 /// One process-global instance backs mesh::Fab and the kernel scratch
 /// (global()); local instances are freely constructible for isolation
@@ -69,7 +69,7 @@ class BufferPool {
   /// A buffer of exactly n elements, recycled when a compatible bucket has
   /// one cached. Contents are unspecified beyond vector resize semantics —
   /// callers must fully overwrite before reading (see the determinism note
-  /// above). Supported T: double, std::uint8_t, std::uint32_t, std::size_t.
+  /// above). Supported T: double, std::uint32_t, std::size_t.
   template <typename T>
   std::vector<T> acquire(std::size_t n);
 
@@ -125,7 +125,6 @@ class BufferPool {
   XL_UNGUARDED("lock-free tap on the hot copy path")
   std::atomic<std::uint64_t> copied_bytes_{0};
   Shelf<double> doubles_ XL_GUARDED_BY(mutex_);
-  Shelf<std::uint8_t> bytes_ XL_GUARDED_BY(mutex_);
   Shelf<std::uint32_t> u32_ XL_GUARDED_BY(mutex_);
   Shelf<std::size_t> sizes_ XL_GUARDED_BY(mutex_);
 };

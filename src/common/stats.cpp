@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -20,32 +19,7 @@ void RunningStats::add(double x) noexcept {
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double SampleSet::quantile(double q) const {
   XL_REQUIRE(!samples_.empty(), "quantile of empty sample set");
@@ -57,12 +31,6 @@ double SampleSet::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double SampleSet::mean() const noexcept {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -82,11 +50,6 @@ void Histogram::add(double x) noexcept {
   // xl-lint: allow(float-cast): NaN dropped and range clamped above; per-sample hot path.
   ++counts_[static_cast<std::size_t>(std::clamp(idx, 0.0, last))];
   ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  XL_REQUIRE(bin < counts_.size(), "bin out of range");
-  return counts_[bin];
 }
 
 double Histogram::bin_lo(std::size_t bin) const {

@@ -1,5 +1,5 @@
 // Streaming statistics used throughout the monitor, the DES traces, and the
-// benchmark reports: Welford running moments, exact quantiles over retained
+// benchmark reports: a Welford running mean, exact quantiles over retained
 // samples, fixed-bin histograms, and an exponentially weighted moving average
 // used by the runtime's execution-time estimators.
 #pragma once
@@ -11,16 +11,13 @@
 
 namespace xl {
 
-/// Welford single-pass mean/variance plus min/max.
+/// Welford single-pass mean plus min/max and sum.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  ///< Sample variance (n-1 denominator).
-  double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -28,7 +25,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -46,7 +42,6 @@ class SampleSet {
   std::size_t count() const noexcept { return samples_.size(); }
   double quantile(double q) const;  ///< q in [0,1]; linear interpolation.
   double median() const { return quantile(0.5); }
-  double mean() const noexcept;
   double min() const { return quantile(0.0); }
   double max() const { return quantile(1.0); }
   /// Samples in insertion order.
@@ -63,7 +58,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x) noexcept;
-  std::size_t bin_count(std::size_t bin) const;
   std::size_t total() const noexcept { return total_; }
   std::size_t bins() const noexcept { return counts_.size(); }
   double bin_lo(std::size_t bin) const;

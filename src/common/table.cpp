@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
-#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -34,7 +33,6 @@ Table& Table::cell(double value, int precision) {
 
 Table& Table::cell(std::size_t value) { return cell(std::to_string(value)); }
 Table& Table::cell(int value) { return cell(std::to_string(value)); }
-Table& Table::cell(long value) { return cell(std::to_string(value)); }
 
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(header_.size());
@@ -60,8 +58,6 @@ std::string Table::to_string() const {
   for (const auto& row : rows_) emit_row(row);
   return os.str();
 }
-
-void Table::print(std::ostream& os) const { os << to_string(); }
 
 std::string format_bytes(double bytes) {
   static const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB", "PiB"};

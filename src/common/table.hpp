@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -22,13 +21,11 @@ class Table {
   Table& cell(double value, int precision = 2);
   Table& cell(std::size_t value);
   Table& cell(int value);
-  Table& cell(long value);
 
   std::size_t rows() const noexcept { return rows_.size(); }
 
   /// Render with a rule under the header, columns padded to widest cell.
   std::string to_string() const;
-  void print(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "common/contract.hpp"
@@ -72,8 +73,6 @@ ThreadPool::ThreadPool(std::size_t workers) {
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
-  // Constructed after the threads so no task can reference it before it exists.
-  default_group_ = std::make_unique<TaskGroup>(*this);
 }
 
 ThreadPool::~ThreadPool() {
@@ -93,12 +92,6 @@ void ThreadPool::enqueue(std::function<void()> task, TaskGroup& group) {
   }
   work_cv_.notify_one();
 }
-
-void ThreadPool::submit(std::function<void()> task) {
-  default_group_->run(std::move(task));
-}
-
-void ThreadPool::wait() { default_group_->wait(); }
 
 ThreadPool& ThreadPool::global() {
   GlobalPool& slot = global_slot();
@@ -187,17 +180,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                       [&body](std::size_t, std::size_t lo, std::size_t hi) {
                         body(lo, hi);
                       });
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  parallel_for(ThreadPool::global(), begin, end, body);
-}
-
-void parallel_for_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  parallel_for_chunks(ThreadPool::global(), begin, end, body);
 }
 
 }  // namespace xl

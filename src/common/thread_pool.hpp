@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -20,9 +20,9 @@
 
 namespace xl {
 
-/// Fixed-size worker pool with a simple task queue. Tasks must not throw
-/// across the pool boundary; exceptions are captured and rethrown by the
-/// owning TaskGroup's wait() (or by ThreadPool::wait() for bare submits).
+/// Fixed-size worker pool with a simple task queue. Tasks reach it only
+/// through a TaskGroup; exceptions are captured and rethrown by the owning
+/// group's wait().
 class ThreadPool {
  public:
   /// Waitable set of tasks submitted to one pool. Each parallel_for call owns
@@ -65,15 +65,6 @@ class ThreadPool {
 
   std::size_t worker_count() const noexcept { return threads_.size(); }
 
-  /// Enqueue a task into the pool's default group; runs inline when the pool
-  /// has no workers.
-  void submit(std::function<void()> task);
-
-  /// Block until the default group (bare submit()s) is drained; rethrows the
-  /// first captured exception, if any. Tasks owned by explicit TaskGroups are
-  /// NOT waited on here — each group scopes its own wait.
-  void wait();
-
   /// Process-wide default pool. Starts with XL_THREADS workers (0 — serial —
   /// when unset), resizable via set_global_workers(). An XL_THREADS that is
   /// not a whole non-negative integer throws xl::ContractError naming it.
@@ -104,18 +95,12 @@ class ThreadPool {
   XL_UNGUARDED("condition variables synchronize internally")
   CondVar work_cv_;
   bool stop_ XL_GUARDED_BY(mutex_) = false;
-  XL_UNGUARDED("written once in the constructor before any submit can race")
-  std::unique_ptr<TaskGroup> default_group_;
 };
 
 /// Static-chunked parallel loop over [begin, end). The body receives a
 /// half-open subrange [lo, hi). Runs serially when the pool has <= 1 workers
 /// or when called from inside a pool worker (nested parallelism).
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Convenience overload on the global pool.
-void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Number of chunks parallel_for_chunks will split an n-element range into on
@@ -132,11 +117,6 @@ std::size_t parallel_chunk_count(const ThreadPool& pool, std::size_t n);
 /// serial traversal order exactly.
 void parallel_for_chunks(
     ThreadPool& pool, std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
-/// Convenience overload on the global pool.
-void parallel_for_chunks(
-    std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
 
 }  // namespace xl

@@ -70,13 +70,6 @@ class Box {
     return Box(lo_.max(o.lo_), hi_.min(o.hi_));
   }
 
-  /// Smallest box containing both.
-  Box hull(const Box& o) const noexcept {
-    if (empty()) return o;
-    if (o.empty()) return *this;
-    return Box(lo_.min(o.lo_), hi_.max(o.hi_));
-  }
-
   /// Grow by `n` cells on every face (negative shrinks).
   Box grow(int n) const noexcept {
     if (empty()) return Box();

@@ -4,18 +4,6 @@
 
 namespace xl::mesh {
 
-std::vector<double> Fab::pack(const Box& region) const {
-  const Box overlap = box_ & region;
-  // Acquire at wire size so the buffer comes from (and can recycle back to)
-  // the pool instead of a fresh heap vector per call; pack_into's resize then
-  // never reallocates.
-  std::vector<double> buffer = BufferPool::global().acquire<double>(
-      static_cast<std::size_t>(overlap.num_cells()) *
-      static_cast<std::size_t>(ncomp_));
-  pack_into(region, buffer);
-  return buffer;
-}
-
 void Fab::pack_into(const Box& region, std::vector<double>& buffer) const {
   const Box overlap = box_ & region;
   const std::size_t n = static_cast<std::size_t>(overlap.num_cells()) *

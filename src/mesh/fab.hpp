@@ -168,18 +168,14 @@ class Fab {
     }
   }
 
-  /// Linearize the overlap of this fab with `region` (all components) into a
-  /// contiguous buffer — the wire format the transport layer ships. The
-  /// buffer is pool-acquired; callers that keep it only briefly should
-  /// release() it back so the wire scratch recycles (plotfile does).
-  std::vector<double> pack(const Box& region) const;
-
-  /// pack() into caller-owned scratch: `buffer` is resized (reusing its
-  /// capacity when large enough) and fully overwritten. Callers looping over
-  /// many boxes keep one buffer hot instead of allocating per box.
+  /// Linearize the overlap of this fab with `region` (all components) into
+  /// caller-owned scratch — the wire format the transport layer ships.
+  /// `buffer` is resized (reusing its capacity when large enough) and fully
+  /// overwritten, so callers looping over many boxes keep one buffer hot
+  /// instead of allocating per box.
   void pack_into(const Box& region, std::vector<double>& buffer) const;
 
-  /// Inverse of pack(): scatter `buffer` into the overlap with `region`.
+  /// Inverse of pack_into(): scatter `buffer` into the overlap with `region`.
   void unpack(const Box& region, std::span<const double> buffer);
 
  private:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
-#include <queue>
 
 #include "common/contract.hpp"
 
@@ -45,29 +43,6 @@ BoxLayout::BoxLayout(std::vector<Box> boxes, std::vector<int> ranks, int nranks)
   data_ = std::move(data);
 }
 
-double BoxLayout::imbalance() const {
-  const std::vector<std::int64_t>& cells = cells_per_rank();
-  const std::int64_t total = std::accumulate(cells.begin(), cells.end(), std::int64_t{0});
-  if (total == 0) return 1.0;
-  const std::int64_t peak = *std::max_element(cells.begin(), cells.end());
-  const double mean = static_cast<double>(total) / static_cast<double>(num_ranks());
-  return static_cast<double>(peak) / mean;
-}
-
-std::vector<std::size_t> BoxLayout::boxes_of_rank(int rank) const {
-  std::vector<std::size_t> mine;
-  for (std::size_t i = 0; i < num_boxes(); ++i) {
-    if (data_->ranks[i] == rank) mine.push_back(i);
-  }
-  return mine;
-}
-
-Box BoxLayout::bounding_box() const noexcept {
-  Box hull;
-  for (const Box& b : data_->boxes) hull = hull.hull(b);
-  return hull;
-}
-
 std::vector<Box> decompose(const Box& domain, int max_box_size) {
   XL_REQUIRE(max_box_size > 0, "max box size must be positive");
   std::vector<Box> out;
@@ -103,10 +78,9 @@ std::uint64_t morton_key(const IntVect& p) {
     return x;
   };
   // Offset so negative coordinates (ghost-adjacent boxes) still order sanely.
-  constexpr std::uint64_t bias = 1u << 20;
-  const auto ux = spread(static_cast<std::uint64_t>(p[0] + static_cast<int>(bias)));
-  const auto uy = spread(static_cast<std::uint64_t>(p[1] + static_cast<int>(bias)));
-  const auto uz = spread(static_cast<std::uint64_t>(p[2] + static_cast<int>(bias)));
+  const auto ux = spread(static_cast<std::uint64_t>(p[0] + kMortonBias));
+  const auto uy = spread(static_cast<std::uint64_t>(p[1] + kMortonBias));
+  const auto uz = spread(static_cast<std::uint64_t>(p[2] + kMortonBias));
   return ux | (uy << 1) | (uz << 2);
 }
 
@@ -124,7 +98,10 @@ std::vector<std::size_t> morton_order(const std::vector<Box>& boxes) {
   return order;
 }
 
-BoxLayout balance_morton(const std::vector<Box>& boxes, int nranks) {
+}  // namespace
+
+BoxLayout balance(std::vector<Box> boxes, int nranks, BalanceMethod) {
+  XL_REQUIRE(nranks > 0, "need at least one rank");
   const std::vector<std::size_t> order = morton_order(boxes);
   // Walk the Morton order accumulating cells; advance to the next rank once
   // the running share exceeds the ideal per-rank share.
@@ -145,39 +122,6 @@ BoxLayout balance_morton(const std::vector<Box>& boxes, int nranks) {
     ranks.push_back(rank);
   }
   return BoxLayout(std::move(ordered), std::move(ranks), nranks);
-}
-
-BoxLayout balance_knapsack(std::vector<Box> boxes, int nranks) {
-  // Longest-processing-time: heaviest box goes to the lightest rank. Boxes
-  // of equal weight go in Morton order, so ties do not follow input order.
-  std::vector<std::size_t> order = morton_order(boxes);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return boxes[a].num_cells() > boxes[b].num_cells();
-  });
-  using Load = std::pair<std::int64_t, int>;  // (cells, rank)
-  std::priority_queue<Load, std::vector<Load>, std::greater<>> heap;
-  for (int r = 0; r < nranks; ++r) heap.emplace(0, r);
-  std::vector<int> ranks(boxes.size(), 0);
-  for (std::size_t idx : order) {
-    auto [cells, rank] = heap.top();
-    heap.pop();
-    ranks[idx] = rank;
-    heap.emplace(cells + boxes[idx].num_cells(), rank);
-  }
-  return BoxLayout(std::move(boxes), std::move(ranks), nranks);
-}
-
-}  // namespace
-
-BoxLayout balance(std::vector<Box> boxes, int nranks, BalanceMethod method) {
-  XL_REQUIRE(nranks > 0, "need at least one rank");
-  switch (method) {
-    case BalanceMethod::MortonRoundRobin:
-      return balance_morton(boxes, nranks);
-    case BalanceMethod::KnapsackLpt:
-      return balance_knapsack(std::move(boxes), nranks);
-  }
-  XL_UNREACHABLE("unknown balance method");
 }
 
 }  // namespace xl::mesh

@@ -1,11 +1,8 @@
 // Disjoint box layouts: the set of boxes tiling one AMR level together with
-// their rank assignment (Chombo's DisjointBoxLayout + LoadBalance).
-//
-// Two balancers are provided:
-//  * Morton-ordered round-robin (locality-preserving, Chombo's default), and
-//  * LPT knapsack on per-box cell counts (better balance, worse locality).
-// The choice is an experiment knob because load imbalance is precisely what
-// drives the paper's Fig. 1 memory profile.
+// their rank assignment (Chombo's DisjointBoxLayout + LoadBalance). The one
+// balancer walks the boxes in Morton order (locality-preserving, Chombo's
+// default); its load imbalance is what drives the paper's Fig. 1 memory
+// profile.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +14,10 @@
 
 namespace xl::mesh {
 
-enum class BalanceMethod { MortonRoundRobin, KnapsackLpt };
+/// The one balance method. It stays a type, with a defaulted parameter of
+/// balance() and a field of SyntheticAmrConfig, only for callers outside the
+/// library that still name it.
+enum class BalanceMethod { MortonRoundRobin };
 
 class BoxLayout {
  public:
@@ -53,15 +53,6 @@ class BoxLayout {
     return data_->cells_per_rank;
   }
 
-  /// Max-over-mean cell imbalance; 1.0 is perfect.
-  double imbalance() const;
-
-  /// Indices of boxes owned by `rank`.
-  std::vector<std::size_t> boxes_of_rank(int rank) const;
-
-  /// Union bounding box.
-  Box bounding_box() const noexcept;
-
  private:
   /// Everything a layout holds, totals included, fixed at construction.
   struct Data {
@@ -77,12 +68,18 @@ class BoxLayout {
 /// Chop `domain` into boxes no larger than `max_box_size` cells per side.
 std::vector<Box> decompose(const Box& domain, int max_box_size);
 
-/// Assign `boxes` to `nranks` ranks. Each box gets the same rank whatever the
-/// order of `boxes`, provided their low corners are distinct (true of
-/// disjoint boxes): Morton orders by the key of each low corner, and knapsack
-/// breaks cell-count ties by that key.
+/// Assign `boxes` to `nranks` ranks in the Morton order of their low corners,
+/// each rank taking a contiguous run of about total/nranks cells. Each box
+/// gets the same rank whatever the order of `boxes`, provided their low
+/// corners are distinct (true of disjoint boxes).
 BoxLayout balance(std::vector<Box> boxes, int nranks,
-                  BalanceMethod method = BalanceMethod::MortonRoundRobin);
+                  BalanceMethod = BalanceMethod::MortonRoundRobin);
+
+/// Bias added to each coordinate before morton_key keeps its 21 bits: keys
+/// follow Z-order for coordinates in [-kMortonBias, kMortonBias). A level
+/// whose index space is wider than kMortonBias cells along an axis cannot be
+/// balanced, so the config parser rejects such refinement.
+constexpr int kMortonBias = 1 << 20;
 
 /// Morton (Z-order) key of a lattice point; 21 bits per dimension.
 std::uint64_t morton_key(const IntVect& p);

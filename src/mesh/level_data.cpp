@@ -46,17 +46,6 @@ Copier::Copier(const BoxLayout& layout, int nghost, const Box& domain, bool peri
   }
 }
 
-std::size_t Copier::off_rank_bytes(const BoxLayout& layout, int ncomp) const {
-  std::size_t bytes = 0;
-  for (const CopyOp& op : ops_) {
-    if (layout.rank_of(op.src) != layout.rank_of(op.dst)) {
-      bytes += static_cast<std::size_t>(op.region.num_cells()) *
-               static_cast<std::size_t>(ncomp) * sizeof(double);
-    }
-  }
-  return bytes;
-}
-
 LevelData::LevelData(const BoxLayout& layout, int ncomp, int nghost)
     : layout_(layout), ncomp_(ncomp), nghost_(nghost) {
   XL_REQUIRE(ncomp > 0, "need at least one component");
@@ -115,10 +104,6 @@ std::pair<double, double> LevelData::min_max(int c) const {
     }
   }
   return {lo, hi};
-}
-
-void LevelData::set_all(double value) {
-  for (Fab& f : fabs_) f.set_all(value);
 }
 
 }  // namespace xl::mesh

@@ -33,10 +33,6 @@ class Copier {
 
   const std::vector<CopyOp>& ops() const noexcept { return ops_; }
 
-  /// Bytes that would cross rank boundaries executing this plan (the DES cost
-  /// model consumes this).
-  std::size_t off_rank_bytes(const BoxLayout& layout, int ncomp) const;
-
  private:
   std::vector<CopyOp> ops_;
 };
@@ -77,8 +73,6 @@ class LevelData {
 
   /// Min/max over valid cells of component c.
   std::pair<double, double> min_max(int c) const;
-
-  void set_all(double value);
 
  private:
   BoxLayout layout_;

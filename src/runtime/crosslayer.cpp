@@ -6,15 +6,6 @@
 
 namespace xl::runtime {
 
-const char* layer_name(Layer layer) noexcept {
-  switch (layer) {
-    case Layer::Application: return "application";
-    case Layer::Middleware: return "middleware";
-    case Layer::Resource: return "resource";
-  }
-  return "?";
-}
-
 CrossLayerPlanner CrossLayerPlanner::standard() {
   std::vector<MechanismInfo> mechanisms;
   mechanisms.push_back(MechanismInfo{

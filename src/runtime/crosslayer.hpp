@@ -23,8 +23,6 @@ namespace xl::runtime {
 
 enum class Layer { Application, Middleware, Resource };
 
-const char* layer_name(Layer layer) noexcept;
-
 /// Quantities flowing between mechanisms (the S_data and M of §4.4).
 /// StagingHealth and RepairBacklog are environment inputs produced by the
 /// fault/monitor layer rather than by any mechanism; they gate the middleware

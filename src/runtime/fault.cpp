@@ -71,10 +71,6 @@ int FaultPlan::detected_down_at(int step) const noexcept {
   return declared;
 }
 
-int FaultPlan::suspected_at(int step) const noexcept {
-  return servers_down_at(step) - detected_down_at(step);
-}
-
 double FaultPlan::slowdown_at(int step) const noexcept {
   double slowdown = 1.0;
   for (const FaultSpec& spec : config_.events) {

@@ -102,10 +102,6 @@ class FaultPlan {
   /// rerun see the identical detection timeline.
   int detected_down_at(int step) const noexcept;
 
-  /// Servers crashed but still inside their lease window at `step`
-  /// (servers_down_at - detected_down_at); always 0 when lease_steps == 0.
-  int suspected_at(int step) const noexcept;
-
   /// Straggler multiplier on in-transit execution at `step` (>= 1; max of the
   /// active Straggler windows).
   double slowdown_at(int step) const noexcept;

@@ -6,15 +6,6 @@
 
 namespace xl::runtime {
 
-const char* objective_name(Objective objective) noexcept {
-  switch (objective) {
-    case Objective::MinimizeTimeToSolution: return "minimize-time-to-solution";
-    case Objective::MinimizeDataMovement: return "minimize-data-movement";
-    case Objective::MaximizeResourceUtilization: return "maximize-resource-utilization";
-  }
-  return "?";
-}
-
 const char* placement_name(Placement placement) noexcept {
   switch (placement) {
     case Placement::InSitu: return "in-situ";

@@ -18,8 +18,6 @@ enum class Objective {
   MaximizeResourceUtilization,
 };
 
-const char* objective_name(Objective objective) noexcept;
-
 /// Where an analysis kernel executes (the middleware decision D_i: the paper
 /// encodes in-situ as D_i = 1, in-transit as D_i = 0).
 enum class Placement { InSitu, InTransit };

@@ -12,20 +12,6 @@ namespace xl::staging {
 // for its own diagnostics; simulated experiments use the substrate clock.
 using Clock = std::chrono::steady_clock;
 
-const char* service_event_kind_name(ServiceEvent::Kind kind) noexcept {
-  switch (kind) {
-    case ServiceEvent::Kind::Put: return "put";
-    case ServiceEvent::Kind::Get: return "get";
-    case ServiceEvent::Kind::Analysis: return "analysis";
-    case ServiceEvent::Kind::Drain: return "drain";
-    case ServiceEvent::Kind::ServerLost: return "server-lost";
-    case ServiceEvent::Kind::ServerRecovered: return "server-recovered";
-    case ServiceEvent::Kind::ReadRepair: return "read-repair";
-    case ServiceEvent::Kind::Repair: return "repair";
-  }
-  return "?";
-}
-
 StagingService::StagingService(const ServiceConfig& config)
     : config_(config),
       space_(config.num_servers, config.memory_per_server, config.replication,

@@ -51,8 +51,6 @@ struct ServiceEvent {
   std::size_t replicas = 0;    ///< Put: copies placed; ReadRepair/Repair: copies re-created.
 };
 
-const char* service_event_kind_name(ServiceEvent::Kind kind) noexcept;
-
 /// Thread-safe recorder for the ServiceEvent stream — the sanctioned
 /// ServiceConfig::observer sink. Service workers append concurrently; tests
 /// and benches snapshot after a drain. Connect with `log.observer()`.

@@ -17,7 +17,7 @@ namespace {
 
 /// One flag per cell of `valid`, in BoxIterator order: set where the cell lies
 /// in one of `covering`. With the finer level's boxes coarsened to this level,
-/// the unset cells are exactly those where AmrHierarchy::is_finest_at holds.
+/// the unset cells are exactly those whose children no finer box meets.
 std::vector<std::uint8_t> coverage_mask(const Box& valid, const std::vector<Box>& covering) {
   std::vector<std::uint8_t> mask(static_cast<std::size_t>(valid.num_cells()), 0);
   const IntVect n = valid.size();

@@ -1,9 +1,8 @@
 #include "viz/mesh_io.hpp"
 
-#include <fstream>
 #include <ostream>
 
-#include "common/error.hpp"
+#include "common/output_file.hpp"
 
 namespace xl::viz {
 
@@ -20,10 +19,8 @@ void write_obj(std::ostream& os, const TriangleMesh& mesh, const std::string& ob
 
 void write_obj_file(const std::string& path, const TriangleMesh& mesh,
                     const std::string& object_name) {
-  std::ofstream os(path);
-  XL_REQUIRE(os.good(), "cannot open OBJ output file: " + path);
-  write_obj(os, mesh, object_name);
-  XL_REQUIRE(os.good(), "error writing OBJ file: " + path);
+  write_file(path, "OBJ output",
+             [&](std::ostream& os) { write_obj(os, mesh, object_name); });
 }
 
 }  // namespace xl::viz

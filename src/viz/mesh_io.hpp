@@ -13,7 +13,8 @@ namespace xl::viz {
 void write_obj(std::ostream& os, const TriangleMesh& mesh,
                const std::string& object_name = "isosurface");
 
-/// Convenience: write to a file path; throws on I/O failure.
+/// Write to a file path; throws ContractError naming the path when the file
+/// cannot be opened or written (xl::write_file).
 void write_obj_file(const std::string& path, const TriangleMesh& mesh,
                     const std::string& object_name = "isosurface");
 

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <ostream>
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
+#include "common/output_file.hpp"
 
 namespace xl::viz {
 
@@ -41,23 +41,16 @@ std::array<std::uint8_t, 3>& Image::at(int x, int y) {
   return pixels_[static_cast<std::size_t>(y) * width_ + x];
 }
 
-const std::array<std::uint8_t, 3>& Image::at(int x, int y) const {
-  XL_REQUIRE(x >= 0 && x < width_ && y >= 0 && y < height_, "pixel out of range");
-  return pixels_[static_cast<std::size_t>(y) * width_ + x];
-}
-
 void Image::write_ppm(std::ostream& os) const {
   os << "P6\n" << width_ << " " << height_ << "\n255\n";
   for (const auto& px : pixels_) {
     os.write(reinterpret_cast<const char*>(px.data()), 3);
   }
-  XL_REQUIRE(os.good(), "PPM write failed");
+  if (!os.good()) throw ContractError("PPM write failed");
 }
 
 void Image::write_ppm_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  XL_REQUIRE(os.good(), "cannot open PPM output: " + path);
-  write_ppm(os);
+  write_file(path, "PPM output", [this](std::ostream& os) { write_ppm(os); });
 }
 
 double Image::coverage(std::array<std::uint8_t, 3> background) const {

@@ -35,9 +35,9 @@ class Image {
   int height() const noexcept { return height_; }
 
   std::array<std::uint8_t, 3>& at(int x, int y);
-  const std::array<std::uint8_t, 3>& at(int x, int y) const;
 
-  /// Binary PPM (P6).
+  /// Binary PPM (P6). Both throw ContractError when the output fails; the
+  /// path overload's errors name the path (xl::write_file).
   void write_ppm(std::ostream& os) const;
   void write_ppm_file(const std::string& path) const;
 

@@ -1,5 +1,6 @@
 #include "workflow/config_file.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -11,6 +12,7 @@
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
+#include "mesh/layout.hpp"
 #include "runtime/trigger.hpp"
 
 namespace xl::workflow {
@@ -98,6 +100,33 @@ void require_domain_pieces(const amr::SyntheticAmrConfig& g, int edge, const cha
   throw ContractError(os.str());
 }
 
+/// Throws, naming domain, ref_ratio, max_levels and the limit, unless the
+/// finest level fits the index space the geometry works in: at most
+/// mesh::kMortonBias cells along each axis (morton_key keeps 21 bits around
+/// that bias) and at most 2^53 cells in all, the largest count a double holds
+/// exactly. Counted in doubles, so no power overflows.
+void require_finest_level_fits(const amr::SyntheticAmrConfig& g) {
+  const mesh::IntVect n = g.base_domain.size();
+  const double refine = std::pow(static_cast<double>(g.ref_ratio), g.max_levels - 1);
+  double widest = 0;
+  double cells = 1;
+  for (int d = 0; d < mesh::kDim; ++d) {
+    widest = std::max(widest, n[d] * refine);
+    cells *= n[d] * refine;
+  }
+  const auto reject = [&](double value, const char* what, double limit) {
+    std::ostringstream os;
+    os << "config: domain " << n[0] << ' ' << n[1] << ' ' << n[2] << " with ref_ratio "
+       << g.ref_ratio << " and max_levels " << g.max_levels << " makes a finest level of "
+       << std::fixed << std::setprecision(0) << value << ' ' << what << "; at most " << limit
+       << " are allowed";
+    throw ContractError(os.str());
+  };
+  if (widest > mesh::kMortonBias) reject(widest, "cells along an axis", mesh::kMortonBias);
+  constexpr double kMaxExactCells = 9007199254740992.0;  // 2^53
+  if (cells > kMaxExactCells) reject(cells, "cells", kMaxExactCells);
+}
+
 }  // namespace
 
 WorkflowConfig parse_workflow_config(std::istream& is) {
@@ -149,7 +178,11 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
       if (n.size() != 3) throw ContractError("config: domain needs NX NY NZ");
       c.geometry.base_domain = mesh::Box::domain({n[0], n[1], n[2]});
     } else if (key == "factors") {
-      c.hints.factor_phases = {{0, numbers(value, key, {.lo = 1})}};
+      std::vector<int> factors = numbers(value, key, {.lo = 1});
+      if (!std::is_sorted(factors.begin(), factors.end())) {
+        throw ContractError("config: factors must be ascending, got " + value);
+      }
+      c.hints.factor_phases = {{0, std::move(factors)}};
     } else if (key == "sim_cores") c.sim_cores = ranged<int>(value, key, {.lo = 1});
     else if (key == "staging_cores") c.staging_cores = ranged<int>(value, key, {.lo = 1});
     else if (key == "threads") c.threads = ranged<int>(value, key, {.lo = 0});
@@ -223,6 +256,12 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
   require_domain_pieces(c.geometry, c.geometry.max_box_size, "max_box_size", "level-0 boxes",
                         kMaxBaseBoxes);
   require_domain_pieces(c.geometry, c.geometry.tile_size, "tile_size", "tiles", kMaxBaseTiles);
+  require_finest_level_fits(c.geometry);
+  if (c.replication > c.staging_cores) {
+    throw ContractError("config: replication " + std::to_string(c.replication) +
+                        " exceeds staging_cores " + std::to_string(c.staging_cores) +
+                        "; each copy needs its own server");
+  }
   if (!analysis_ncomp.empty()) {
     c.analysis_ncomp = ranged<int>(analysis_ncomp, "analysis_ncomp",
                                    {.lo = 0, .hi = static_cast<double>(c.ncomp)});

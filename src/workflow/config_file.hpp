@@ -25,6 +25,8 @@ namespace xl::workflow {
 ///   thread_efficiency = <float>    (threading-speedup exponent in [0, 1])
 ///   domain = NX NY NZ              (required)
 ///   max_levels, max_box_size, tile_size = <int >= 1>, ref_ratio = <int >= 2>
+///                                  (domain * ref_ratio^(max_levels-1) at most
+///                                   2^20 per axis and 2^53 cells in all)
 ///   front_radius0, front_speed = <float >= 0>
 ///   front_thickness = <float > 0>, front_decay = <float in (0, 1]>
 ///   front_decay_onset, blob_onset_step, num_blobs = <int >= 0>
@@ -34,7 +36,7 @@ namespace xl::workflow {
 ///   staging_usable_fraction = <float in (0, 1]>
 ///   sim_euler_flops, sim_advect_flops, mc_scan_flops, mc_active_flops = <float >= 0>
 ///   euler = 0|1
-///   factors = X1 X2 ...            (single hint phase)
+///   factors = X1 X2 ...            (single hint phase, ascending)
 ///   objective = time | movement | utilization
 ///   sampling_period = <int >= 1>
 ///   trigger = fixed | percentile | hybrid
@@ -43,7 +45,7 @@ namespace xl::workflow {
 ///   trigger_seed = <uint>
 ///   faults = <spec>                (runtime::parse_fault_spec; lease=N sets the
 ///                                   heartbeat lease)
-///   replication = <int >= 1>       (staged-object copies)
+///   replication = <int >= 1>       (staged-object copies, at most staging_cores)
 WorkflowConfig parse_workflow_config(std::istream& is);
 WorkflowConfig parse_workflow_config_file(const std::string& path);
 

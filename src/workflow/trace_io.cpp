@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <concepts>
-#include <fstream>
 #include <iterator>
 #include <ostream>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/output_file.hpp"
 
 namespace xl::workflow {
 
@@ -147,8 +147,8 @@ constexpr Column<WorkflowEvent> kEventColumns[] = {
 
 /// The header of `columns`, then one row per record.
 template <typename Record, std::size_t N>
-void put_csv(std::ostream& os, const Column<Record> (&columns)[N],
-             const std::vector<Record>& records) {
+void write_csv(std::ostream& os, const Column<Record> (&columns)[N],
+               const std::vector<Record>& records) {
   CsvBlock out(os);
   for (const Column<Record>& c : columns) out.text(c.name);
   out.end_row();
@@ -157,26 +157,13 @@ void put_csv(std::ostream& os, const Column<Record> (&columns)[N],
     out.end_row();
   }
   out.flush();
-}
-
-template <typename Record, std::size_t N>
-void write_csv(std::ostream& os, const Column<Record> (&columns)[N],
-               const std::vector<Record>& records) {
-  put_csv(os, columns, records);
   if (!os.good()) throw ContractError("CSV write failed");
 }
 
-/// Writes a new file at `path`. The file is closed before the check, so an
-/// error that only shows when the last bytes reach the disk (a full device)
-/// fails the write too; each error names the path.
 template <typename Record, std::size_t N>
 void write_csv(const std::string& path, const Column<Record> (&columns)[N],
                const std::vector<Record>& records) {
-  std::ofstream os(path);
-  if (!os.is_open()) throw ContractError("cannot open CSV output: " + path);
-  put_csv(os, columns, records);
-  os.close();
-  if (!os) throw ContractError("cannot write CSV output: " + path);
+  write_file(path, "CSV output", [&](std::ostream& os) { write_csv(os, columns, records); });
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ void write_events_csv(std::ostream& os, const EventLog& log);
 void write_events_csv(const std::string& path, const EventLog& log);
 
 // Every writer throws ContractError when the output fails. A path overload
-// closes the file before it checks, and its errors name the path.
+// writes through xl::write_file, so it closes the file before it checks and
+// its errors name the path.
 
 /// Single-line key=value summary (end-to-end, overhead, movement, counts).
 std::string summarize(const WorkflowResult& result);

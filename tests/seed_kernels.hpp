@@ -335,6 +335,20 @@ inline void fill_cf_ghosts(const amr::AmrLevel& coarse, amr::AmrLevel& fine, int
   }
 }
 
+/// Valid-region mask: true where level l's cell is NOT covered by level l+1,
+/// tested one cell at a time against every finer box.
+inline bool is_finest_at(const amr::AmrHierarchy& hierarchy, std::size_t l,
+                         const mesh::IntVect& cell) {
+  if (l + 1 >= hierarchy.num_levels()) return true;
+  const int ratio = hierarchy.config().ref_ratio;
+  const mesh::IntVect fine = cell.refine(mesh::IntVect::uniform(ratio));
+  const mesh::Box child(fine, fine + (ratio - 1));
+  for (const mesh::Box& b : hierarchy.level(l + 1).layout.boxes()) {
+    if (b.intersects(child)) return false;
+  }
+  return true;
+}
+
 /// Seed AMR isosurface: every cell of a covered level asks is_finest_at.
 inline viz::TriangleMesh amr_isosurface(const amr::AmrHierarchy& hierarchy,
                                         double isovalue, int comp, double dx0,
@@ -353,7 +367,7 @@ inline viz::TriangleMesh amr_isosurface(const amr::AmrHierarchy& hierarchy,
         continue;
       }
       for (mesh::BoxIterator it(valid); it.ok(); ++it) {
-        if (!hierarchy.is_finest_at(lev, *it)) continue;
+        if (!is_finest_at(hierarchy, lev, *it)) continue;
         const mesh::Box cell(*it, *it);
         mesh.append(viz::extract_isosurface(level.data[i], cell, isovalue, comp, dx));
         ++stats.cells_scanned;

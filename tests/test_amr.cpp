@@ -18,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "digest.hpp"
+#include "seed_kernels.hpp"
 #include "workflow/experiment.hpp"
 
 namespace xl::amr {
@@ -168,7 +169,7 @@ TEST(Tagging, ConstantFieldProducesNoTags) {
   const Box domain = Box::domain({8, 8, 8});
   const mesh::BoxLayout layout = mesh::balance(mesh::decompose(domain, 8), 1);
   AmrLevel level{domain, layout, mesh::LevelData(layout, 1, 2)};
-  level.data.set_all(3.0);
+  for (std::size_t i = 0; i < level.data.size(); ++i) level.data[i].set_all(3.0);
   EXPECT_TRUE(tag_cells(level, {}).empty());
 }
 
@@ -221,7 +222,7 @@ TEST(Interp, RestrictAverageIsExactForLinear) {
 
 TEST(Interp, RestrictThenProlongPreservesConstant) {
   AmrLevel fine = make_level(Box::domain({8, 8, 8}), 8, 1, 0);
-  fine.data.set_all(7.0);
+  for (std::size_t i = 0; i < fine.data.size(); ++i) fine.data[i].set_all(7.0);
   AmrLevel coarse = make_level(Box::domain({4, 4, 4}), 4, 1, 0);
   restrict_average(fine, coarse, 2);
   AmrLevel fine2 = make_level(Box::domain({8, 8, 8}), 8, 1, 0);
@@ -242,7 +243,7 @@ TEST(Interp, CfGhostsFilledFromCoarse) {
   std::vector<Box> fboxes{Box({4, 4, 4}, {11, 11, 11})};
   fine.layout = mesh::BoxLayout(fboxes, {0}, 1);
   fine.data = mesh::LevelData(fine.layout, 1, 2);
-  fine.data.set_all(-1.0);
+  for (std::size_t i = 0; i < fine.data.size(); ++i) fine.data[i].set_all(-1.0);
   fill_cf_ghosts(coarse, fine, 2, 2);
   // A ghost just outside the fine box maps to coarse cell (ghost>>1).
   const IntVect ghost{3, 8, 8};
@@ -273,7 +274,7 @@ TEST(Hierarchy, ConstructionBuildsBaseLevel) {
 
 TEST(Hierarchy, RegridAddsLevelAndProlongsData) {
   AmrHierarchy h(small_config(), 1);
-  h.level(0).data.set_all(4.0);
+  for (std::size_t i = 0; i < h.level(0).data.size(); ++i) h.level(0).data[i].set_all(4.0);
   std::vector<Box> fboxes{Box({8, 8, 8}, {15, 15, 15})};
   h.regrid({mesh::BoxLayout(fboxes, {0}, 2)});
   ASSERT_EQ(h.num_levels(), 2u);
@@ -285,10 +286,10 @@ TEST(Hierarchy, RegridAddsLevelAndProlongsData) {
 
 TEST(Hierarchy, RegridPreservesOldFineDataWhereOverlapping) {
   AmrHierarchy h(small_config(), 1);
-  h.level(0).data.set_all(1.0);
+  for (std::size_t i = 0; i < h.level(0).data.size(); ++i) h.level(0).data[i].set_all(1.0);
   std::vector<Box> fboxes{Box({8, 8, 8}, {15, 15, 15})};
   h.regrid({mesh::BoxLayout(fboxes, {0}, 2)});
-  h.level(1).data.set_all(9.0);
+  for (std::size_t i = 0; i < h.level(1).data.size(); ++i) h.level(1).data[i].set_all(9.0);
   // Shift the fine level; overlap keeps the old value, fresh cells prolong.
   std::vector<Box> moved{Box({12, 8, 8}, {19, 15, 15})};
   h.regrid({mesh::BoxLayout(moved, {0}, 2)});
@@ -300,9 +301,10 @@ TEST(Hierarchy, IsFinestAtRespectsFinerCoverage) {
   AmrHierarchy h(small_config(), 1);
   std::vector<Box> fboxes{Box({8, 8, 8}, {15, 15, 15})};
   h.regrid({mesh::BoxLayout(fboxes, {0}, 2)});
-  EXPECT_FALSE(h.is_finest_at(0, {4, 4, 4}));  // covered: fine box 8..15 = coarse 4..7
-  EXPECT_TRUE(h.is_finest_at(0, {0, 0, 0}));
-  EXPECT_TRUE(h.is_finest_at(1, {8, 8, 8}));  // finest level
+  // The seed isosurface's coverage oracle.
+  EXPECT_FALSE(seed::is_finest_at(h, 0, {4, 4, 4}));  // covered: fine box 8..15 = coarse 4..7
+  EXPECT_TRUE(seed::is_finest_at(h, 0, {0, 0, 0}));
+  EXPECT_TRUE(seed::is_finest_at(h, 1, {8, 8, 8}));  // finest level
 }
 
 // --- Memory model ----------------------------------------------------------
@@ -323,14 +325,6 @@ TEST(MemoryModel, MoreCellsMoreMemoryAndImbalanceShows) {
   const auto skewed_bytes = per_rank_peak_bytes({skewed}, cfg);
   EXPECT_GT(skewed_bytes[0], bytes[0]);
   EXPECT_EQ(skewed_bytes[1], cfg.base_runtime_bytes);
-}
-
-TEST(MemoryModel, AvailableClampsAtZero) {
-  const mesh::BoxLayout layout =
-      mesh::balance(mesh::decompose(Box::domain({32, 32, 32}), 8), 1);
-  MemoryModelConfig cfg;
-  const auto avail = per_rank_available_bytes({layout}, cfg, 1);  // 1 byte capacity
-  EXPECT_EQ(avail[0], 0u);
 }
 
 // --- Synthetic geometry evolution ------------------------------------------

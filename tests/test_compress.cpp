@@ -17,6 +17,27 @@ using mesh::Box;
 using mesh::BoxIterator;
 using mesh::Fab;
 
+/// The rate model: the exact stream size of `cells` x `ncomp` doubles at
+/// `config`, whatever their values. Each block stores four header doubles (a,
+/// b, rmin, step) and its residuals packed at residual_bits each.
+std::size_t compressed_bytes(std::size_t cells, int ncomp, const CompressConfig& config) {
+  const auto block_bytes = [&config](std::size_t n) {
+    return 4 * sizeof(double) + (n * static_cast<std::size_t>(config.residual_bits) + 7) / 8;
+  };
+  const std::size_t values = cells * static_cast<std::size_t>(ncomp);
+  const auto block = static_cast<std::size_t>(config.block);
+  std::size_t bytes = values / block * block_bytes(block);
+  if (values % block > 0) bytes += block_bytes(values % block);
+  return bytes + sizeof(CompressConfig) + sizeof(mesh::Box) + sizeof(int);
+}
+
+/// The error bound: half a quantization step of a block whose residual range
+/// (after the linear predictor) is `residual_range`.
+double max_error_for_range(double residual_range, const CompressConfig& config) {
+  const auto levels = (1u << config.residual_bits) - 1u;
+  return residual_range > 0.0 ? 0.5 * residual_range / levels : 0.0;
+}
+
 Fab smooth_field(int n) {
   Fab f(Box::domain({n, n, n}), 1);
   for (BoxIterator it(f.box()); it.ok(); ++it) {
@@ -118,12 +139,6 @@ TEST(Compress, RandomNoiseRoundTripsWithinBound) {
   for (BoxIterator it(f.box()); it.ok(); ++it) {
     EXPECT_NEAR(out(*it), f(*it), max_error_for_range(10.0, cfg) * 2.0);
   }
-}
-
-TEST(Compress, ScratchExceedsOutput) {
-  CompressConfig cfg;
-  EXPECT_GT(compression_scratch_bytes(1 << 15, 5, cfg),
-            compressed_bytes(1 << 15, 5, cfg));
 }
 
 TEST(Compress, ValidatesConfig) {

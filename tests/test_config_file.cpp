@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mutants.hpp"
 #include "runtime/trigger.hpp"
@@ -261,7 +262,8 @@ TEST(ConfigFile, DomainIsCappedNamingTheLimit) {
     }
     return std::string("parsed");
   };
-  // The largest shipped domain (Titan 16K) parses.
+  // The largest shipped domain (Titan 16K) parses: its finest level is 8192
+  // cells wide and holds 2^38 cells.
   EXPECT_NO_THROW(parse_text("machine = test\nsteps = 2\ndomain = 2048 2048 1024\n"));
   // Only parsed here: running it would ask the geometry for 2^78 boxes.
   EXPECT_EQ(error("machine = test\nsteps = 2\ndomain = 2147483647 2147483647 2147483647\n"),
@@ -279,6 +281,50 @@ TEST(ConfigFile, DomainIsCappedNamingTheLimit) {
   EXPECT_NE(error(big + "max_box_size = 64\n").find("tiles of tile_size 8; at most 67108864"),
             std::string::npos);
   EXPECT_NO_THROW(parse_text(big + "max_box_size = 64\ntile_size = 16\n"));
+  // Refinement is capped at the finest level, after every key too. The first
+  // three outgrow morton_key's 2^20 cells along an axis; the last is 2^20
+  // along each, 2^60 in all, beyond the 2^53 cells a double counts exactly.
+  // Only parsed here: running them fails inside the geometry.
+  const std::string deep = "domain = 64 64 64\n";
+  const std::string axis = " cells along an axis; at most 1048576 are allowed";
+  EXPECT_EQ(error(deep + "max_levels = 12\nref_ratio = 16\nfront_thickness = 0.5\n"),
+            "config: domain 64 64 64 with ref_ratio 16 and max_levels 12 makes a finest "
+            "level of 1125899906842624" + axis);
+  EXPECT_EQ(error(deep + "ref_ratio = 8\nmax_levels = 7\n"),
+            "config: domain 64 64 64 with ref_ratio 8 and max_levels 7 makes a finest "
+            "level of 16777216" + axis);
+  EXPECT_EQ(error(deep + "max_levels = 5\nref_ratio = 16\n"),
+            "config: domain 64 64 64 with ref_ratio 16 and max_levels 5 makes a finest "
+            "level of 4194304" + axis);
+  EXPECT_EQ(error(deep + "max_levels = 8\nref_ratio = 4\n"),
+            "config: domain 64 64 64 with ref_ratio 4 and max_levels 8 makes a finest "
+            "level of 1152921504606846976 cells; at most 9007199254740992 are allowed");
+}
+
+TEST(ConfigFile, ReplicationAboveStagingCoresIsRejectedNamingBoth) {
+  EXPECT_EQ(parse("staging_cores = 4\nreplication = 4\n").replication, 4);
+  for (const std::string text : {"staging_cores = 4\nreplication = 5\n",
+                                 "replication = 5\nstaging_cores = 4\n"}) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const ContractError& e) {
+      EXPECT_STREQ(e.what(),
+                   "config: replication 5 exceeds staging_cores 4; each copy needs its own "
+                   "server");
+    }
+  }
+}
+
+TEST(ConfigFile, FactorsMustBeAscending) {
+  EXPECT_EQ(parse("mode = global\nfactors = 2 2 4\n").hints.factor_phases[0].factors,
+            (std::vector<int>{2, 2, 4}));
+  try {
+    (void)parse("mode = global\nfactors = 4 2\n");
+    ADD_FAILURE() << "descending factors parsed";
+  } catch (const ContractError& e) {
+    EXPECT_STREQ(e.what(), "config: factors must be ascending, got 4 2");
+  }
 }
 
 TEST(ConfigFile, GeometryIsBalancedOverTheSimulationCores) {

@@ -116,11 +116,7 @@ TEST(CrossLayerPlanner, RejectsEmptyRegistry) {
 }
 
 TEST(CrossLayerPlanner, Names) {
-  EXPECT_STREQ(layer_name(Layer::Application), "application");
-  EXPECT_STREQ(layer_name(Layer::Middleware), "middleware");
-  EXPECT_STREQ(layer_name(Layer::Resource), "resource");
-  EXPECT_STREQ(objective_name(Objective::MinimizeTimeToSolution),
-               "minimize-time-to-solution");
+  EXPECT_STREQ(placement_name(Placement::InSitu), "in-situ");
   EXPECT_STREQ(placement_name(Placement::InTransit), "in-transit");
 }
 

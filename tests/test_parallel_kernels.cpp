@@ -473,7 +473,7 @@ TEST(SeedIdentity, FillCfGhostsMatchesSeedPerCellPath) {
                                  Box({9, 9, 9}, {15, 15, 15})},
                                 {0, 1, 0}, 2);
   fine.data = mesh::LevelData(fine.layout, 2, kGhost);
-  fine.data.set_all(-7.0);
+  for (std::size_t i = 0; i < fine.data.size(); ++i) fine.data[i].set_all(-7.0);
   for (std::size_t i = 0; i < fine.data.size(); ++i) {
     for (int c = 0; c < 2; ++c) {
       for (BoxIterator it(fine.layout.box(i)); it.ok(); ++it) {

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "viz/render.hpp"
 
@@ -37,6 +39,21 @@ TEST(Image, PpmFormat) {
   EXPECT_EQ(out.substr(0, 11), "P6\n2 2\n255\n");
   EXPECT_EQ(out.size(), 11u + 12u);  // header + 4 pixels * 3 bytes
   EXPECT_EQ(static_cast<unsigned char>(out[11]), 255);
+}
+
+TEST(Image, WritePpmFileFailuresNameThePath) {
+  const Image img(16, 16);
+  // /dev/full takes the open and fails the write, which shows only at close.
+  for (const auto& [path, message] :
+       {std::pair<std::string, std::string>{"/dev/full", "cannot write PPM output: /dev/full"},
+        {"no/such/dir/out.ppm", "cannot open PPM output: no/such/dir/out.ppm"}}) {
+    try {
+      img.write_ppm_file(path);
+      ADD_FAILURE() << "writing " << path << " succeeded";
+    } catch (const ContractError& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 TEST(Image, CoverageMetric) {
@@ -83,8 +100,8 @@ TEST(Render, NearerTriangleWins) {
   ab.append(back);
   TriangleMesh ba = back;
   ba.append(front);
-  const Image img_ab = render_mesh(ab, cfg);
-  const Image img_ba = render_mesh(ba, cfg);
+  Image img_ab = render_mesh(ab, cfg);
+  Image img_ba = render_mesh(ba, cfg);
   for (int y = 0; y < cfg.height; ++y) {
     for (int x = 0; x < cfg.width; ++x) {
       EXPECT_EQ(img_ab.at(x, y), img_ba.at(x, y)) << "pixel " << x << "," << y;
@@ -97,7 +114,7 @@ TEST(Render, ShadingWithinConfiguredRange) {
   cfg.width = 32;
   cfg.height = 32;
   cfg.surface_rgb = {200, 100, 50};
-  const Image img = render_mesh(single_triangle(), cfg);
+  Image img = render_mesh(single_triangle(), cfg);
   for (int y = 0; y < cfg.height; ++y) {
     for (int x = 0; x < cfg.width; ++x) {
       const auto& px = img.at(x, y);

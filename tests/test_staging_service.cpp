@@ -77,8 +77,6 @@ TEST(StagingService, ObserverSeesEveryRequest) {
   EXPECT_EQ(seen[2].kind, ServiceEvent::Kind::Analysis);
   EXPECT_EQ(seen[2].objects, 1u);
   EXPECT_EQ(seen[3].kind, ServiceEvent::Kind::Drain);
-  EXPECT_STREQ(service_event_kind_name(seen[0].kind), "put");
-  EXPECT_STREQ(service_event_kind_name(seen[3].kind), "drain");
 }
 
 TEST(StagingService, RejectsWhenServerFull) {
@@ -194,10 +192,6 @@ TEST(StagingService, FailServerEmitsServerLostAndShrinksCapacity) {
 
   EXPECT_EQ(log.count(ServiceEvent::Kind::ServerLost), 2u);
   EXPECT_EQ(log.count(ServiceEvent::Kind::ServerRecovered), 1u);
-  EXPECT_STREQ(service_event_kind_name(ServiceEvent::Kind::ServerLost),
-               "server-lost");
-  EXPECT_STREQ(service_event_kind_name(ServiceEvent::Kind::ServerRecovered),
-               "server-recovered");
 }
 
 TEST(StagingService, FailServerIsSafeUnderConcurrentTraffic) {

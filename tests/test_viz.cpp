@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "amr/hierarchy.hpp"
+#include "common/error.hpp"
 #include "viz/amr_isosurface.hpp"
 #include "viz/marching_cubes.hpp"
 #include "viz/mc_tables.hpp"
@@ -146,6 +149,22 @@ TEST(MeshIo, ObjRoundTripStructure) {
   EXPECT_NE(out.find("f 1 2 3"), std::string::npos);
   EXPECT_NE(out.find("f 4 5 6"), std::string::npos);
   EXPECT_EQ(m.bytes(), 6 * sizeof(Vec3));
+}
+
+TEST(MeshIo, WriteObjFileFailuresNameThePath) {
+  TriangleMesh m;
+  m.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
+  // /dev/full takes the open and fails the write, which shows only at close.
+  for (const auto& [path, message] :
+       {std::pair<std::string, std::string>{"/dev/full", "cannot write OBJ output: /dev/full"},
+        {"no/such/dir/out.obj", "cannot open OBJ output: no/such/dir/out.obj"}}) {
+    try {
+      write_obj_file(path, m);
+      ADD_FAILURE() << "writing " << path << " succeeded";
+    } catch (const ContractError& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 TEST(AmrIsosurface, MaskedExtractionAvoidsDoubleSurfaces) {

@@ -128,7 +128,14 @@ int run(int argc, char** argv) {
   WorkflowConfig config = parse_workflow_config_file(config_path);
   if (!fault_spec.empty()) config.faults = runtime::parse_fault_spec(fault_spec);
   if (threads >= 0) config.threads = threads;
-  if (replication >= 1) config.replication = replication;
+  if (replication >= 1) {
+    if (replication > config.staging_cores) {
+      throw ContractError("--replication " + std::to_string(replication) +
+                          " exceeds the config's staging_cores " +
+                          std::to_string(config.staging_cores));
+    }
+    config.replication = replication;
+  }
   if (!trigger_policy.empty()) {
     config.monitor.trigger.policy = runtime::parse_trigger_policy(trigger_policy, "--trigger");
   }
