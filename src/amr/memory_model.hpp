@@ -32,6 +32,20 @@ struct MemoryModelConfig {
   double analysis_bytes_per_cell = 0.0;
 };
 
+/// The per-rank sums of per_rank_peak_bytes after the runtime footprint and
+/// `level0`'s boxes, before any finer level. A static base level is priced
+/// once this way and continued step by step with the overload below.
+std::vector<double> per_rank_base_bytes(const mesh::BoxLayout& level0,
+                                        const MemoryModelConfig& config);
+
+/// Continues `base`, which per_rank_base_bytes computed from `levels[0]`
+/// under the same config, with the boxes of `levels[1..]`, and returns the
+/// peak bytes per rank. The additions are per_rank_peak_bytes' own, in its
+/// order, so the bytes are the same.
+std::vector<std::size_t> per_rank_peak_bytes(std::vector<double> base,
+                                             const std::vector<mesh::BoxLayout>& levels,
+                                             const MemoryModelConfig& config);
+
 /// Peak bytes per rank for one hierarchy snapshot given its level layouts.
 /// Works on geometry only, so it scales to thousands of virtual ranks.
 std::vector<std::size_t> per_rank_peak_bytes(const std::vector<mesh::BoxLayout>& levels,

@@ -74,6 +74,9 @@ class SyntheticAmrEvolution {
 
   const SyntheticAmrConfig& config() const noexcept { return config_; }
 
+  /// Level 0, the same layout in every step's geometry.
+  const BoxLayout& base_layout() const noexcept { return base_layout_; }
+
  private:
   /// Tile-granular tags at refinement level `lev` (index space of level lev)
   /// for time step `step`. Returned points are tile indices.

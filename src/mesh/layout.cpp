@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/contract.hpp"
+#include "mesh/key_sort.hpp"
 
 namespace xl::mesh {
 
@@ -84,25 +85,13 @@ std::uint64_t morton_key(const IntVect& p) {
   return ux | (uy << 1) | (uz << 2);
 }
 
-namespace {
-
-/// Indices of `boxes` in the Morton order of their low corners, each key
-/// computed once. Disjoint boxes have distinct low corners, hence distinct
-/// keys, so the order does not depend on the order of `boxes`.
-std::vector<std::size_t> morton_order(const std::vector<Box>& boxes) {
-  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(boxes.size());
-  for (std::size_t i = 0; i < boxes.size(); ++i) keyed[i] = {morton_key(boxes[i].lo()), i};
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<std::size_t> order(keyed.size());
-  for (std::size_t k = 0; k < keyed.size(); ++k) order[k] = keyed[k].second;
-  return order;
-}
-
-}  // namespace
-
 BoxLayout balance(std::vector<Box> boxes, int nranks, BalanceMethod) {
   XL_REQUIRE(nranks > 0, "need at least one rank");
-  const std::vector<std::size_t> order = morton_order(boxes);
+  // Each key is computed once. Disjoint boxes have distinct low corners, hence
+  // distinct keys, so the order does not depend on the order of `boxes`.
+  std::vector<KeyedIndex> keyed(boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) keyed[i] = {morton_key(boxes[i].lo()), i};
+  sort_keys(keyed);
   // Walk the Morton order accumulating cells; advance to the next rank once
   // the running share exceeds the ideal per-rank share.
   std::int64_t total = 0;
@@ -114,8 +103,8 @@ BoxLayout balance(std::vector<Box> boxes, int nranks, BalanceMethod) {
   ordered.reserve(boxes.size());
   ranks.reserve(boxes.size());
   std::int64_t acc = 0;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const Box& b = boxes[order[k]];
+  for (const KeyedIndex& k : keyed) {
+    const Box& b = boxes[k.second];
     int rank = std::min(nranks - 1, f2i<int>(static_cast<double>(acc) / share));
     acc += b.num_cells();
     ordered.push_back(b);

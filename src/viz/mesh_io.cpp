@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "common/error.hpp"
 #include "common/output_file.hpp"
 
 namespace xl::viz {
@@ -15,6 +16,7 @@ void write_obj(std::ostream& os, const TriangleMesh& mesh, const std::string& ob
     const std::size_t base = 3 * t + 1;  // OBJ indices are 1-based
     os << "f " << base << " " << base + 1 << " " << base + 2 << "\n";
   }
+  if (!os.good()) throw ContractError("OBJ write failed");
 }
 
 void write_obj_file(const std::string& path, const TriangleMesh& mesh,

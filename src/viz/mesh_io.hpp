@@ -9,7 +9,8 @@
 
 namespace xl::viz {
 
-/// Write `mesh` as OBJ text to `os` (one `v` line per vertex, `f` triples).
+/// Write `mesh` as OBJ text to `os` (one `v` line per vertex, `f` triples);
+/// throws ContractError when the stream is not good afterwards.
 void write_obj(std::ostream& os, const TriangleMesh& mesh,
                const std::string& object_name = "isosurface");
 

@@ -78,6 +78,7 @@ StepPipeline::StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& sub
     : config_(config),
       substrate_(substrate),
       evolution_(rank_geometry(config)),
+      base_bytes_(amr::per_rank_base_bytes(evolution_.base_layout(), config.memory_model)),
       cost_(config.machine, config.costs, config.threads),
       monitor_(config.monitor),
       log_(log) {
@@ -299,7 +300,8 @@ void StepPipeline::monitor(StepContext& ctx) {
   state.ncomp = ctx.analysis_ncomp;
   state.sim_cores = config_.sim_cores;
   {
-    const auto peaks = amr::per_rank_peak_bytes(ctx.geom.levels, config_.memory_model);
+    const auto peaks =
+        amr::per_rank_peak_bytes(base_bytes_, ctx.geom.levels, config_.memory_model);
     const std::size_t worst = *std::max_element(peaks.begin(), peaks.end());
     const std::size_t cap = config_.machine.mem_per_core_bytes();
     state.insitu_mem_available = worst >= cap ? 0 : cap - worst;

@@ -124,6 +124,9 @@ class StepPipeline {
   const WorkflowConfig& config_;
   ExecutionSubstrate& substrate_;
   amr::SyntheticAmrEvolution evolution_;
+  /// Per-rank memory-model bytes of the static level 0, priced once; the
+  /// monitor phase continues them with each step's finer levels.
+  std::vector<double> base_bytes_;
   cluster::CostModel cost_;
   runtime::Monitor monitor_;
   EventLog* log_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "amr/berger_rigoutsos.hpp"
@@ -15,9 +16,12 @@
 #include "amr/memory_model.hpp"
 #include "amr/synthetic.hpp"
 #include "amr/tagging.hpp"
+#include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "digest.hpp"
+#include "mesh/key_sort.hpp"
+#include "seed_berger_rigoutsos.hpp"
 #include "seed_kernels.hpp"
 #include "workflow/experiment.hpp"
 
@@ -141,6 +145,152 @@ TEST(BergerRigoutsos, UnitCapReturnsTheDistinctInDomainTags) {
                                   Box({2, 2, 3}, {2, 2, 3}), Box({4, 2, 3}, {4, 2, 3}),
                                   Box({7, 7, 7}, {7, 7, 7})};
   EXPECT_EQ(sorted_boxes(berger_rigoutsos(tags, domain, cfg)), expected);
+}
+
+// --- Berger-Rigoutsos against the frozen reference ---------------------------
+
+enum class Cloud { Shell, Blobs, Scatter };
+
+/// A seeded tag cloud over `domain`: a thin spherical shell, Gaussian blobs
+/// or uniform scatter. Every kind repeats some tags and puts a few outside
+/// the domain.
+std::vector<IntVect> tag_cloud(Cloud kind, const Box& domain, std::uint64_t seed) {
+  Rng rng(seed);
+  const IntVect lo = domain.lo(), size = domain.size();
+  const int shortest = std::min({size[0], size[1], size[2]});
+  auto inside = [&](int d) {
+    return lo[d] + static_cast<int>(rng.uniform_int(0, size[d] - 1));
+  };
+  std::vector<IntVect> tags;
+  switch (kind) {
+    case Cloud::Shell: {
+      const double cx = lo[0] + size[0] * rng.uniform(0.35, 0.65);
+      const double cy = lo[1] + size[1] * rng.uniform(0.35, 0.65);
+      const double cz = lo[2] + size[2] * rng.uniform(0.35, 0.65);
+      const double r = shortest * rng.uniform(0.2, 0.35);
+      const double width = rng.uniform(0.8, 2.5);
+      for (BoxIterator it(domain); it.ok(); ++it) {
+        const double dx = (*it)[0] - cx, dy = (*it)[1] - cy, dz = (*it)[2] - cz;
+        if (std::abs(std::sqrt(dx * dx + dy * dy + dz * dz) - r) <= width) tags.push_back(*it);
+      }
+      break;
+    }
+    case Cloud::Blobs:
+      for (int b = 0; b < 4; ++b) {
+        const IntVect c{inside(0), inside(1), inside(2)};
+        const double spread = shortest * rng.uniform(0.03, 0.12);
+        for (int i = 0; i < 600; ++i) {
+          tags.push_back({c[0] + f2i<int>(std::round(rng.normal(0.0, spread))),
+                          c[1] + f2i<int>(std::round(rng.normal(0.0, spread))),
+                          c[2] + f2i<int>(std::round(rng.normal(0.0, spread)))});
+        }
+      }
+      break;
+    case Cloud::Scatter:
+      for (std::int64_t i = 0; i < domain.num_cells() / 40; ++i) {
+        tags.push_back({inside(0), inside(1), inside(2)});
+      }
+      break;
+  }
+  for (int i = 0; i < 20 && !tags.empty(); ++i) {
+    tags.push_back(tags[static_cast<std::size_t>(rng.uniform_int(0, 99)) % tags.size()]);
+  }
+  tags.push_back(lo - 1);
+  tags.push_back(domain.hi() + IntVect{0, 1, 0});
+  return tags;
+}
+
+/// Success when `got` equals the reference's `want`, order included.
+::testing::AssertionResult same_boxes(const std::vector<Box>& got, const std::vector<Box>& want) {
+  if (got == want) return ::testing::AssertionSuccess();
+  std::size_t i = 0;
+  while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+  return ::testing::AssertionFailure() << got.size() << " boxes against the reference's "
+                                       << want.size() << ", first difference at box " << i;
+}
+
+TEST(BergerRigoutsosDifferential, MatchesTheFrozenReferenceBoxForBox) {
+  // Domains with negative corners and non-cubic extents, and one at the origin.
+  const std::vector<Box> domains{Box({-7, 3, -20}, {28, 26, 5}), Box({-16, -16, -16}, {15, 31, 7}),
+                                 Box::domain({40, 24, 16})};
+  std::uint64_t seed = 500;
+  std::size_t nonempty = 0, runs = 0;
+  for (const Box& domain : domains) {
+    for (const Cloud kind : {Cloud::Shell, Cloud::Blobs, Cloud::Scatter}) {
+      const std::vector<IntVect> tags = tag_cloud(kind, domain, ++seed);
+      for (const int cap : {1, 2, 4, 16}) {
+        for (const int min_size : {1, 2}) {
+          for (const double fill : {0.5, 0.7, 0.9}) {
+            BrConfig cfg;
+            cfg.max_box_size = cap;
+            cfg.min_box_size = min_size;
+            cfg.fill_ratio = fill;
+            const std::vector<Box> want = seed::berger_rigoutsos(tags, domain, cfg);
+            EXPECT_TRUE(same_boxes(berger_rigoutsos(tags, domain, cfg), want))
+                << "domain " << domain << ", cloud " << static_cast<int>(kind) << " ("
+                << tags.size() << " tags), cap " << cap << ", min " << min_size << ", fill "
+                << fill;
+            nonempty += !want.empty();
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(nonempty, runs);
+}
+
+TEST(BergerRigoutsosDifferential, UnitCapMatchesTheComparatorSort) {
+  // A domain offset from the origin whose x extent needs all 21 bits of its
+  // packed key; tags repeat and some fall outside. Sizes span the key sort's
+  // cutoff.
+  const Box domain({-1000000, -5, 300}, {1000000, 2000, 900});
+  BrConfig cfg;
+  cfg.max_box_size = 1;
+  cfg.min_box_size = 1;
+  Rng rng(88);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{500},
+                              mesh::kRadixSortMinKeys - 1, mesh::kRadixSortMinKeys,
+                              std::size_t{6000}}) {
+    std::vector<IntVect> tags;
+    for (std::size_t i = 0; i < n; ++i) {
+      tags.push_back({static_cast<int>(rng.uniform_int(-1000001, 1000001)),
+                      static_cast<int>(rng.uniform_int(-6, 10)),
+                      static_cast<int>(rng.uniform_int(299, 310))});
+    }
+    for (std::size_t i = 0; i < n / 4; ++i) tags.push_back(tags[i]);
+    std::vector<IntVect> inside;
+    for (const IntVect& t : tags) {
+      if (domain.contains(t)) inside.push_back(t);
+    }
+    std::sort(inside.begin(), inside.end(),
+              [](const IntVect& a, const IntVect& b) { return a.v < b.v; });
+    inside.erase(std::unique(inside.begin(), inside.end()), inside.end());
+    std::vector<Box> want;
+    for (const IntVect& t : inside) want.emplace_back(t, t);
+    EXPECT_TRUE(same_boxes(berger_rigoutsos(tags, domain, cfg), want)) << n << " tags";
+  }
+}
+
+TEST(BergerRigoutsosDifferential, UnitCapRejectsADomainPastThePackLimit) {
+  BrConfig cfg;
+  cfg.max_box_size = 1;
+  cfg.min_box_size = 1;
+  const int limit = 1 << 21;
+  const Box widest({-5, 0, 0}, {limit - 7, 3, 3});  // 2^21 - 1 cells in x
+  EXPECT_EQ(berger_rigoutsos({widest.hi(), widest.lo()}, widest, cfg),
+            (std::vector<Box>{Box(widest.lo(), widest.lo()), Box(widest.hi(), widest.hi())}));
+  for (const Box& too_wide : {Box({-5, 0, 0}, {limit - 6, 3, 3}), Box({0, 0, 0}, {3, limit, 3}),
+                              Box({0, 0, -limit}, {3, 3, 0})}) {
+    try {
+      berger_rigoutsos({{0, 0, 0}}, too_wide, cfg);
+      ADD_FAILURE() << "domain " << too_wide << " accepted";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("every domain extent must be below 2^21 cells"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- Tagging ---------------------------------------------------------------
@@ -327,6 +477,48 @@ TEST(MemoryModel, MoreCellsMoreMemoryAndImbalanceShows) {
   EXPECT_EQ(skewed_bytes[1], cfg.base_runtime_bytes);
 }
 
+/// per_rank_peak_bytes as it was: one loop over every level, level 0 first.
+std::vector<std::size_t> reference_peak_bytes(const std::vector<BoxLayout>& levels,
+                                              const MemoryModelConfig& config) {
+  std::vector<double> bytes(static_cast<std::size_t>(levels.front().num_ranks()),
+                            to_double(config.base_runtime_bytes, "base runtime bytes"));
+  const double per_cell =
+      to_double(config.ncomp, "ncomp") * sizeof(double) * (1.0 + config.solver_overhead) +
+      config.analysis_bytes_per_cell;
+  for (const BoxLayout& layout : levels) {
+    for (std::size_t i = 0; i < layout.num_boxes(); ++i) {
+      const double ghosted_cells =
+          to_double(layout.box(i).grow(config.nghost).num_cells(), "ghosted cells");
+      bytes[static_cast<std::size_t>(layout.rank_of(i))] += ghosted_cells * per_cell;
+    }
+  }
+  std::vector<std::size_t> out(bytes.size());
+  for (std::size_t r = 0; r < bytes.size(); ++r) out[r] = f2s(bytes[r], "per-rank peak bytes");
+  return out;
+}
+
+TEST(MemoryModel, BasePricedOnceContinuesToTheSameBytes) {
+  SyntheticAmrConfig geometry;
+  geometry.base_domain = Box::domain({64, 32, 32});
+  geometry.nranks = 24;
+  geometry.tile_size = 4;
+  geometry.max_levels = 3;
+  const SyntheticAmrEvolution evolution(geometry);
+  MemoryModelConfig cfg;
+  cfg.analysis_bytes_per_cell = 12.5;
+  const std::vector<double> base = per_rank_base_bytes(evolution.base_layout(), cfg);
+  for (const int step : {0, 7, 15}) {
+    const SyntheticStep s = evolution.at(step);
+    ASSERT_GE(s.levels.size(), 2u);
+    const std::vector<std::size_t> want = reference_peak_bytes(s.levels, cfg);
+    EXPECT_EQ(per_rank_peak_bytes(base, s.levels, cfg), want) << "step " << step;
+    EXPECT_EQ(per_rank_peak_bytes(s.levels, cfg), want) << "step " << step;
+  }
+  // A base priced over another rank count cannot be continued.
+  const std::vector<double> other(base.size() + 1, 0.0);
+  EXPECT_THROW(per_rank_peak_bytes(other, evolution.at(0).levels, cfg), ContractError);
+}
+
 // --- Synthetic geometry evolution ------------------------------------------
 
 TEST(Synthetic, DeterministicAndGrowing) {
@@ -382,7 +574,10 @@ TEST(Synthetic, GeometryDigestMatchesTheRecordedRun) {
   // core, at steps before and after blob onset (10) and band decay (35). The
   // digest covers every box, its rank, the cells per level and the eqs. 1-3
   // per-rank peak bytes. It was recorded with per-node tag vectors in
-  // Berger-Rigoutsos and Morton keys recomputed inside the sort comparator.
+  // Berger-Rigoutsos and Morton keys recomputed inside the sort comparator,
+  // and it held through the rewrite in which Berger-Rigoutsos children
+  // inherit their signatures, the balance and the unit-cap path share one
+  // radix key sort, and the memory model prices level 0 once.
   const workflow::WorkflowConfig config =
       workflow::titan_middleware_experiment(0, workflow::Mode::StaticInSitu);
   SyntheticAmrConfig geometry = config.geometry;

@@ -6,10 +6,13 @@
 
 #include <map>
 #include <numeric>
+#include <set>
 #include <utility>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "mesh/key_sort.hpp"
 #include "mesh/layout.hpp"
 
 namespace xl::mesh {
@@ -124,6 +127,111 @@ TEST_P(BalanceTest, AssignmentIndependentOfInputOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Methods, BalanceTest,
                          ::testing::Values(BalanceMethod::MortonRoundRobin));
+
+// --- The key sort and the Morton balance against std::sort ------------------
+
+/// Sizes on both sides of the radix cutoff.
+const std::vector<std::size_t> kSortSizes{
+    0, 1, 2, 100, kRadixSortMinKeys - 1, kRadixSortMinKeys, kRadixSortMinKeys + 1, 5000};
+
+/// `n` keys: full 64-bit words, or few distinct values that share most bytes.
+std::vector<std::uint64_t> random_keys(std::size_t n, bool repeats, Rng& rng) {
+  std::vector<std::uint64_t> keys(n);
+  for (std::uint64_t& k : keys) {
+    k = repeats ? 0x5A00000000000000ull | (rng.next_u64() % 37) << 20 : rng.next_u64();
+  }
+  return keys;
+}
+
+TEST(KeySort, SortKeysMatchesStdSort) {
+  Rng rng(71);
+  for (const std::size_t n : kSortSizes) {
+    for (const bool repeats : {false, true}) {
+      std::vector<std::uint64_t> keys = random_keys(n, repeats, rng);
+      std::vector<std::uint64_t> expected = keys;
+      std::sort(expected.begin(), expected.end());
+      sort_keys(keys);
+      EXPECT_EQ(keys, expected) << n << " keys, repeats " << repeats;
+    }
+  }
+  std::vector<std::uint64_t> same(3000, 42);  // no byte varies: no pass runs
+  sort_keys(same);
+  EXPECT_EQ(same, std::vector<std::uint64_t>(3000, 42));
+}
+
+TEST(KeySort, EqualKeysKeepIndexOrderOnBothSidesOfTheCutoff) {
+  Rng rng(72);
+  for (const std::size_t n : kSortSizes) {
+    for (const bool repeats : {false, true}) {
+      const std::vector<std::uint64_t> keys = random_keys(n, repeats, rng);
+      std::vector<std::size_t> expected(n);
+      std::iota(expected.begin(), expected.end(), std::size_t{0});
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+      std::vector<KeyedIndex> keyed(n);
+      for (std::size_t i = 0; i < n; ++i) keyed[i] = {keys[i], i};
+      sort_keys(keyed);
+      std::vector<std::size_t> order(n);
+      for (std::size_t k = 0; k < n; ++k) order[k] = keyed[k].second;
+      EXPECT_EQ(order, expected) << n << " keys, repeats " << repeats;
+    }
+  }
+}
+
+/// balance() as it was before the key sort: std::sort on (Morton key of the
+/// low corner, index) pairs, then the same walk.
+BoxLayout reference_balance(const std::vector<Box>& boxes, int nranks) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) keyed[i] = {morton_key(boxes[i].lo()), i};
+  std::sort(keyed.begin(), keyed.end());
+  std::int64_t total = 0;
+  for (const Box& b : boxes) total += b.num_cells();
+  const double share = static_cast<double>(total) / static_cast<double>(nranks);
+  std::vector<Box> ordered;
+  std::vector<int> ranks;
+  std::int64_t acc = 0;
+  for (const auto& [key, i] : keyed) {
+    ranks.push_back(std::min(nranks - 1, f2i<int>(static_cast<double>(acc) / share)));
+    acc += boxes[i].num_cells();
+    ordered.push_back(boxes[i]);
+  }
+  return BoxLayout(std::move(ordered), std::move(ranks), nranks);
+}
+
+/// `n` disjoint boxes in shuffled order, with negative corners (as
+/// ghost-adjacent boxes have): one to two cells a side at distinct points of
+/// a lattice of spacing 2.
+std::vector<Box> shuffled_disjoint_boxes(std::size_t n, Rng& rng) {
+  std::vector<Box> boxes;
+  std::set<std::array<int, kDim>> used;
+  while (boxes.size() < n) {
+    const std::array<int, kDim> p{static_cast<int>(rng.uniform_int(-60, 40)),
+                                  static_cast<int>(rng.uniform_int(-30, 10)),
+                                  static_cast<int>(rng.uniform_int(-45, 5))};
+    if (!used.insert(p).second) continue;
+    const IntVect lo{2 * p[0], 2 * p[1], 2 * p[2]};
+    const IntVect extent{static_cast<int>(rng.uniform_int(0, 1)),
+                         static_cast<int>(rng.uniform_int(0, 1)),
+                         static_cast<int>(rng.uniform_int(0, 1))};
+    boxes.emplace_back(lo, lo + extent);
+  }
+  return boxes;
+}
+
+TEST(KeySort, BalanceMatchesTheStdSortOracle) {
+  Rng rng(73);
+  for (const std::size_t n : kSortSizes) {
+    const std::vector<Box> boxes = shuffled_disjoint_boxes(n, rng);
+    for (const int nranks : {1, 7, 64}) {
+      const BoxLayout got = balance(boxes, nranks);
+      const BoxLayout want = reference_balance(boxes, nranks);
+      ASSERT_EQ(got.boxes(), want.boxes()) << n << " boxes over " << nranks << " ranks";
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got.rank_of(i), want.rank_of(i)) << "box " << i << " of " << n;
+      }
+    }
+  }
+}
 
 TEST(BoxLayout, BoxesOfRankPartition) {
   const auto boxes = decompose(Box::domain({32, 16, 16}), 8);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -164,6 +165,36 @@ TEST(MeshIo, WriteObjFileFailuresNameThePath) {
     } catch (const ContractError& e) {
       EXPECT_EQ(std::string(e.what()), message);
     }
+  }
+}
+
+TEST(MeshIo, WriteObjThrowsWhenItsStreamFails) {
+  // 3,000 vertices are more OBJ text than one stream buffer holds, so the
+  // write to /dev/full fails inside write_obj, not only at close.
+  TriangleMesh m;
+  for (int i = 0; i < 3000; ++i) m.vertices.push_back({i * 0.5, i * 0.25, i * 0.125});
+  std::ofstream full("/dev/full");
+  ASSERT_TRUE(full.is_open());
+  try {
+    write_obj(full, m);
+    ADD_FAILURE() << "writing to /dev/full succeeded";
+  } catch (const ContractError& e) {
+    EXPECT_EQ(std::string(e.what()), "OBJ write failed");
+  }
+  std::ostringstream bad;
+  bad.setstate(std::ios::badbit);
+  try {
+    write_obj(bad, m);
+    ADD_FAILURE() << "writing to a bad stream succeeded";
+  } catch (const ContractError& e) {
+    EXPECT_EQ(std::string(e.what()), "OBJ write failed");
+  }
+  // Through the path writer the failure still names the path.
+  try {
+    write_obj_file("/dev/full", m);
+    ADD_FAILURE() << "writing /dev/full succeeded";
+  } catch (const ContractError& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot write OBJ output: /dev/full");
   }
 }
 
