@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 #include "common/output_file.hpp"
 
@@ -118,8 +117,7 @@ void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
   write_pod<std::int32_t>(os, hierarchy.config().ref_ratio);
   write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(hierarchy.num_levels()));
   // One pack buffer reused across every box of every level: it grows to the
-  // largest box once and recycles through the pool afterwards, instead of a
-  // fresh vector per box.
+  // largest box once instead of a fresh vector per box.
   std::vector<double> payload;
   for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
     const AmrLevel& level = hierarchy.level(l);
@@ -134,7 +132,6 @@ void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
                static_cast<std::streamsize>(payload.size() * sizeof(double)));
     }
   }
-  BufferPool::global().release(std::move(payload));
   if (!os.good()) throw ContractError("plotfile write failed");
 }
 
@@ -201,7 +198,6 @@ PlotFileData read_plotfile(std::istream& is) {
     require_disjoint(level.boxes, l);
     data.levels.push_back(std::move(level));
   }
-  BufferPool::global().release(std::move(payload));
   // A plotfile is the whole stream: junk appended, or a second file, is not
   // part of a valid one.
   const std::streamoff trailing = end - std::streamoff(is.tellg());

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
@@ -144,16 +144,15 @@ CompressedField compress(const mesh::Fab& fab, const CompressConfig& config) {
 
   parallel_for(ThreadPool::global(), 0, nblocks,
                [&](std::size_t blo, std::size_t bhi) {
-    // Quantizer scratch recycles through the pool: one acquire per task-group
-    // chunk, reused across every block the chunk encodes, released on exit.
-    // encode_block fully writes q[0..n) / t[0..n) before reading, so recycled
-    // contents never leak into the stream.
-    Scratch<std::uint32_t> q(block);
-    Scratch<double> t(block);
+    // Quantizer scratch: one allocation per task-group chunk, reused across
+    // every block the chunk encodes. encode_block fully writes q[0..n) and
+    // t[0..n) before reading, so one block's values never leak into the next.
+    std::vector<std::uint32_t> q(block);
+    std::vector<double> t(block);
     for (std::size_t b = blo; b < bhi; ++b) {
       const std::size_t n = b + 1 == nblocks ? tail_n : block;
       encode_block(data.data() + b * block, n, config.residual_bits, levels,
-                   q.vec(), t.vec(), out.payload.data() + b * full_bytes);
+                   q, t, out.payload.data() + b * full_bytes);
     }
   });
   return out;
@@ -177,7 +176,7 @@ mesh::Fab decompress(const CompressedField& field) {
   parallel_for(ThreadPool::global(), 0, nblocks,
                [&](std::size_t blo, std::size_t bhi) {
     const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-    Scratch<std::uint32_t> q(block);
+    std::vector<std::uint32_t> q(block);
     for (std::size_t b = blo; b < bhi; ++b) {
       const std::size_t n = b + 1 == nblocks ? tail_n : block;
       const std::uint8_t* p = field.payload.data() + b * full_bytes;

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "mesh/layout.hpp"
@@ -62,11 +62,10 @@ double block_entropy(const Fab& fab, const Box& region, const EntropyConfig& con
   double lo = config.range_lo, hi = config.range_hi;
   if (lo >= hi) {
     const std::size_t nchunks = parallel_chunk_count(pool, nz);
-    // Pool-backed per-slab reductions: parallel_for_chunks guarantees every
-    // chunk index in [0, nchunks) runs, so each slot is written before the
-    // merge reads it and recycled contents never matter.
-    Scratch<double> slab_lo(nchunks);
-    Scratch<double> slab_hi(nchunks);
+    // Per-slab reductions: parallel_for_chunks guarantees every chunk index
+    // in [0, nchunks) runs, so each slot is written before the merge reads it.
+    std::vector<double> slab_lo(nchunks);
+    std::vector<double> slab_hi(nchunks);
     const std::size_t xoff =
         static_cast<std::size_t>(scan.lo()[0] - fab.box().lo()[0]);
     const auto nx = static_cast<std::size_t>(scan.size()[0]);
@@ -93,18 +92,16 @@ double block_entropy(const Fab& fab, const Box& region, const EntropyConfig& con
   const double scale = static_cast<double>(config.bins) / (hi - lo);
   const double last_bin = static_cast<double>(config.bins - 1);
   const std::size_t nchunks = parallel_chunk_count(pool, nz);
-  // One flat pooled histogram buffer (nchunks x bins) instead of a vector of
-  // per-slab vectors: a single recycled acquire and contiguous rows. Each
-  // chunk zeroes its own row before counting into it.
-  Scratch<std::size_t> slab_counts(nchunks * bins);
-  Scratch<std::size_t> slab_total(nchunks);
+  // One flat zeroed histogram buffer (nchunks x bins) instead of a vector of
+  // per-slab vectors: a single allocation and contiguous rows, one per chunk.
+  std::vector<std::size_t> slab_counts(nchunks * bins);
+  std::vector<std::size_t> slab_total(nchunks);
   const std::size_t xoff =
       static_cast<std::size_t>(scan.lo()[0] - fab.box().lo()[0]);
   const auto nx = static_cast<std::size_t>(scan.size()[0]);
   parallel_for_chunks(pool, 0, nz,
                       [&](std::size_t c, std::size_t zb, std::size_t ze) {
     std::size_t* counts = slab_counts.data() + c * bins;
-    std::fill(counts, counts + bins, std::size_t{0});
     std::size_t total = 0;
     // Binning stays scalar by contract (the counts feed byte-compared
     // output); the row walk removes the per-cell index arithmetic.
@@ -125,8 +122,7 @@ double block_entropy(const Fab& fab, const Box& region, const EntropyConfig& con
   });
 
   // Integer merges: bit-identical for any slab partition, thread count included.
-  Scratch<std::size_t> counts(bins);
-  std::fill(counts.data(), counts.data() + bins, std::size_t{0});
+  std::vector<std::size_t> counts(bins);
   std::size_t total = 0;
   for (std::size_t c = 0; c < nchunks; ++c) {
     for (std::size_t b = 0; b < bins; ++b) counts[b] += slab_counts[c * bins + b];

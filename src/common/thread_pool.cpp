@@ -161,7 +161,7 @@ void parallel_for_chunks(
   // Call sites pre-size per-chunk buffers with parallel_chunk_count and merge
   // over every slot; a ceil-sized partition can tile the range in fewer chunks
   // (n=100, chunks=16 -> 15 invocations of size 7), leaving trailing slots
-  // unwritten — fatal when the slots are pooled scratch with recycled contents.
+  // unwritten, and the merge would fold in values no chunk computed.
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;
   ThreadPool::TaskGroup group(pool);

@@ -21,7 +21,6 @@ void Fab::pack_into(const Box& region, std::vector<double>& buffer) const {
       });
     }
   }
-  BufferPool::global().add_copied_bytes(n * sizeof(double));
 }
 
 void Fab::unpack(const Box& region, std::span<const double> buffer) {
@@ -41,7 +40,6 @@ void Fab::unpack(const Box& region, std::span<const double> buffer) {
       });
     }
   }
-  BufferPool::global().add_copied_bytes(expected * sizeof(double));
 }
 
 }  // namespace xl::mesh

@@ -9,10 +9,9 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
+#include "common/error.hpp"
 #include "mesh/box.hpp"
 
 namespace xl::mesh {
@@ -21,58 +20,13 @@ class Fab {
  public:
   Fab() = default;
 
-  /// The backing store comes from the global BufferPool: in steady state a
-  /// per-step Fab recycles the previous step's buffer instead of touching the
-  /// heap. The fill fully overwrites the recycled contents, so values are
-  /// independent of pool state.
-  Fab(const Box& box, int ncomp, double fill = 0.0)
-      : box_(box), ncomp_(ncomp),
-        data_(BufferPool::global().acquire<double>(
-            static_cast<std::size_t>(box.num_cells()) * static_cast<std::size_t>(ncomp))) {
+  /// The checks run before the store is sized: a negative component count
+  /// would otherwise wrap to a huge size_t request.
+  Fab(const Box& box, int ncomp, double fill = 0.0) : box_(box), ncomp_(ncomp) {
     XL_REQUIRE(ncomp > 0, "Fab needs at least one component");
     XL_REQUIRE(!box.empty(), "Fab over an empty box");
-    std::fill(data_.begin(), data_.end(), fill);
-  }
-
-  ~Fab() { release_storage(); }
-
-  Fab(const Fab& other)
-      : box_(other.box_), ncomp_(other.ncomp_),
-        data_(BufferPool::global().acquire<double>(other.data_.size())) {
-    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
-    BufferPool::global().add_copied_bytes(other.bytes());
-  }
-
-  Fab& operator=(const Fab& other) {
-    if (this != &other) {
-      // Acquire before releasing so self-sized assigns can recycle in place
-      // and the pool high-water mark reflects the true overlap.
-      std::vector<double> fresh = BufferPool::global().acquire<double>(other.data_.size());
-      std::copy(other.data_.begin(), other.data_.end(), fresh.begin());
-      BufferPool::global().add_copied_bytes(other.bytes());
-      release_storage();
-      box_ = other.box_;
-      ncomp_ = other.ncomp_;
-      data_ = std::move(fresh);
-    }
-    return *this;
-  }
-
-  // Exchange with an empty vector rather than defaulting: the standard only
-  // promises a moved-from vector is valid-but-unspecified, and the pool
-  // invariant (the source destructor must release nothing) needs it empty.
-  Fab(Fab&& other) noexcept
-      : box_(other.box_), ncomp_(other.ncomp_),
-        data_(std::exchange(other.data_, {})) {}
-
-  Fab& operator=(Fab&& other) noexcept {
-    if (this != &other) {
-      release_storage();  // a defaulted move-assign would heap-free, bypassing the pool.
-      box_ = other.box_;
-      ncomp_ = other.ncomp_;
-      data_ = std::move(other.data_);
-    }
-    return *this;
+    data_.assign(static_cast<std::size_t>(box.num_cells()) * static_cast<std::size_t>(ncomp),
+                 fill);
   }
 
   const Box& box() const noexcept { return box_; }
@@ -143,9 +97,6 @@ class Fab {
         });
       }
     }
-    BufferPool::global().add_copied_bytes(
-        static_cast<std::size_t>(overlap.num_cells()) *
-        static_cast<std::size_t>(ncomp_) * sizeof(double));
   }
 
   /// Copy overlap of src shifted by `shift`: dest(p) = src(p - shift).
@@ -179,13 +130,6 @@ class Fab {
   void unpack(const Box& region, std::span<const double> buffer);
 
  private:
-  void release_storage() noexcept {
-    if (!data_.empty() || data_.capacity() != 0) {
-      BufferPool::global().release(std::move(data_));
-      data_ = {};
-    }
-  }
-
   std::size_t offset(const IntVect& p, int comp) const {
     XL_REQUIRE(comp >= 0 && comp < ncomp_, "component out of range");
     return static_cast<std::size_t>(box_.index_of(p)) +

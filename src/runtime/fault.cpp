@@ -1,7 +1,9 @@
 #include "runtime/fault.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -40,19 +42,22 @@ namespace {
 
 bool window_active(const FaultSpec& spec, int step) noexcept {
   if (step < spec.step) return false;
-  return spec.duration_steps == 0 || step < spec.step + spec.duration_steps;
+  // Subtract: spec.step + duration_steps can overflow an int.
+  return spec.duration_steps == 0 || step - spec.step < spec.duration_steps;
 }
 
 }  // namespace
 
 int FaultPlan::servers_down_at(int step) const noexcept {
-  int down = 0;
+  // Each clause may name up to INT_MAX servers, so the sum is 64-bit and
+  // saturates; the pipeline clamps it to staging_cores.
+  std::int64_t down = 0;
   for (const FaultSpec& spec : config_.events) {
     if (spec.kind == FaultKind::ServerCrash && window_active(spec, step)) {
       down += spec.servers;
     }
   }
-  return down;
+  return static_cast<int>(std::min<std::int64_t>(down, std::numeric_limits<int>::max()));
 }
 
 int FaultPlan::detected_down_at(int step) const noexcept {
@@ -83,6 +88,10 @@ double FaultPlan::slowdown_at(int step) const noexcept {
 }
 
 namespace {
+
+/// Largest straggler SLOW: with the config's caps on cores, flops and cells,
+/// every slowed in-transit time stays finite.
+constexpr int kMaxSlowdown = 1000000;
 
 /// The clause a spec field came from, as parse errors name it.
 std::string clause_name(const std::string& clause) { return "fault spec: '" + clause + "'"; }
@@ -163,6 +172,10 @@ FaultConfig parse_fault_spec(const std::string& spec) {
       } else {
         fault.kind = FaultKind::Straggler;
         if (fields.size() > 1) fault.slowdown = spec_double(fields[1], clause, 1.0);
+        if (fault.slowdown > kMaxSlowdown) {
+          throw ContractError(clause_name(clause) + " needs a slowdown <= " +
+                              std::to_string(kMaxSlowdown));
+        }
       }
       if (fields.size() > 2) fault.duration_steps = spec_int(fields[2], clause, 0);
       config.events.push_back(fault);

@@ -70,7 +70,7 @@ struct FaultConfig {
 /// Parse a compact fault spec: semicolon-separated clauses of
 ///   seed=N  drop=P  corrupt=P  retries=N  backoff=S  backoff_mult=X
 ///   timeout=S  lease=N  crash=STEP[:SERVERS[:DURATION]]
-///   straggler=STEP[:SLOW[:DURATION]]
+///   straggler=STEP[:SLOW[:DURATION]]  (SLOW at most 1e6)
 /// e.g. "seed=7;drop=0.1;lease=2;crash=10:2:5". Throws ContractError on bad
 /// input.
 FaultConfig parse_fault_spec(const std::string& spec);

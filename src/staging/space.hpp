@@ -40,8 +40,7 @@ using mesh::Fab;
 /// staged object, and every analysis reader reference ONE buffer — no copies
 /// anywhere on the staging path. Relocation on server loss moves the object
 /// (and its shared_ptr) between servers without touching the refcount
-/// semantics; the buffer frees (back to the BufferPool) when the last reader
-/// drops it.
+/// semantics; the buffer frees when the last reader drops it.
 struct StagedObject {
   std::uint64_t id = 0;
   int version = 0;

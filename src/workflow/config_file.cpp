@@ -44,7 +44,9 @@ struct Range {
     return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
   std::string describe() const {
+    // Every digit a double needs, so a limit such as 1048576 prints exactly.
     std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10);
     if (std::isinf(hi)) {
       os << (lo_open ? "> " : ">= ") << lo;
     } else {
@@ -75,6 +77,15 @@ std::vector<int> numbers(const std::string& value, const std::string& key,
   while (ss >> field) out.push_back(ranged<int>(field, key, range));
   return out;
 }
+
+/// Ranks per partition, at most 64x Titan 16K's 16,384: the per-rank vectors
+/// of a step are sized by the rank count, and the resource layer doubles the
+/// staging partition.
+constexpr Range kCores{.lo = 1, .hi = 1 << 20};
+/// Flops per cell of a kernel cost, at most 555x the largest default (1,800).
+/// With the caps on cores and on finest-level cells, every modeled time
+/// stays finite.
+constexpr Range kFlopsPerCell{.lo = 0, .hi = 1e6};
 
 /// Level-0 boxes and base tiles one config may ask the synthetic geometry
 /// for: 8x what the largest shipped domain needs (Titan 16K, 2048 2048 1024
@@ -183,8 +194,8 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
         throw ContractError("config: factors must be ascending, got " + value);
       }
       c.hints.factor_phases = {{0, std::move(factors)}};
-    } else if (key == "sim_cores") c.sim_cores = ranged<int>(value, key, {.lo = 1});
-    else if (key == "staging_cores") c.staging_cores = ranged<int>(value, key, {.lo = 1});
+    } else if (key == "sim_cores") c.sim_cores = ranged<int>(value, key, kCores);
+    else if (key == "staging_cores") c.staging_cores = ranged<int>(value, key, kCores);
     else if (key == "threads") c.threads = ranged<int>(value, key, {.lo = 0});
     else if (key == "thread_efficiency")
       c.costs.thread_efficiency = ranged<double>(value, key, {.lo = 0, .hi = 1});
@@ -219,13 +230,13 @@ WorkflowConfig parse_workflow_config(std::istream& is) {
     else if (key == "staging_usable_fraction")
       c.staging_usable_fraction = ranged<double>(value, key, {.lo = 0, .hi = 1, .lo_open = true});
     else if (key == "sim_euler_flops")
-      c.costs.sim_euler_flops_per_cell = ranged<double>(value, key, {.lo = 0});
+      c.costs.sim_euler_flops_per_cell = ranged<double>(value, key, kFlopsPerCell);
     else if (key == "sim_advect_flops")
-      c.costs.sim_advect_flops_per_cell = ranged<double>(value, key, {.lo = 0});
+      c.costs.sim_advect_flops_per_cell = ranged<double>(value, key, kFlopsPerCell);
     else if (key == "mc_scan_flops")
-      c.costs.mc_scan_flops_per_cell = ranged<double>(value, key, {.lo = 0});
+      c.costs.mc_scan_flops_per_cell = ranged<double>(value, key, kFlopsPerCell);
     else if (key == "mc_active_flops")
-      c.costs.mc_active_flops_per_cell = ranged<double>(value, key, {.lo = 0});
+      c.costs.mc_active_flops_per_cell = ranged<double>(value, key, kFlopsPerCell);
     else if (key == "euler") c.euler = ranged<int>(value, key, {.lo = 0, .hi = 1}) == 1;
     else if (key == "sampling_period")
       c.monitor.sampling_period = ranged<int>(value, key, {.lo = 1});

@@ -77,15 +77,12 @@ struct WorkflowEvent {
   double trigger_threshold = 0.0; ///< trailing-quantile threshold tested.
   int triggers_fired = 0;         ///< cumulative fired sampling steps.
   int steps_suppressed = 0;       ///< cumulative suppressed steps.
-  // BufferPool telemetry (StepEnd/RunEnd; zero otherwise). Deltas of the
-  // process-global pool counters since this run's RunBegin — deltas, not
-  // absolutes, so a run's event log is independent of whatever pool traffic
-  // preceded it (and stays byte-identical across pool on/off sweeps when the
-  // run itself allocates nothing, as the modeled pipeline does).
-  std::uint64_t pool_hits = 0;          ///< recycled acquires during the run.
-  std::uint64_t pool_misses = 0;        ///< heap-backed acquires during the run.
-  std::uint64_t pool_releases = 0;      ///< buffers returned to the pool.
-  std::uint64_t pool_copied_bytes = 0;  ///< payload bytes deep-copied.
+  // Always 0. Kept only so that the events CSV keeps its 30 columns and every
+  // recorded digest its bytes; the library has no buffer pool to count.
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
+  std::uint64_t pool_releases = 0;
+  std::uint64_t pool_copied_bytes = 0;
 };
 
 /// The stream recorded in memory, in emission order: the one sink the step

@@ -143,8 +143,6 @@ StepPipeline::StepPipeline(const WorkflowConfig& config, ExecutionSubstrate& sub
   }
   engine_ = std::make_unique<runtime::AdaptationEngine>(engine_config, std::move(hooks));
 
-  pool_base_ = BufferPool::global().stats();
-
   WorkflowEvent ev;
   ev.kind = EventKind::RunBegin;
   ev.intransit_cores = cur_cores_;
@@ -180,13 +178,6 @@ void StepPipeline::emit(WorkflowEvent event) {
   event.sim_clock = substrate_.sim_now();
   event.staging_clock = substrate_.staging_free_at();
   if (event.kind == EventKind::StepEnd || event.kind == EventKind::RunEnd) {
-    // Deltas since RunBegin, so the log only reflects pool traffic this run
-    // caused (zero for purely modeled runs, whatever the pool's prior state).
-    const PoolStats now = BufferPool::global().stats();
-    event.pool_hits = now.hits - pool_base_.hits;
-    event.pool_misses = now.misses - pool_base_.misses;
-    event.pool_releases = now.releases - pool_base_.releases;
-    event.pool_copied_bytes = now.copied_bytes - pool_base_.copied_bytes;
     event.triggers_fired = result_.triggers_fired;
     event.steps_suppressed = result_.steps_suppressed;
   }

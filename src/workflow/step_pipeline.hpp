@@ -35,7 +35,6 @@
 
 #include "amr/synthetic.hpp"
 #include "cluster/cost_model.hpp"
-#include "common/buffer_pool.hpp"
 #include "runtime/adaptation_engine.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/monitor.hpp"
@@ -151,10 +150,6 @@ class StepPipeline {
   bool last_app_constrained_ = false;
   runtime::Placement cur_placement_ = runtime::Placement::InSitu;
   double current_imbalance_ = 1.0;
-
-  /// Global BufferPool counters at RunBegin; StepEnd/RunEnd events report the
-  /// deltas accumulated since (see WorkflowEvent's pool fields).
-  PoolStats pool_base_;
 
   // Fault-injection state (inert when config.faults is disabled). With
   // lease_steps > 0 the *detected* (lease-expired) crash count drives

@@ -1,8 +1,9 @@
 // The zero-copy staging step (DESIGN.md §3.5) as the allocator sees it: fill
 // a Fab, send it through a pack/unpack ghost hop, put it into the staging
-// space, read it from two consumers and erase it. Once warm, the step takes
-// its payload storage from the BufferPool, never the heap, and deep-copies
-// only the ghost hop.
+// space, read it from two consumers and erase it. Once warm, the step's one
+// payload allocation is the producer's Fab: the put, the query and both
+// consumers share its buffer. Also: a plotfile read rejects a payload its
+// stream lacks before allocating it.
 //
 // A test executable of its own: the counting global operator new below sees
 // every allocation in the process.
@@ -14,12 +15,16 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
+#include "amr/plotfile.hpp"
+#include "common/error.hpp"
 #include "mesh/box.hpp"
 #include "mesh/fab.hpp"
+#include "plotfile_bytes.hpp"
 #include "staging/space.hpp"
 
 namespace {
@@ -58,12 +63,11 @@ double sum(std::span<const double> values) {
   return total;
 }
 
-TEST(ZeroCopyStep, SteadyStepAllocatesNoPayloadAndCopiesOnlyTheGhostHop) {
+TEST(ZeroCopyStep, StagingPathAllocatesAndCopiesNoPayload) {
   constexpr int kWarmupSteps = 3;
   constexpr int kSteadySteps = 12;
   // The Fig. 8 base domain at 2K Titan cores.
   const mesh::Box domain = mesh::Box::domain({128, 64, 64});
-  BufferPool& pool = BufferPool::global();
   staging::StagingSpace space(/*num_servers=*/4, /*memory_per_server=*/std::size_t{1} << 30);
   std::vector<double> scratch;
   mesh::Fab ghost(domain, 1);
@@ -72,16 +76,18 @@ TEST(ZeroCopyStep, SteadyStepAllocatesNoPayloadAndCopiesOnlyTheGhostHop) {
   for (int step = 0; step < kWarmupSteps + kSteadySteps; ++step) {
     const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
     const std::uint64_t heap_bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
-    const PoolStats pool_before = pool.stats();
 
     mesh::Fab src(domain, 1);
     const std::span<double> cells = src.flat();
     for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = written(step, i);
     src.pack_into(domain, scratch);
     ghost.unpack(domain, scratch);
+    const double* produced = src.flat().data();
     space.put(step, domain, 1, payload_bytes, std::make_shared<const mesh::Fab>(std::move(src)));
+    const double* staged = nullptr;
     double consumed[2] = {0.0, 0.0};
     for (const staging::StagedObject* obj : space.query(step, domain)) {
+      staged = obj->payload->flat().data();
       for (double& consumer : consumed) consumer += sum(obj->payload->flat());
     }
     space.erase_version(step);
@@ -89,23 +95,40 @@ TEST(ZeroCopyStep, SteadyStepAllocatesNoPayloadAndCopiesOnlyTheGhostHop) {
     const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
     const std::uint64_t heap_bytes =
         g_alloc_bytes.load(std::memory_order_relaxed) - heap_bytes_before;
-    const PoolStats pool_after = pool.stats();
     if (step < kWarmupSteps) continue;
 
     SCOPED_TRACE(testing::Message() << "step " << step);
-    // Bookkeeping only: the shared_ptr control block, the staging index
-    // entries and the query result.
-    EXPECT_LE(allocs, 16u);
-    EXPECT_LT(heap_bytes, payload_bytes);
-    EXPECT_EQ(pool_after.misses - pool_before.misses, 0u);
-    // The pack and the unpack; the put and both consumers share one buffer.
-    EXPECT_EQ(pool_after.copied_bytes - pool_before.copied_bytes, 2 * payload_bytes);
+    // The producer's fill, plus bookkeeping: the shared_ptr control block, the
+    // staging index entries and the query result.
+    EXPECT_LE(allocs, 17u);
+    // The fill is the one payload-sized allocation: the ghost hop reuses its
+    // buffers, and the put, the query and both consumers allocate none.
+    EXPECT_GE(heap_bytes, payload_bytes);
+    EXPECT_LT(heap_bytes, 2 * payload_bytes);
+    EXPECT_EQ(staged, produced);
     double expected = 0.0;
     for (std::size_t i = 0; i < ghost.flat().size(); ++i) expected += written(step, i);
     EXPECT_EQ(sum(ghost.flat()), expected);
     EXPECT_EQ(consumed[0], expected);
     EXPECT_EQ(consumed[1], expected);
   }
+}
+
+TEST(Plotfile, RejectsAMissingPayloadBeforeAllocatingIt) {
+  const mesh::Box box = mesh::Box::domain({128, 128, 128});
+  std::stringstream is(plotfile_bytes::header_claiming(box), std::ios::in | std::ios::binary);
+  const std::uint64_t heap_bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
+  try {
+    (void)amr::read_plotfile(is);
+    ADD_FAILURE() << "a 128^3 box without its payload was accepted";
+  } catch (const ContractError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("level 0 box 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("missing 16777216 payload bytes"), std::string::npos) << what;
+  }
+  const std::uint64_t heap_bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - heap_bytes_before;
+  EXPECT_LT(heap_bytes, std::uint64_t{16777216});
 }
 
 }  // namespace

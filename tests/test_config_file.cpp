@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mutants.hpp"
@@ -174,7 +175,9 @@ TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
         "blob_onset_step = -5", "thread_efficiency = -5", "analysis_ncomp = 3\nncomp = 1",
         "sim_euler_flops = -1", "sim_cores = 0", "staging_cores = -4", "steps = 0",
         "ncomp = 0", "max_levels = 0", "ref_ratio = 1", "max_box_size = 0", "tile_size = 0",
-        "staging_usable_fraction = 0"}) {
+        "staging_usable_fraction = 0", "sim_cores = 2147483647", "staging_cores = 1048577",
+        "sim_euler_flops = 1000001", "sim_advect_flops = 1e308", "mc_scan_flops = 1e308",
+        "mc_active_flops = 2e6"}) {
     try {
       parse(text);
       ADD_FAILURE() << "accepted: " << text;
@@ -187,6 +190,20 @@ TEST(ConfigFile, FractionAndSwitchOutOfRangeAreRejectedNamingTheKey) {
   EXPECT_EQ(parse("active_cell_fraction = 1").active_cell_fraction, 1.0);
   EXPECT_FALSE(parse("euler = 0").euler);
   EXPECT_TRUE(parse("euler = 1").euler);
+  // The caps on cores and flops keep every modeled time finite. Each limit
+  // is accepted and printed exactly.
+  EXPECT_EQ(parse("sim_cores = 1048576").sim_cores, 1048576);
+  EXPECT_EQ(parse("staging_cores = 1048576").staging_cores, 1048576);
+  EXPECT_EQ(parse("sim_advect_flops = 1000000").costs.sim_advect_flops_per_cell, 1e6);
+  for (const auto& [text, limit] : {std::pair{"sim_cores = 1048577", "[1, 1048576]"},
+                                    std::pair{"mc_scan_flops = 1e7", "[0, 1000000]"}}) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(limit), std::string::npos) << e.what();
+    }
+  }
   // analysis_ncomp is checked once every line is read, so key order cannot matter.
   EXPECT_EQ(parse("analysis_ncomp = 3\nncomp = 5").analysis_ncomp, 3);
 }

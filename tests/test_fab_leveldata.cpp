@@ -79,6 +79,7 @@ TEST(Fab, UnpackRejectsWrongSize) {
 TEST(Fab, ContractChecks) {
   EXPECT_THROW(Fab(Box(), 1), ContractError);
   EXPECT_THROW(Fab(Box::cube({0, 0, 0}, 2), 0), ContractError);
+  EXPECT_THROW(Fab(Box::cube({0, 0, 0}, 2), -1), ContractError);
 }
 
 // Fab::row is the flat-traversal primitive of the kernel rewrites: one bounds

@@ -175,6 +175,9 @@ TEST(FaultSpecParse, RejectsBadInput) {
   EXPECT_THROW(runtime::parse_fault_spec("backoff_mult=inf"), ContractError);
   EXPECT_THROW(runtime::parse_fault_spec("backoff=inf"), ContractError);
   EXPECT_THROW(runtime::parse_fault_spec("straggler=3:nan"), ContractError);
+  // SLOW is capped so that a slowed in-transit time stays finite.
+  EXPECT_THROW(runtime::parse_fault_spec("straggler=3:1e7"), ContractError);
+  EXPECT_NO_THROW(runtime::parse_fault_spec("straggler=3:1000000"));
   // Clauses that pass one by one but overflow together name all three.
   try {
     runtime::parse_fault_spec("drop=1;backoff_mult=1e300;retries=3");
@@ -406,19 +409,25 @@ TEST(FaultPipeline, MidRunCrashStillCompletesEveryStep) {
 }
 
 TEST(FaultPipeline, PermanentCrashDegradesTheRestOfTheRun) {
-  WorkflowConfig config = fault_config(Mode::StaticInTransit);
-  config.faults = runtime::parse_fault_spec("crash=5:8");  // permanent
+  // The second spec's servers add up past INT_MAX: the count saturates
+  // instead of wrapping negative. The third's window ends past INT_MAX.
+  for (const char* spec :
+       {"crash=5:8", "crash=5:1000000000;crash=5:1200000000", "crash=5:8:2147483647"}) {
+    SCOPED_TRACE(spec);
+    WorkflowConfig config = fault_config(Mode::StaticInTransit);
+    config.faults = runtime::parse_fault_spec(spec);  // permanent over the run
 
-  const WorkflowResult r = CoupledWorkflow(config).run();
-  ASSERT_EQ(r.steps.size(), 15u);
-  EXPECT_EQ(r.skipped_count, 0);
-  for (const StepRecord& s : r.steps) {
-    EXPECT_EQ(s.placement, s.step >= 5 ? runtime::Placement::InSitu
-                                       : runtime::Placement::InTransit)
-        << "step " << s.step;
+    const WorkflowResult r = CoupledWorkflow(config).run();
+    ASSERT_EQ(r.steps.size(), 15u);
+    EXPECT_EQ(r.skipped_count, 0);
+    for (const StepRecord& s : r.steps) {
+      EXPECT_EQ(s.placement, s.step >= 5 ? runtime::Placement::InSitu
+                                         : runtime::Placement::InTransit)
+          << "step " << s.step;
+    }
+    EXPECT_EQ(r.recoveries, 0);
+    EXPECT_EQ(r.degraded_insitu_count, 10);
   }
-  EXPECT_EQ(r.recoveries, 0);
-  EXPECT_EQ(r.degraded_insitu_count, 10);
 }
 
 TEST(FaultPipeline, TransferRetriesAreAccountedConsistently) {

@@ -11,13 +11,15 @@
 #include <utility>
 
 #include "amr/plotfile.hpp"
-#include "common/buffer_pool.hpp"
 #include "mutants.hpp"
+#include "plotfile_bytes.hpp"
 
 namespace xl::amr {
 namespace {
 
 using mesh::BoxIterator;
+using plotfile_bytes::box_bytes;
+using plotfile_bytes::header_claiming;
 
 AmrHierarchy sample_hierarchy() {
   AmrConfig cfg;
@@ -148,53 +150,6 @@ TEST(Plotfile, RejectsTrailingBytesNamingTheCount) {
                                            " bytes after its last level");
     }
   }
-}
-
-/// `b` as the plotfile records it: six int32 corners.
-std::string box_bytes(const Box& b) {
-  std::string out;
-  for (const IntVect& corner : {b.lo(), b.hi()}) {
-    for (int d = 0; d < mesh::kDim; ++d) {
-      const std::int32_t v = corner[d];
-      out.append(reinterpret_cast<const char*>(&v), sizeof v);
-    }
-  }
-  return out;
-}
-
-/// A one-level plotfile header whose domain and only box are `box`, ending
-/// right after the box's rank: the payload it claims is missing.
-std::string header_claiming(const Box& box) {
-  std::ostringstream os(std::ios::binary);
-  auto put = [&os](auto v) { os.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
-  os.write("XLPF", 4);
-  put(std::uint32_t{1});  // version
-  put(std::int32_t{0});   // step
-  put(0.0);               // time
-  put(std::int32_t{1});   // ncomp
-  put(std::int32_t{2});   // ref_ratio
-  put(std::uint32_t{1});  // num_levels
-  os << box_bytes(box);   // level domain
-  put(std::uint32_t{1});  // nboxes
-  os << box_bytes(box);
-  put(std::int32_t{0});  // rank
-  return os.str();
-}
-
-TEST(Plotfile, RejectsAMissingPayloadBeforeAllocatingIt) {
-  std::stringstream is(header_claiming(Box::domain({128, 128, 128})),
-                       std::ios::in | std::ios::binary);
-  const PoolStats before = BufferPool::global().stats();
-  try {
-    (void)read_plotfile(is);
-    ADD_FAILURE() << "a 128^3 box without its payload was accepted";
-  } catch (const ContractError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("level 0 box 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("missing 16777216 payload bytes"), std::string::npos) << what;
-  }
-  const PoolStats after = BufferPool::global().stats();
-  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
 }
 
 TEST(Plotfile, RejectsABoxSpanningTheWholeIntRange) {

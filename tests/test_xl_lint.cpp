@@ -807,61 +807,6 @@ void per_chunk(std::size_t n) {
   EXPECT_EQ(count_rule(f, "parallel-merge"), 0);
 }
 
-// --- scratch-escape (semantic) -----------------------------------------------
-
-TEST(ScratchEscape, ReturnOfRawStorageFlagged) {
-  const auto f = lint_text("src/foo.cpp", R"cpp(
-#include <cstddef>
-const double* leak(std::size_t n) {
-  Scratch<double> tmp(n);
-  return tmp.data();
-}
-)cpp");
-  EXPECT_EQ(count_rule(f, "scratch-escape"), 1);
-}
-
-TEST(ScratchEscape, MemberStoreFlagged) {
-  const auto f = lint_text("src/foo.cpp", R"cpp(
-#include <cstddef>
-struct Cache {
-  double* view_ = nullptr;
-  void refresh(std::size_t n) {
-    Scratch<double> tmp(n);
-    view_ = tmp.data();
-  }
-};
-)cpp");
-  EXPECT_EQ(count_rule(f, "scratch-escape"), 1);
-}
-
-TEST(ScratchEscape, DeferredCaptureFlagged) {
-  const auto f = lint_text("src/foo.cpp", R"cpp(
-#include <cstddef>
-#include <cstdint>
-void defer(ThreadPool& pool, std::size_t n) {
-  Scratch<std::uint32_t> ids(n);
-  pool.submit([&] { consume(ids); });
-}
-)cpp");
-  EXPECT_EQ(count_rule(f, "scratch-escape"), 1);
-}
-
-TEST(ScratchEscape, ScopedUsePasses) {
-  const auto f = lint_text("src/foo.cpp", R"cpp(
-#include <cstddef>
-double checksum(const double* xs, std::size_t n) {
-  Scratch<double> tmp(n);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    tmp.data()[i] = xs[i] + 1.0;
-    acc += tmp.data()[i];
-  }
-  return acc;
-}
-)cpp");
-  EXPECT_EQ(count_rule(f, "scratch-escape"), 0);
-}
-
 // --- stale-suppression -------------------------------------------------------
 
 TEST(StaleSuppression, UnusedMarkerFlagged) {

@@ -37,7 +37,6 @@
 //   row-loop           per-cell fab(*it, c) accessors in analysis/viz loops
 //   unguarded-field    mutex-owning class with an unannotated field
 //   lock-order         cross-TU lock acquisition order cycles
-//   scratch-escape     pooled Scratch storage escaping its RAII scope
 //   stale-suppression  an allow() marker that no longer suppresses anything
 #pragma once
 

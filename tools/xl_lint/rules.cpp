@@ -753,111 +753,6 @@ void rule_unguarded_field(const FileModel& model, std::vector<Finding>& findings
   }
 }
 
-// --- rule: scratch-escape ----------------------------------------------------
-
-void rule_scratch_escape(const FileModel& model, std::vector<Finding>& findings) {
-  const Tokens& t = model.tokens;
-  for (const FunctionModel& fn : model.functions) {
-    const std::size_t b = fn.body_open + 1, e = fn.body_close;
-    // Pooled RAII locals: Scratch<T> name(...).
-    std::set<std::string> pooled;
-    for (std::size_t i = b; i + 1 < e; ++i) {
-      if (t[i].kind != Kind::Ident || t[i].text != "Scratch") continue;
-      std::size_t j = i + 1;
-      if (tok_is(t, j, "<")) {
-        const std::size_t past = try_match_angles(t, j, e);
-        if (past == j) continue;
-        j = past;
-      }
-      if (j < e && t[j].kind == Kind::Ident) {
-        const std::string next = j + 1 < e ? t[j + 1].text : "";
-        if (next == "(" || next == "{" || next == ";" || next == "=") {
-          pooled.insert(t[j].text);
-        }
-      }
-    }
-    if (pooled.empty()) continue;
-
-    for (std::size_t i = b; i < e; ++i) {
-      const Token& tok = t[i];
-      if (tok.kind != Kind::Ident) continue;
-
-      // Escape 1: return of the buffer or its raw storage.
-      if (tok.text == "return") {
-        const auto [sb, se] = statement_around(t, i, b, e);
-        for (std::size_t k = sb; k < se; ++k) {
-          if (t[k].kind != Kind::Ident || !pooled.count(t[k].text)) continue;
-          const bool raw = k + 2 < se && (t[k + 1].text == "." || t[k + 1].text == "->") &&
-                           (t[k + 2].text == "data" || t[k + 2].text == "vec");
-          const bool addr = k > sb && t[k - 1].text == "&";
-          const bool moved = k >= sb + 2 && t[k - 1].text == "(" &&
-                             t[k - 2].text == "move";
-          const bool bare = k + 1 == se;  // `return name;` -- name is last.
-          if (raw || addr || moved || bare) {
-            findings.push_back(Finding{
-                model.path, t[k].line, "scratch-escape",
-                "pooled buffer '" + t[k].text +
-                    "' is returned past its RAII scope; the storage is recycled "
-                    "when the Scratch destructor runs -- copy the data out or "
-                    "hand ownership through the pool instead"});
-            break;
-          }
-        }
-        i = se;
-        continue;
-      }
-
-      // Escape 2: raw storage stored to a member/static.
-      if (pooled.count(tok.text) && i + 2 < e &&
-          (t[i + 1].text == "." || t[i + 1].text == "->") &&
-          (t[i + 2].text == "data" || t[i + 2].text == "vec")) {
-        const auto [sb, se] = statement_around(t, i, b, e);
-        for (std::size_t k = sb; k < se && k < i; ++k) {
-          if (t[k].text != "=") continue;
-          if (k == sb || t[k - 1].kind != Kind::Ident) break;
-          const std::string& lhs = t[k - 1].text;
-          const bool member_store =
-              (!lhs.empty() && lhs.back() == '_') ||
-              (k >= sb + 2 && (t[k - 2].text == "." || t[k - 2].text == "->"));
-          if (member_store) {
-            findings.push_back(Finding{
-                model.path, tok.line, "scratch-escape",
-                "raw pointer from pooled buffer '" + tok.text +
-                    "' stored in '" + lhs +
-                    "' outlives the RAII scope; the pool recycles the storage "
-                    "at scope exit"});
-          }
-          break;
-        }
-        continue;
-      }
-
-      // Escape 3: captured by deferred work (task queues, async submission).
-      const bool deferred_call =
-          (tok.text == "submit" || tok.text == "enqueue" || tok.text == "post" ||
-           tok.text == "spawn" || tok.text == "detach" ||
-           (tok.text.size() > 6 &&
-            tok.text.compare(tok.text.size() - 6, 6, "_async") == 0)) &&
-          tok_is(t, i + 1, "(");
-      if (deferred_call) {
-        const std::size_t past = match_group(t, i + 1, e, "(", ")");
-        for (std::size_t k = i + 2; k < past; ++k) {
-          if (t[k].kind == Kind::Ident && pooled.count(t[k].text)) {
-            findings.push_back(Finding{
-                model.path, t[k].line, "scratch-escape",
-                "pooled buffer '" + t[k].text + "' captured by deferred work ('" +
-                    tok.text +
-                    "') may outlive its RAII scope; copy the data or keep the "
-                    "task synchronous"});
-            break;
-          }
-        }
-        i = past - 1;
-      }
-    }
-  }
-}
-
 // --- rule: lock-order --------------------------------------------------------
 
 /// The class-ish identifier a member/local type string resolves to: the last
@@ -1105,7 +1000,6 @@ void run_file_rules(const FileModel& model, std::vector<Finding>& findings) {
   rule_fab_by_value(model, findings);
   rule_row_loop(model, findings);
   rule_unguarded_field(model, findings);
-  rule_scratch_escape(model, findings);
 }
 
 void run_lock_order_rule(const std::vector<FileModel>& models,

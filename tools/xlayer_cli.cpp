@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     if (command == "run") return run(argc, argv);
-    if (command == "print-config") {
+    if (command == "print-config" && argc == 2) {
       print_starting_config();
       return 0;
     }
