@@ -4,11 +4,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace xl::amr {
-
-using mesh::BoxIterator;
 
 AdvectionDiffusion::AdvectionDiffusion(const AdvectionDiffusionConfig& config)
     : config_(config) {
@@ -36,39 +33,27 @@ double AdvectionDiffusion::max_wave_speed(const Fab& /*u*/, const Box& /*valid*/
   return std::max(adv, diff_speed);
 }
 
-void AdvectionDiffusion::face_flux(const Fab& u, const Box& faces, int dim, double dx,
-                                   Fab& flux) const {
-  XL_REQUIRE(flux.box().contains(faces), "flux fab does not cover faces");
+void AdvectionDiffusion::flux_row(const Fab& u, int dim, double dx, int j, int k, int x0,
+                                  std::size_t n, double* const* out) const {
   const double vel = config_.velocity[dim];
   const double d_over_dx = config_.diffusivity / dx;
-  // Each face is computed from the two neighbouring cells and written in
-  // place: slab partitioning cannot change the result. Row form: the left
+  // Each face is computed from the two neighbouring cells. The left
   // neighbour of a whole row is the same row shifted one cell in `dim`, so
   // the stencil is three flat streams, and the upwind branch is on the
   // loop-invariant sign of `vel`, so the face loop is branch-free and
   // vectorizes with every face taking the per-face operations.
-  const auto nz = static_cast<std::size_t>(faces.size()[2]);
-  parallel_for(ThreadPool::global(), 0, nz,
-               [&](std::size_t zb, std::size_t ze) {
-    const Box slab = mesh::z_slab(faces, zb, ze);
-    const int x0 = slab.lo()[0];
-    const auto nx = static_cast<std::size_t>(slab.size()[0]);
-    const std::size_t uxoff = static_cast<std::size_t>(x0 - u.box().lo()[0]);
-    const std::size_t fxoff = static_cast<std::size_t>(x0 - flux.box().lo()[0]);
-    mesh::for_each_row(slab, [&](int j, int k) {
-      const double* ur_row = u.row(0, j, k) + uxoff;
-      const double* ul_row = dim == 0   ? ur_row - 1
-                             : dim == 1 ? u.row(0, j - 1, k) + uxoff
-                                        : u.row(0, j, k - 1) + uxoff;
-      const double* adv_row = vel >= 0.0 ? ul_row : ur_row;
-      double* f = flux.row(0, j, k) + fxoff;
-      for (std::size_t i = 0; i < nx; ++i) {
-        const double advective = vel * adv_row[i];
-        const double diffusive = -d_over_dx * (ur_row[i] - ul_row[i]);
-        f[i] = advective + diffusive;
-      }
-    });
-  });
+  const auto uxoff = static_cast<std::size_t>(x0 - u.box().lo()[0]);
+  const double* ur_row = u.row(0, j, k) + uxoff;
+  const double* ul_row = dim == 0   ? ur_row - 1
+                         : dim == 1 ? u.row(0, j - 1, k) + uxoff
+                                    : u.row(0, j, k - 1) + uxoff;
+  const double* adv_row = vel >= 0.0 ? ul_row : ur_row;
+  double* f = out[0];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double advective = vel * adv_row[i];
+    const double diffusive = -d_over_dx * (ur_row[i] - ul_row[i]);
+    f[i] = advective + diffusive;
+  }
 }
 
 }  // namespace xl::amr

@@ -29,8 +29,8 @@ class AdvectionDiffusion final : public Physics {
 
   void initial_value(const IntVect& p, double dx, double* out) const override;
   double max_wave_speed(const Fab& u, const Box& valid, double dx) const override;
-  void face_flux(const Fab& u, const Box& faces, int dim, double dx,
-                 Fab& flux) const override;
+  void flux_row(const Fab& u, int dim, double dx, int j, int k, int x0, std::size_t n,
+                double* const* out) const override;
 
   const AdvectionDiffusionConfig& config() const noexcept { return config_; }
 

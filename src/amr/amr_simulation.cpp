@@ -129,14 +129,14 @@ void AmrSimulation::advance_level(std::size_t lev, double dt) {
   AmrLevel& level = hierarchy_.level(lev);
   const double d = dx(lev);
   // Each box reads only its own fab (ghosts were filled beforehand) and
-  // writes its own updated copy, so boxes advance independently.
+  // writes its own updated copy, so boxes advance independently. The copy
+  // keeps the old ghosts: the in-situ isosurface reads them after advance().
   const std::size_t nboxes = level.layout.num_boxes();
   std::vector<Fab> updated(nboxes);
   parallel_for(ThreadPool::global(), 0, nboxes,
                [&](std::size_t blo, std::size_t bhi) {
     for (std::size_t i = blo; i < bhi; ++i) {
-      Fab out(level.data[i].box(), physics_->ncomp());
-      out.copy_from(level.data[i], level.data[i].box());
+      Fab out = level.data[i];
       godunov_update(*physics_, level.data[i], level.layout.box(i), d, dt, out);
       updated[i] = std::move(out);
     }

@@ -2,31 +2,58 @@
 
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace xl::amr {
 
 using mesh::Fab;
 
 namespace {
 
-/// Floor division matching IntVect::coarsen on negative coordinates.
-int floor_div(int a, int b) { return (a >= 0) ? a / b : -((-a + b - 1) / b); }
-
 /// Copy each cell of `ftarget` in `ffab` from its coarse parent in `cfab`.
-/// Each fine row reads one coarse row (the one at j/ratio, k/ratio); only the
-/// x gather index changes per cell.
+/// The walk starts at the first fine cell and its parent, and steps the
+/// coarse pointer once every `ratio` fine cells, rows and planes: a phase
+/// counter per dimension, started at the first cell's offset inside its
+/// parent, does IntVect::coarsen's floor division incrementally.
 void gather_parents(const Fab& cfab, Fab& ffab, const Box& ftarget, int ratio) {
-  const int fx0 = ftarget.lo()[0];
-  const int cx0 = cfab.box().lo()[0];
-  const auto nx = static_cast<std::size_t>(ftarget.size()[0]);
-  const auto fxoff = static_cast<std::size_t>(fx0 - ffab.box().lo()[0]);
+  if (ftarget.empty()) return;
+  const IntVect rvec = IntVect::uniform(ratio);
+  const IntVect n = ftarget.size();
+  const IntVect clo = ftarget.lo().coarsen(rvec);
+  const IntVect phase0 = ftarget.lo() - clo.refine(rvec);
+  XL_REQUIRE(ffab.box().contains(ftarget), "fine fab misses the target");
+  XL_REQUIRE(cfab.box().contains(ftarget.coarsen(rvec)), "coarse fab misses the parents");
+  const Fab::Strides fs = ffab.strides();
+  const Fab::Strides cs = cfab.strides();
+  const auto nx = static_cast<std::size_t>(n[0]);
   for (int c = 0; c < ffab.ncomp(); ++c) {
-    mesh::for_each_row(ftarget, [&](int j, int k) {
-      double* fr = ffab.row(c, j, k) + fxoff;
-      const double* cr = cfab.row(c, floor_div(j, ratio), floor_div(k, ratio));
-      for (std::size_t i = 0; i < nx; ++i) {
-        fr[i] = cr[floor_div(fx0 + static_cast<int>(i), ratio) - cx0];
+    double* fz = &ffab(ftarget.lo(), c);
+    const double* cz = &cfab(clo, c);
+    for (int k = 0, pz = phase0[2]; k < n[2]; ++k) {
+      double* fy = fz;
+      const double* cy = cz;
+      for (int j = 0, py = phase0[1]; j < n[1]; ++j) {
+        const double* cx = cy;
+        int px = phase0[0];
+        for (std::size_t i = 0; i < nx; ++i) {
+          fy[i] = *cx;
+          if (++px == ratio) {
+            px = 0;
+            ++cx;
+          }
+        }
+        fy += fs.y;
+        if (++py == ratio) {
+          py = 0;
+          cy += cs.y;
+        }
       }
-    });
+      fz += fs.z;
+      if (++pz == ratio) {
+        pz = 0;
+        cz += cs.z;
+      }
+    }
   }
 }
 
@@ -48,45 +75,48 @@ void prolong_constant(const AmrLevel& coarse, AmrLevel& fine, int ratio) {
 void restrict_average(const AmrLevel& fine, AmrLevel& coarse, int ratio) {
   const IntVect rvec = IntVect::uniform(ratio);
   const double inv_vol = 1.0 / static_cast<double>(ratio * ratio * ratio);
+  const auto r = static_cast<std::size_t>(ratio);
+  // The ratio^2 child rows of a coarse row, refilled per coarse row.
+  std::vector<const double*> frows(r * r);
   for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
     Fab& cfab = coarse.data[ci];
     const Box cvalid = coarse.layout.box(ci);
+    const Fab::Strides cs = cfab.strides();
     for (std::size_t fi = 0; fi < fine.layout.num_boxes(); ++fi) {
       const Box covered = fine.layout.box(fi).coarsen(rvec) & cvalid;
       if (covered.empty()) continue;
       const Fab& ffab = fine.data[fi];
-      // All ratio^2 child rows of a coarse row are hoisted once; the per-cell
-      // sum walks them dz -> dy -> dx, the exact BoxIterator child order, so
-      // the accumulation is bit-identical to the seed per-cell loop.
-      const int cx0 = covered.lo()[0];
-      const auto ncx = static_cast<std::size_t>(covered.size()[0]);
-      const auto cxoff = static_cast<std::size_t>(cx0 - cfab.box().lo()[0]);
-      const int ffx0 = ffab.box().lo()[0];
-      std::vector<const double*> frows(
-          static_cast<std::size_t>(ratio) * static_cast<std::size_t>(ratio));
+      XL_REQUIRE(ffab.box().contains(covered.refine(rvec)), "fine fab misses the children");
+      const Fab::Strides fs = ffab.strides();
+      const IntVect n = covered.size();
+      const auto ncx = static_cast<std::size_t>(n[0]);
+      // The per-cell sum walks the children dz -> dy -> dx, the exact
+      // BoxIterator child order, so the accumulation is bit-identical to the
+      // seed per-cell loop.
       for (int c = 0; c < cfab.ncomp(); ++c) {
-        mesh::for_each_row(covered, [&](int j, int k) {
-          for (int dz = 0; dz < ratio; ++dz) {
-            for (int dy = 0; dy < ratio; ++dy) {
-              frows[static_cast<std::size_t>(dz * ratio + dy)] =
-                  ffab.row(c, j * ratio + dy, k * ratio + dz);
-            }
-          }
-          double* cr = cfab.row(c, j, k) + cxoff;
-          for (std::size_t i = 0; i < ncx; ++i) {
-            const int fx = (cx0 + static_cast<int>(i)) * ratio;
-            double sum = 0.0;
-            for (int dz = 0; dz < ratio; ++dz) {
-              for (int dy = 0; dy < ratio; ++dy) {
-                const double* fr =
-                    frows[static_cast<std::size_t>(dz * ratio + dy)] +
-                    (fx - ffx0);
-                for (int dx = 0; dx < ratio; ++dx) sum += fr[dx];
+        const double* fz = &ffab(covered.lo().refine(rvec), c);
+        double* cz = &cfab(covered.lo(), c);
+        for (int k = 0; k < n[2]; ++k, fz += r * fs.z, cz += cs.z) {
+          const double* fy = fz;
+          double* cr = cz;
+          for (int j = 0; j < n[1]; ++j, fy += r * fs.y, cr += cs.y) {
+            for (std::size_t dz = 0; dz < r; ++dz) {
+              for (std::size_t dy = 0; dy < r; ++dy) {
+                frows[dz * r + dy] = fy + dz * fs.z + dy * fs.y;
               }
             }
-            cr[i] = sum * inv_vol;
+            for (std::size_t i = 0; i < ncx; ++i) {
+              double sum = 0.0;
+              for (std::size_t dz = 0; dz < r; ++dz) {
+                for (std::size_t dy = 0; dy < r; ++dy) {
+                  const double* fr = frows[dz * r + dy] + i * r;
+                  for (std::size_t dx = 0; dx < r; ++dx) sum += fr[dx];
+                }
+              }
+              cr[i] = sum * inv_vol;
+            }
           }
-        });
+        }
       }
     }
   }

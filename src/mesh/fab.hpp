@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -41,9 +40,17 @@ class Fab {
   double& operator()(const IntVect& p, int comp = 0) {
     return data_[offset(p, comp)];
   }
-  double operator()(const IntVect& p, int comp = 0) const {
+  const double& operator()(const IntVect& p, int comp = 0) const {
     return data_[offset(p, comp)];
   }
+
+  /// Element strides of the Fortran-ordered store: one y row, one z plane,
+  /// one component. A kernel that has checked its region against box()
+  /// takes one pointer with operator() and steps these from there.
+  struct Strides {
+    std::size_t y, z, c;
+  };
+  Strides strides() const noexcept { return dense_strides(box_.size()); }
 
   /// Pointer to the contiguous x-row of component `c` at y = j, z = k:
   /// row(c, j, k)[i] is the cell (box().lo()[0] + i, j, k) for
@@ -82,42 +89,14 @@ class Fab {
   void set_all(double value) { std::fill(data_.begin(), data_.end(), value); }
 
   /// Copy the overlap of `src` (restricted to `region`) into this fab, all
-  /// components, one memcpy per x-row. Regions outside either box are ignored.
-  void copy_from(const Fab& src, const Box& region) {
-    XL_REQUIRE(src.ncomp_ == ncomp_, "component count mismatch in copy");
-    const Box overlap = box_ & src.box_ & region;
-    if (!overlap.empty()) {
-      const int x0 = overlap.lo()[0];
-      const std::size_t nx = static_cast<std::size_t>(overlap.size()[0]);
-      for (int c = 0; c < ncomp_; ++c) {
-        for_each_row(overlap, [&](int j, int k) {
-          std::memcpy(data_.data() + offset(IntVect{x0, j, k}, c),
-                      src.data_.data() + src.offset(IntVect{x0, j, k}, c),
-                      nx * sizeof(double));
-        });
-      }
-    }
-  }
+  /// components. Regions outside either box are ignored.
+  void copy_from(const Fab& src, const Box& region);
 
   /// Copy overlap of src shifted by `shift`: dest(p) = src(p - shift).
   /// Used for periodic ghost exchange where the source box is wrapped. The
   /// per-cell contains() guard of the seed path is the intersection with the
-  /// shifted source box, so the active region is copied row by row.
-  void copy_from_shifted(const Fab& src, const Box& dest_region, const IntVect& shift) {
-    XL_REQUIRE(src.ncomp_ == ncomp_, "component count mismatch in copy");
-    const Box active = box_ & dest_region & src.box_.shift(shift);
-    if (active.empty()) return;
-    const IntVect slo = active.lo() - shift;
-    const std::size_t nx = static_cast<std::size_t>(active.size()[0]);
-    for (int c = 0; c < ncomp_; ++c) {
-      for_each_row(active, [&](int j, int k) {
-        std::memcpy(
-            data_.data() + offset(IntVect{active.lo()[0], j, k}, c),
-            src.data_.data() + src.offset(IntVect{slo[0], j - shift[1], k - shift[2]}, c),
-            nx * sizeof(double));
-      });
-    }
-  }
+  /// shifted source box, so only that active region is copied.
+  void copy_from_shifted(const Fab& src, const Box& dest_region, const IntVect& shift);
 
   /// Linearize the overlap of this fab with `region` (all components) into
   /// caller-owned scratch — the wire format the transport layer ships.
@@ -135,6 +114,19 @@ class Fab {
     return static_cast<std::size_t>(box_.index_of(p)) +
            static_cast<std::size_t>(cells()) * static_cast<std::size_t>(comp);
   }
+
+  /// The strides of a dense store of `n` cells (a fab's, or a packed buffer's).
+  static Strides dense_strides(const IntVect& n) noexcept {
+    const auto row = static_cast<std::size_t>(n[0]);
+    const auto plane = row * static_cast<std::size_t>(n[1]);
+    return {row, plane, plane * static_cast<std::size_t>(n[2])};
+  }
+
+  /// The one row walk behind every copy: `ncomp` components of a box of `n`
+  /// cells, x-row by x-row, from `src` to `dst`, each side stepping its own
+  /// strides from its first cell.
+  static void copy_rows(const IntVect& n, int ncomp, double* dst, const Strides& ds,
+                        const double* src, const Strides& ss);
 
   Box box_;
   int ncomp_ = 0;

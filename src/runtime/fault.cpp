@@ -93,6 +93,11 @@ namespace {
 /// every slowed in-transit time stays finite.
 constexpr int kMaxSlowdown = 1000000;
 
+/// Largest `retries`: every transfer walks its retry ladder attempt by
+/// attempt, at a cost quadratic in the attempts, so an uncapped count keeps a
+/// short run spinning. Every test, config and doc uses 5 or fewer.
+constexpr int kMaxRetries = 100;
+
 /// The clause a spec field came from, as parse errors name it.
 std::string clause_name(const std::string& clause) { return "fault spec: '" + clause + "'"; }
 
@@ -151,6 +156,10 @@ FaultConfig parse_fault_spec(const std::string& spec) {
       (key == "drop" ? config.transfer_drop_rate : config.transfer_corrupt_rate) = rate;
     } else if (key == "retries") {
       config.max_transfer_retries = spec_int(value, clause, 0);
+      if (config.max_transfer_retries > kMaxRetries) {
+        throw ContractError(clause_name(clause) + " needs an integer <= " +
+                            std::to_string(kMaxRetries));
+      }
     } else if (key == "backoff") {
       config.retry_backoff_seconds = spec_double(value, clause, 0.0);
     } else if (key == "backoff_mult") {

@@ -10,7 +10,6 @@ namespace xl::viz {
 
 using amr::AmrHierarchy;
 using mesh::Box;
-using mesh::BoxIterator;
 using mesh::IntVect;
 
 namespace {
@@ -71,20 +70,30 @@ TriangleMesh extract_amr_isosurface(const AmrHierarchy& hierarchy, double isoval
             active[i] = count_active_cells(level.data[i], valid, isovalue, comp);
           }
         } else {
-          // Masked extraction: walk cells, skip those covered by finer data.
+          // Masked extraction: one scan per maximal run of cells no finer
+          // data covers. A run visits its cells in the same x order as one
+          // scan per cell, so the vertices append in the same order.
           const std::vector<std::uint8_t> covered = coverage_mask(valid, covered_by_finer);
-          std::size_t cell_index = 0;
-          for (BoxIterator it(valid); it.ok(); ++it) {
-            if (covered[cell_index++] != 0) continue;
-            const Box cell(*it, *it);
-            TriangleMesh part =
-                extract_isosurface(level.data[i], cell, isovalue, comp, dx);
-            if (stats) {
-              ++scanned[i];
-              active[i] += count_active_cells(level.data[i], cell, isovalue, comp);
+          const int x0 = valid.lo()[0];
+          const int nx = valid.size()[0];
+          const std::uint8_t* row_mask = covered.data();
+          mesh::for_each_row(valid, [&](int j, int k) {
+            for (int x = 0; x < nx;) {
+              if (row_mask[x] != 0) {
+                ++x;
+                continue;
+              }
+              const int run_lo = x;
+              while (x < nx && row_mask[x] == 0) ++x;
+              const Box run({x0 + run_lo, j, k}, {x0 + x - 1, j, k});
+              parts[i].append(extract_isosurface(level.data[i], run, isovalue, comp, dx));
+              if (stats) {
+                scanned[i] += static_cast<std::size_t>(x - run_lo);
+                active[i] += count_active_cells(level.data[i], run, isovalue, comp);
+              }
             }
-            parts[i].append(part);
-          }
+            row_mask += nx;
+          });
         }
       }
     });

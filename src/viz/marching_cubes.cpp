@@ -96,6 +96,28 @@ void extract_into(const Fab& fab, const Box& region, double isovalue, int comp,
   });
 }
 
+/// Serial count of the cells of `region` whose cube configuration is neither
+/// all inside nor all outside.
+std::size_t count_into(const Fab& fab, const Box& region, double isovalue, int comp) {
+  const Box scan = valid_corner_cells(fab, region);
+  if (scan.empty()) return 0;
+  std::size_t active = 0;
+  double corner[8];
+  const auto nx = static_cast<std::size_t>(scan.size()[0]);
+  const auto xoff = static_cast<std::size_t>(scan.lo()[0] - fab.box().lo()[0]);
+  mesh::for_each_row(scan, [&](int j, int k) {
+    const double* r00 = fab.row(comp, j, k) + xoff;
+    const double* r10 = fab.row(comp, j + 1, k) + xoff;
+    const double* r01 = fab.row(comp, j, k + 1) + xoff;
+    const double* r11 = fab.row(comp, j + 1, k + 1) + xoff;
+    for (std::size_t i = 0; i < nx; ++i) {
+      const int index = cube_index_rows(r00, r10, r01, r11, i, isovalue, corner);
+      if (index > 0 && index < 255) ++active;
+    }
+  });
+  return active;
+}
+
 }  // namespace
 
 TriangleMesh extract_isosurface(const Fab& fab, const Box& region, double isovalue,
@@ -134,27 +156,11 @@ std::size_t count_active_cells(const Fab& fab, const Box& region, double isovalu
   ThreadPool& pool = ThreadPool::global();
   const auto nz = static_cast<std::size_t>(region.size()[2]);
   const std::size_t nchunks = parallel_chunk_count(pool, nz);
+  if (nchunks <= 1) return count_into(fab, region, isovalue, comp);
   std::vector<std::size_t> slab_active(nchunks, 0);
   parallel_for_chunks(pool, 0, nz,
                       [&](std::size_t c, std::size_t zb, std::size_t ze) {
-    std::size_t active = 0;
-    double corner[8];
-    const Box scan = valid_corner_cells(fab, mesh::z_slab(region, zb, ze));
-    if (scan.empty()) return;
-    const auto nx = static_cast<std::size_t>(scan.size()[0]);
-    const auto xoff = static_cast<std::size_t>(scan.lo()[0] - fab.box().lo()[0]);
-    mesh::for_each_row(scan, [&](int j, int k) {
-      const double* r00 = fab.row(comp, j, k) + xoff;
-      const double* r10 = fab.row(comp, j + 1, k) + xoff;
-      const double* r01 = fab.row(comp, j, k + 1) + xoff;
-      const double* r11 = fab.row(comp, j + 1, k + 1) + xoff;
-      for (std::size_t i = 0; i < nx; ++i) {
-        const int index =
-            cube_index_rows(r00, r10, r01, r11, i, isovalue, corner);
-        if (index > 0 && index < 255) ++active;
-      }
-    });
-    slab_active[c] = active;
+    slab_active[c] = count_into(fab, mesh::z_slab(region, zb, ze), isovalue, comp);
   });
   std::size_t active = 0;
   for (std::size_t a : slab_active) active += a;

@@ -335,6 +335,23 @@ inline void fill_cf_ghosts(const amr::AmrLevel& coarse, amr::AmrLevel& fine, int
   }
 }
 
+/// Seed piecewise-constant prolongation: each fine valid cell over a coarse
+/// valid box copies its coarse parent, one cell at a time.
+inline void prolong_constant(const amr::AmrLevel& coarse, amr::AmrLevel& fine, int ratio) {
+  const mesh::IntVect rvec = mesh::IntVect::uniform(ratio);
+  for (std::size_t fi = 0; fi < fine.layout.num_boxes(); ++fi) {
+    mesh::Fab& ffab = fine.data[fi];
+    for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
+      const mesh::Box ftarget = coarse.layout.box(ci).refine(rvec) & fine.layout.box(fi);
+      for (int c = 0; c < ffab.ncomp(); ++c) {
+        for (mesh::BoxIterator it(ftarget); it.ok(); ++it) {
+          ffab(*it, c) = coarse.data[ci]((*it).coarsen(rvec), c);
+        }
+      }
+    }
+  }
+}
+
 /// Valid-region mask: true where level l's cell is NOT covered by level l+1,
 /// tested one cell at a time against every finer box.
 inline bool is_finest_at(const amr::AmrHierarchy& hierarchy, std::size_t l,

@@ -135,6 +135,82 @@ TEST(Fab, RowOutsideBoxIsAContractViolation) {
   EXPECT_NO_THROW(f.row(0, 3, 3));
 }
 
+// --- the copy walk against a per-cell reference -------------------------------
+// copy_from, copy_from_shifted, pack_into and unpack share one stride walk;
+// each must move exactly the cells a BoxIterator loop through operator()
+// moves, for short and long rows, negative corners and regions that stick
+// out of either box.
+
+/// A fab over `box` whose every cell and component holds its own value.
+Fab numbered(const Box& box, int ncomp, double base) {
+  Fab f(box, ncomp);
+  for (int c = 0; c < ncomp; ++c) {
+    for (BoxIterator it(box); it.ok(); ++it) f(*it, c) = base + cell_value(*it, c);
+  }
+  return f;
+}
+
+/// dst(p) = src(p - shift) for p in `region` and both boxes, one cell at a time.
+void copy_per_cell(const Fab& src, Fab& dst, const Box& region, const IntVect& shift) {
+  for (int c = 0; c < dst.ncomp(); ++c) {
+    for (BoxIterator it(dst.box() & region); it.ok(); ++it) {
+      if (src.box().contains(*it - shift)) dst(*it, c) = src(*it - shift, c);
+    }
+  }
+}
+
+std::vector<double> values(const Fab& f) { return {f.flat().begin(), f.flat().end()}; }
+
+TEST(FabCopy, StrideWalkMatchesPerCellReference) {
+  for (const int ncomp : {1, 5}) {
+    for (const int nx : {1, 2, 3, 4, 5, 6, 70}) {
+      SCOPED_TRACE(testing::Message() << ncomp << " components, rows of " << nx);
+      // Negative corners; the region sticks out of both boxes in y and z, and
+      // its rows, clipped to both, hold nx cells.
+      const Box dbox({-5, -4, -3}, {nx - 2, 2, 1});
+      const Box sbox({-7, -6, -2}, {nx - 2, 0, 4});
+      const Box region({-3, -5, -4}, {nx - 4, 1, 3});
+      const Fab src = numbered(sbox, ncomp, 0.5);
+      ASSERT_EQ((dbox & sbox & region).size()[0], nx);
+
+      Fab got = numbered(dbox, ncomp, -1000.0);
+      Fab want = got;
+      got.copy_from(src, region);
+      copy_per_cell(src, want, region, IntVect::zero());
+      EXPECT_EQ(values(got), values(want)) << "copy_from";
+
+      // Shifted copies: periodic images in every direction, partly missing.
+      for (const IntVect& shift : {IntVect{nx + 1, 0, 0}, IntVect{-2, 5, 0}, IntVect{1, -3, -4}}) {
+        ASSERT_FALSE((dbox & region & sbox.shift(shift)).empty()) << shift;
+        got = numbered(dbox, ncomp, -1000.0);
+        want = got;
+        got.copy_from_shifted(src, region, shift);
+        copy_per_cell(src, want, region, shift);
+        EXPECT_EQ(values(got), values(want)) << "copy_from_shifted by " << shift;
+      }
+
+      // The wire format: the overlap's cells in BoxIterator order, component
+      // slowest.
+      std::vector<double> wire;
+      src.pack_into(region, wire);
+      std::vector<double> wire_want;
+      for (int c = 0; c < ncomp; ++c) {
+        for (BoxIterator it(sbox & region); it.ok(); ++it) wire_want.push_back(src(*it, c));
+      }
+      EXPECT_EQ(wire, wire_want) << "pack_into";
+
+      got = numbered(sbox, ncomp, -1000.0);
+      want = got;
+      got.unpack(region, wire);
+      std::size_t next = 0;
+      for (int c = 0; c < ncomp; ++c) {
+        for (BoxIterator it(sbox & region); it.ok(); ++it) want(*it, c) = wire[next++];
+      }
+      EXPECT_EQ(values(got), values(want)) << "unpack";
+    }
+  }
+}
+
 TEST(Box, ForEachRowVisitsRowsInBoxIteratorOrder) {
   const Box b({-2, 1, 0}, {3, 4, 2});
   // The (j, k) sequence BoxIterator produces, one entry per x-row.

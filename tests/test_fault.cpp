@@ -178,6 +178,14 @@ TEST(FaultSpecParse, RejectsBadInput) {
   // SLOW is capped so that a slowed in-transit time stays finite.
   EXPECT_THROW(runtime::parse_fault_spec("straggler=3:1e7"), ContractError);
   EXPECT_NO_THROW(runtime::parse_fault_spec("straggler=3:1000000"));
+  // retries is capped: each transfer walks its ladder attempt by attempt.
+  try {
+    runtime::parse_fault_spec("drop=1;backoff=0;retries=101");
+    ADD_FAILURE() << "retries=101 accepted";
+  } catch (const ContractError& e) {
+    EXPECT_EQ(std::string(e.what()), "fault spec: 'retries=101' needs an integer <= 100");
+  }
+  EXPECT_EQ(runtime::parse_fault_spec("drop=1;backoff=0;retries=100").max_transfer_retries, 100);
   // Clauses that pass one by one but overflow together name all three.
   try {
     runtime::parse_fault_spec("drop=1;backoff_mult=1e300;retries=3");

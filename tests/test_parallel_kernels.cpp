@@ -501,6 +501,118 @@ TEST(SeedIdentity, FillCfGhostsMatchesSeedPerCellPath) {
       [](const std::vector<std::uint8_t>& b) { return b; });
 }
 
+/// Every fab of `level`, ghosts included, in box order.
+std::vector<std::uint8_t> level_fab_bytes(const amr::AmrLevel& level) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < level.data.size(); ++i) {
+    const std::vector<std::uint8_t> fb = fab_bytes(level.data[i]);
+    bytes.insert(bytes.end(), fb.begin(), fb.end());
+  }
+  return bytes;
+}
+
+TEST(SeedIdentity, FillCfGhostsAndProlongMatchSeedAtRatiosThreeAndFour) {
+  constexpr int kGhost = 2;
+  for (const int ratio : {3, 4}) {
+    SCOPED_TRACE(testing::Message() << "ratio " << ratio);
+    // Eight 6^3 coarse boxes around the origin: negative corners, and ghosted
+    // fabs that overlap and each hold their own values there.
+    amr::AmrLevel coarse;
+    coarse.domain = Box({-6, -6, -6}, {5, 5, 5});
+    std::vector<Box> cboxes;
+    for (const int z : {-6, 0}) {
+      for (const int y : {-6, 0}) {
+        for (const int x : {-6, 0}) cboxes.push_back(Box::cube({x, y, z}, 6));
+      }
+    }
+    coarse.layout = mesh::BoxLayout(cboxes, std::vector<int>(cboxes.size(), 0), 1);
+    coarse.data = mesh::LevelData(coarse.layout, 2, kGhost);
+    for (std::size_t i = 0; i < coarse.data.size(); ++i) {
+      for (int c = 0; c < 2; ++c) {
+        for (BoxIterator it(coarse.data[i].box()); it.ok(); ++it) {
+          const auto& p = *it;
+          coarse.data[i](p, c) = 1000.0 * static_cast<double>(i) + 100.0 * c + p[0] +
+                                 10.0 * p[1] + 0.01 * p[2];
+        }
+      }
+    }
+    // Fine boxes whose low corners are negative and not multiples of the
+    // ratio: two touching in x across the origin, one in the domain's low
+    // corner.
+    amr::AmrLevel fine;
+    fine.domain = coarse.domain.refine(ratio);
+    const int lo = fine.domain.lo()[0];
+    fine.layout = mesh::BoxLayout({Box({-7, -5, -5}, {2, 4, 5}), Box({3, -5, -5}, {8, 1, 5}),
+                                   Box({lo, lo, lo + 1}, {lo + 6, lo + 8, lo + 5})},
+                                  {0, 1, 0}, 2);
+    fine.data = mesh::LevelData(fine.layout, 2, kGhost);
+    for (std::size_t i = 0; i < fine.data.size(); ++i) {
+      fine.data[i].set_all(-7.0);
+      for (int c = 0; c < 2; ++c) {
+        for (BoxIterator it(fine.layout.box(i)); it.ok(); ++it) {
+          fine.data[i](*it, c) = -1.0 - 0.5 * c - 0.001 * (*it)[0];
+        }
+      }
+    }
+    amr::AmrLevel want = fine;
+    seed::fill_cf_ghosts(coarse, want, ratio, kGhost);
+    expect_matches_seed<std::vector<std::uint8_t>>(
+        level_fab_bytes(want),
+        [&] {
+          amr::AmrLevel got = fine;
+          amr::fill_cf_ghosts(coarse, got, ratio, kGhost);
+          return level_fab_bytes(got);
+        },
+        [](const std::vector<std::uint8_t>& b) { return b; });
+    want = fine;
+    seed::prolong_constant(coarse, want, ratio);
+    expect_matches_seed<std::vector<std::uint8_t>>(
+        level_fab_bytes(want),
+        [&] {
+          amr::AmrLevel got = fine;
+          amr::prolong_constant(coarse, got, ratio);
+          return level_fab_bytes(got);
+        },
+        [](const std::vector<std::uint8_t>& b) { return b; });
+  }
+}
+
+TEST(SeedIdentity, GodunovOnBoxesOneCellThickMatchesSeed) {
+  // One cell thick in y, in z, and in both: the y and z sweeps each walk a
+  // single pair of face rows.
+  const amr::AdvectionDiffusion model;
+  const amr::PolytropicGas gas;
+  const double dx = 1.0 / 16.0;
+  for (const Box& valid :
+       {Box({-3, 2, -1}, {6, 2, 4}), Box({-3, -2, 5}, {6, 3, 5}), Box({0, 0, 0}, {69, 0, 0})}) {
+    SCOPED_TRACE(testing::Message() << valid);
+    Fab u(valid.grow(model.nghost()), 1);
+    for (BoxIterator it(u.box()); it.ok(); ++it) {
+      const auto& p = *it;
+      u(p) = std::sin(0.4 * p[0]) * std::cos(0.3 * p[1]) + 0.07 * p[2];
+    }
+    const double dt = 0.4 * dx / model.max_wave_speed(u, valid, dx);
+    expect_matches_seed<Fab>(
+        fab_bytes(seed::godunov(model, u, valid, dx, dt)),
+        [&] {
+          Fab u_new(u.box(), 1);
+          amr::godunov_update(model, u, valid, dx, dt, u_new);
+          return u_new;
+        },
+        fab_bytes);
+    const Fab g = sedov_with_flow(gas, valid.grow(gas.nghost()), dx);
+    const double gdt = 1e-3 * dx;
+    expect_matches_seed<Fab>(
+        fab_bytes(seed::polytropic_godunov(gas.gamma(), g, valid, dx, gdt)),
+        [&] {
+          Fab u_new(g.box(), amr::PolytropicGas::kNcomp);
+          amr::godunov_update(gas, g, valid, dx, gdt, u_new);
+          return u_new;
+        },
+        fab_bytes);
+  }
+}
+
 TEST(SeedIdentity, AmrIsosurfaceMatchesSeedPerCellPath) {
   amr::AmrConfig cfg;
   cfg.base_domain = Box::domain({16, 16, 16});

@@ -2,14 +2,23 @@
 """Interleaved benchmark pairs of two checkouts of this repository.
 
   tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seconds S
+                       [--first-seed S0] [--claim METRIC]
 
-Pair i runs `python3 perfbench/run.py --workload W --seed i --seconds S
+Pair i runs `python3 perfbench/run.py --workload W --seed S0+i --seconds S
 --trace 0` once in each checkout: the parent first when i is even, the change
 first when i is odd, so neither side always runs on a warmer or quieter host.
-Each checkout builds its own benchmark on its first run. Prints one JSON
-object: for every end-to-end metric that BENCHMARK.json (read from
-CHANGE_DIR) names, the parent and change medians and quartiles, how many
-pairs each side won, and every raw pair; then every run's outcome.
+Seeds start at --first-seed (default 0), so a claim can be re-run on seeds
+not used while the change was written. Each checkout builds its own
+benchmark on its first run. Prints one JSON object: for every end-to-end
+metric that BENCHMARK.json (read from CHANGE_DIR) names, the parent and
+change medians and quartiles, how many pairs each side won, and every raw
+pair; then every run's outcome.
+
+--claim METRIC adds a "verdict" object and makes the exit status 1 unless
+the claim holds: the change wins at least 9 of every 10 pairs on METRIC, its
+median is better than the parent's by more than the parent's quartile
+spread, no other end-to-end metric's median is worse than the parent's by
+more than its BENCHMARK.json bound, and every run is correct with 0 failed.
 
 Uses the standard library only. Timing needs a quiet host; shared CI runners
 are not one.
@@ -61,6 +70,40 @@ def summary(spec, pairs):
     return out
 
 
+def verdict(claim, metrics, all_correct):
+    """Whether the gain claimed on metric `claim` holds over `metrics` (as in
+    the report: name -> summary()). Returns {"metric", "passed", "checks"},
+    one check per condition, each with its own "passed"."""
+    m = metrics[claim]
+    lower = m["better"] == "lower"
+    pairs = len(m["pairs"])
+    parent, change = m["parent"]["median"], m["change"]["median"]
+    gain = parent - change if lower else change - parent
+    spread = m["parent"]["q3"] - m["parent"]["q1"]
+    checks = [
+        {"check": "wins", "passed": 10 * m["change_wins"] >= 9 * pairs,
+         "detail": f"change won {m['change_wins']} of {pairs} pairs (needs 9 of 10)"},
+        {"check": "gap", "passed": gain > spread,
+         "detail": f"median gain {gain:.6g} {m['unit']} against the parent's quartile "
+                   f"spread {spread:.6g}"},
+    ]
+    for name, other in metrics.items():
+        if name == claim:
+            continue
+        base = other["parent"]["median"]
+        worse = other["change"]["median"] - base
+        if other["better"] != "lower":
+            worse = -worse
+        frac = worse / abs(base) if base else (0.0 if worse <= 0 else float("inf"))
+        checks.append({"check": f"bound {name}", "passed": frac <= other["bound"],
+                       "detail": f"median {'worse' if frac > 0 else 'better'} by "
+                                 f"{abs(frac):.2%} (bound {other['bound']:.0%})"})
+    checks.append({"check": "correct", "passed": bool(all_correct),
+                   "detail": "every run correct with 0 failed" if all_correct
+                   else "a run was incorrect or had failed operations"})
+    return {"metric": claim, "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_dir", type=Path)
@@ -68,24 +111,31 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, default=0)
+    parser.add_argument("--claim", metavar="METRIC")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.first_seed < 0:
+        parser.error("--first-seed must be at least 0")
     checkouts = {"parent": args.parent_dir, "change": args.change_dir}
     for side, checkout in checkouts.items():
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{side} directory {checkout} has no perfbench/run.py")
     specs = json.loads((args.change_dir / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim is not None and args.claim not in {spec["name"] for spec in specs}:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
 
     runs = []
     values = {side: [] for side in SIDES}
     for i in range(args.pairs):
+        seed = args.first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_once(checkouts[side], args.workload, i, args.seconds)
+            result = run_once(checkouts[side], args.workload, seed, args.seconds)
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
             values[side].append(metrics)
-            runs.append({"pair": i, "seed": i, "side": side, "correct": result["correct"],
+            runs.append({"pair": i, "seed": seed, "side": side, "correct": result["correct"],
                          "attempted": result["attempted"], "failed": result["failed"],
                          "metrics": metrics})
         print(f"pair {i}: " + ", ".join(
@@ -96,9 +146,10 @@ def main():
         "workload": args.workload,
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "protocol": "pair i: perfbench/run.py --workload W --seed i --seconds S --trace 0 "
-                    "once per checkout, the parent first when i is even and the change first "
-                    "when i is odd; quartiles use the inclusive method",
+        "first_seed": args.first_seed,
+        "protocol": "pair i: perfbench/run.py --workload W --seed first_seed+i --seconds S "
+                    "--trace 0 once per checkout, the parent first when i is even and the "
+                    "change first when i is odd; quartiles use the inclusive method",
         "all_correct": all(r["correct"] and r["failed"] == 0 for r in runs),
         "metrics": {
             spec["name"]: summary(spec, [(p[spec["name"]], c[spec["name"]])
@@ -107,8 +158,10 @@ def main():
         },
         "runs": runs,
     }
+    if args.claim is not None:
+        report["verdict"] = verdict(args.claim, report["metrics"], report["all_correct"])
     print(json.dumps(report, indent=1))
-    return 0
+    return 0 if args.claim is None or report["verdict"]["passed"] else 1
 
 
 if __name__ == "__main__":
